@@ -17,7 +17,7 @@ from .grouptool import (
     cyclic_group,
     semidirect_pq,
 )
-from .hopfcore import HopfAlgebra, dual_hopf
+from .hopfcore import HopfAlgebra, Report, dual_hopf
 
 
 class MatchedPair:
@@ -37,12 +37,6 @@ class MatchedPair:
         self.tau = tau
         self.conductor = conductor
         self.name = name or "matched-pair"
-
-    def left(self, g, f):
-        return self.act_left[g][f]
-
-    def right(self, g, f):
-        return self.act_right[g][f]
 
     def left_trivial(self):
         return all(self.act_left[g][f] == g for g in range(self.G.order)
@@ -70,28 +64,10 @@ class MatchedPair:
         return f"<MatchedPair {self.name}: |G|={self.G.order}, |F|={self.F.order}>"
 
 
-class ValidationReport:
-    def __init__(self):
-        self.failures = []
-
-    def fail(self, condition, witness):
-        self.failures.append((condition, witness))
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def __repr__(self):
-        if self.passed:
-            return "<ValidationReport PASS>"
-        c, w = self.failures[0]
-        return f"<ValidationReport FAIL {len(self.failures)}: first {c} at {w}>"
-
-
-def validate_matched_pair(mp: MatchedPair, mode: str = "full") -> ValidationReport:
+def validate_matched_pair(mp: MatchedPair, mode: str = "full") -> Report:
     """Check every matched-pair identity, cocycle identity, normalization and
     the sigma-tau compatibility condition on all argument tuples."""
-    rep = ValidationReport()
+    rep = Report()
     fast = mode == "fast"
     G, F = mp.G, mp.F
     ng, nf = G.order, F.order
@@ -224,17 +200,13 @@ class BismashHopf(HopfAlgebra):
         return self.element({self.gf_index(g, f): one
                              for g in range(self.mp.G.order)})
 
-    def idempotent_g(self, g):
-        """e_g # 1."""
-        return self.basis_element(self.gf_index(g, 0))
-
 
 def build_bismash(mp: MatchedPair) -> BismashHopf:
     """The Hopf algebra k^G # kF of a validated matched pair."""
     rep = validate_matched_pair(mp, mode="fast")
     if not rep.passed:
-        cond, wit = rep.failures[0]
-        raise ParameterError(f"matched pair invalid: {cond} fails at {wit}")
+        cond, wits = next(iter(rep.failures.items()))
+        raise ParameterError(f"matched pair invalid: {cond} fails at {wits[0]}")
     G, F = mp.G, mp.F
     ng, nf = G.order, F.order
     dim = ng * nf
@@ -415,26 +387,10 @@ def dualize_trivial_action(mp: MatchedPair) -> MatchedPair:
                        name=f"dual({mp.name})")
 
 
-class DualIsoReport:
-    def __init__(self):
-        self.failures = []
-
-    def fail(self, what, witness):
-        self.failures.append((what, witness))
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def __repr__(self):
-        return ("<DualIsoReport PASS>" if self.passed
-                else f"<DualIsoReport FAIL: {self.failures[:3]}>")
-
-
-def dual_iso_check(mp: MatchedPair) -> DualIsoReport:
+def dual_iso_check(mp: MatchedPair) -> Report:
     """Verify that E_(g;f) -> e_f # (g <| f) is a Hopf isomorphism from the
     dual of k^G # kF onto the dualized matched-pair algebra."""
-    rep = DualIsoReport()
+    rep = Report()
     H = build_bismash(mp)
     Hd = dual_hopf(H)
     D = build_bismash(dualize_trivial_action(mp))
@@ -532,27 +488,37 @@ def dump_matched_pair(mp: MatchedPair) -> str:
 
 
 def load_matched_pair(text: str) -> MatchedPair:
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
+    """Inverse of dump_matched_pair.  Truncated input, rows of the wrong
+    width and action entries outside the group raise ValueError naming the
+    line."""
+    lines = [(n, ln.rstrip()) for n, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
     pos = 0
 
-    def expect(prefix):
+    def take(count):
         nonlocal pos
-        if not lines[pos].startswith(prefix):
-            raise ValueError(f"expected {prefix!r} at line {pos}")
-        val = lines[pos][len(prefix):].strip()
-        pos += 1
-        return val
+        if pos + count > len(lines):
+            last = lines[-1][0] if lines else 0
+            raise ValueError(f"matched pair truncated after line {last}")
+        pos += count
+        return lines[pos - count:pos]
+
+    def expect(prefix):
+        [(n, ln)] = take(1)
+        if not ln.startswith(prefix):
+            raise ValueError(f"expected {prefix!r} at line {n}")
+        return ln[len(prefix):].strip()
 
     expect("hopfqt-matched-pair 1")
     N = int(expect("conductor"))
     name = expect("name")
 
     def read_group():
-        nonlocal pos
-        order = int(lines[pos].split()[1])
-        chunk = "\n".join(lines[pos:pos + order + 1])
-        pos += order + 1
-        return FiniteGroup.from_table_text(chunk)
+        order = expect("order ")
+        if not order.isdigit():
+            raise ValueError(f"bad group order at line {lines[pos - 1][0]}")
+        rows = [ln for _, ln in take(int(order))]
+        return FiniteGroup.from_table_text("\n".join([f"order {order}"] + rows))
 
     expect("group G")
     G = read_group()
@@ -560,16 +526,24 @@ def load_matched_pair(text: str) -> MatchedPair:
     F = read_group()
     ng, nf = G.order, F.order
 
-    def read_rows(count):
-        nonlocal pos
-        rows = [[int(x) for x in lines[pos + i].split()] for i in range(count)]
-        pos += count
+    def read_rows(count, bound=None):
+        rows = []
+        for n, ln in take(count):
+            try:
+                row = [int(x) for x in ln.split()]
+            except ValueError:
+                row = []
+            if len(row) != nf or (
+                    bound is not None and not all(0 <= x < bound for x in row)):
+                span = "integers" if bound is None else f"integers in 0..{bound - 1}"
+                raise ValueError(f"expected {nf} {span} at line {n}")
+            rows.append(row)
         return rows
 
     expect("actl")
-    act_left = read_rows(ng)
+    act_left = read_rows(ng, ng)
     expect("actr")
-    act_right = read_rows(ng)
+    act_right = read_rows(ng, nf)
     expect("sigma")
     sig_rows = read_rows(ng * nf)
     expect("tau")

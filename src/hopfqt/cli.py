@@ -2,7 +2,8 @@
 quasitriangular structures, and reproduce the full classification summary at
 a chosen pair of odd primes.
 
-Exit codes: 0 success, 2 parameter error, 3 I/O or format error.  Reports are
+Exit codes: 0 success, 1 a check failed (verify: an axiom fails; reproduce: a
+claim fails), 2 parameter error, 3 I/O or format error.  Reports are
 deterministic given the same configuration, except for the elapsed_ms field.
 """
 

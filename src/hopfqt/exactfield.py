@@ -216,11 +216,6 @@ class CycloNumber:
             return None
         return e, Fraction(num, den)
 
-    def as_rational(self):
-        if self._m is not None and self._m[0] == 0:
-            return Fraction(self._m[1], self._m[2])
-        return None
-
     def is_zero(self):
         return self._m is not None and self._m[1] == 0
 
@@ -680,10 +675,6 @@ class RowSpace:
                     else:
                         combo.pop(i, None)
         return vec, combo
-
-    def contains(self, vec) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
 
     def add(self, vec) -> bool:
         """Add a vector; returns True if it enlarged the space."""

@@ -51,9 +51,6 @@ class HopfAlgebra:
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
 
-    def mult_entry(self, i, j):
-        return self.mult[i].get(j, ())
-
     # -- monomial extraction for integer fast paths
 
     def mono_tables(self):
@@ -82,13 +79,6 @@ class HopfAlgebra:
                     break
             self._mono = (mt, me) if ok else None
         return self._mono
-
-    def is_commutative(self):
-        for i in range(self.dim):
-            for j, terms in self.mult[i].items():
-                if sorted(self.mult[j].get(i, ())) != sorted(terms):
-                    return False
-        return True
 
     def with_scaled_mult_entry(self, i, j, k, factor) -> "HopfAlgebra":
         """Copy with the coefficient of b_k in b_i b_j multiplied by factor."""
@@ -180,13 +170,7 @@ class AlgebraElement:
         out = {}
         for i, ci in self.coeffs.items():
             for j, k, c in self.host.comult[i]:
-                key = (j, k)
-                s = out.get(key)
-                s = ci * c if s is None else s + ci * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                _acc(out, (j, k), ci * c)
         return out
 
     def counit_apply(self) -> CycloNumber:
@@ -200,12 +184,7 @@ class AlgebraElement:
         out = {}
         for i, ci in self.coeffs.items():
             for j, c in self.host.antipode[i]:
-                s = out.get(j)
-                s = ci * c if s is None else s + ci * c
-                if s:
-                    out[j] = s
-                else:
-                    out.pop(j, None)
+                _acc(out, j, ci * c)
         return AlgebraElement(self.host, out)
 
     def __repr__(self):
@@ -214,20 +193,14 @@ class AlgebraElement:
         return " + ".join(parts) if parts else "0"
 
 
-def algebra_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
-def comult_apply(x: AlgebraElement):
-    return x.comult_apply()
-
-
-def counit_apply(x: AlgebraElement) -> CycloNumber:
-    return x.counit_apply()
-
-
-def antipode_apply(x: AlgebraElement) -> AlgebraElement:
-    return x.antipode_apply()
+def _acc(out, key, val):
+    """Add val to out[key] in a sparse dict, dropping the key at zero."""
+    s = out.get(key)
+    s = val if s is None else s + val
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +251,20 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
 # axiom verification
 
 
-class AxiomReport:
-    """Outcome of a verification sweep: axiom name -> list of witnesses."""
+class Report:
+    """Outcome of a verification sweep: ``failures`` maps each failed
+    condition to its witnesses in the order found; ``checked`` lists the
+    conditions noted as checked."""
 
     def __init__(self):
         self.failures = {}
         self.checked = []
 
-    def fail(self, axiom, witness):
-        self.failures.setdefault(axiom, []).append(witness)
+    def fail(self, condition, witness):
+        self.failures.setdefault(condition, []).append(witness)
 
-    def note(self, axiom):
-        self.checked.append(axiom)
+    def note(self, condition):
+        self.checked.append(condition)
 
     @property
     def passed(self):
@@ -297,32 +272,23 @@ class AxiomReport:
 
     def summary(self):
         if self.passed:
-            return f"all axioms hold ({', '.join(self.checked)})"
+            return f"all conditions hold ({', '.join(self.checked)})"
         lines = []
-        for axiom, ws in self.failures.items():
-            lines.append(f"{axiom}: {len(ws)} failures, first witness {ws[0]}")
+        for condition, ws in self.failures.items():
+            lines.append(f"{condition}: {len(ws)} failures, first witness {ws[0]}")
         return "; ".join(lines)
 
     def __repr__(self):
-        return f"<AxiomReport {'PASS' if self.passed else 'FAIL'}: {self.summary()}>"
+        return f"<Report {'PASS' if self.passed else 'FAIL'}: {self.summary()}>"
 
 
-def _tensor_add(out, key, val):
-    s = out.get(key)
-    s = val if s is None else s + val
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
-def verify_hopf_axioms(H: HopfAlgebra, mode: str = "full") -> AxiomReport:
+def verify_hopf_axioms(H: HopfAlgebra, mode: str = "full") -> Report:
     """Exact verification of all Hopf axioms on every basis tuple.
 
     mode="fast" stops at the first failing witness per axiom; "full" collects
     all witnesses.
     """
-    rep = AxiomReport()
+    rep = Report()
     fast = mode == "fast"
     _check_assoc(H, rep, fast)
     _check_unit_laws(H, rep, fast)
@@ -392,9 +358,9 @@ def _check_coassoc(H, rep, fast):
         left, right = {}, {}
         for j, k, c in H.comult[i]:
             for a, b, c2 in H.comult[j]:
-                _tensor_add(left, (a, b, k), c * c2)
+                _acc(left, (a, b, k), c * c2)
             for a, b, c2 in H.comult[k]:
-                _tensor_add(right, (j, a, b), c * c2)
+                _acc(right, (j, a, b), c * c2)
         if left != right:
             rep.fail("coassociativity", (i,))
             if fast:
@@ -411,8 +377,8 @@ def _check_counit_laws(H, rep, fast):
     for i in range(H.dim):
         left, right = {}, {}
         for j, k, c in H.comult[i]:
-            _tensor_add(left, k, c * eps[j])
-            _tensor_add(right, j, c * eps[k])
+            _acc(left, k, c * eps[j])
+            _acc(right, j, c * eps[k])
         expect = {i: CycloNumber.one(H.conductor)}
         if left != expect or right != expect:
             rep.fail("counit", (i,))
@@ -428,7 +394,7 @@ def _check_delta_algebra_map(H, rep, fast):
     unit_tensor = {}
     for i, ci in H.unit.items():
         for j, cj in H.unit.items():
-            _tensor_add(unit_tensor, (i, j), ci * cj)
+            _acc(unit_tensor, (i, j), ci * cj)
     if delta_one != unit_tensor:
         rep.fail("comultiplication is an algebra map", ("Delta(1) != 1x1",))
         if fast:
@@ -457,11 +423,11 @@ def _check_delta_algebra_map(H, rep, fast):
                         c12 = c1 * c2
                         for tu, cu in row_u[u2]:
                             for tv, cv in terms_v:
-                                _tensor_add(rhs, (tu, tv), c12 * cu * cv)
+                                _acc(rhs, (tu, tv), c12 * cu * cv)
             lhs = {}
             for k, ck in mult[i].get(j, ()):
                 for u, v, c in H.comult[k]:
-                    _tensor_add(lhs, (u, v), ck * c)
+                    _acc(lhs, (u, v), ck * c)
             if lhs != rhs:
                 rep.fail("comultiplication is an algebra map", (i, j))
                 if fast:
@@ -531,12 +497,7 @@ def _mat_compose(H, a, b):
         acc = {}
         for j, c in b[i]:
             for k, c2 in a[j]:
-                s = acc.get(k)
-                s = c * c2 if s is None else s + c * c2
-                if s:
-                    acc[k] = s
-                else:
-                    acc.pop(k, None)
+                _acc(acc, k, c * c2)
         out.append(tuple(acc.items()))
     return out
 
@@ -596,11 +557,7 @@ def group_likes_bismash(mp) -> GroupLikeSet:
     from .bismash import build_bismash  # deferred; bismash imports this module
 
     G, F = mp.G, mp.F
-    left_trivial = all(mp.act_left[g][f] == g for g in range(G.order)
-                       for f in range(F.order))
-    right_trivial = all(mp.act_right[g][f] == f for g in range(G.order)
-                        for f in range(F.order))
-    if not (left_trivial or right_trivial):
+    if not (mp.left_trivial() or mp.right_trivial()):
         raise ParameterError("group-like search requires one trivial action")
     H = build_bismash(mp)
     N = H.conductor
@@ -621,7 +578,7 @@ def group_likes_bismash(mp) -> GroupLikeSet:
         xx = {}
         for i, ci in x.coeffs.items():
             for j, cj in x.coeffs.items():
-                _tensor_add(xx, (i, j), ci * cj)
+                _acc(xx, (i, j), ci * cj)
         if dx == xx and x.counit_apply() == one:
             group_likes.append(x)
 
@@ -740,6 +697,8 @@ def _parse_coeff(fields, conductor, phi):
     if len(fields) != phi + 1:
         raise FormatError("bad coefficient field count")
     den = int(fields[0])
+    if den <= 0:
+        raise FormatError(f"denominator {den} is not positive")
     nums = [int(x) for x in fields[1:]]
     return CycloNumber.from_coeffs(conductor, [Fraction(x, den) for x in nums])
 
@@ -765,24 +724,31 @@ def load_structure(text: str) -> HopfAlgebra:
         antipode = [[] for _ in range(dim)]
         if lines[-1] != "END":
             raise FormatError("missing END")
+
+        def index(field):
+            i = int(field)
+            if not 0 <= i < dim:
+                raise FormatError(f"basis index {i} out of range 0..{dim - 1}")
+            return i
+
         for ln in lines[3:-1]:
             parts = ln.split()
             tag = parts[0]
             if tag == "label":
-                labels[int(parts[1])] = parts[2]
+                labels[index(parts[1])] = parts[2]
             elif tag == "UNIT":
-                unit[int(parts[1])] = _parse_coeff(parts[2:], conductor, phi)
+                unit[index(parts[1])] = _parse_coeff(parts[2:], conductor, phi)
             elif tag == "EPS":
-                counit[int(parts[1])] = _parse_coeff(parts[2:], conductor, phi)
+                counit[index(parts[1])] = _parse_coeff(parts[2:], conductor, phi)
             elif tag == "MUL":
-                i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
+                i, j, k = index(parts[1]), index(parts[2]), index(parts[3])
                 c = _parse_coeff(parts[4:], conductor, phi)
                 mult[i][j] = mult[i].get(j, ()) + ((k, c),)
             elif tag == "CMUL":
-                i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
+                i, j, k = index(parts[1]), index(parts[2]), index(parts[3])
                 comult[i].append((j, k, _parse_coeff(parts[4:], conductor, phi)))
             elif tag == "S":
-                i, j = int(parts[1]), int(parts[2])
+                i, j = index(parts[1]), index(parts[2])
                 antipode[i].append((j, _parse_coeff(parts[3:], conductor, phi)))
             else:
                 raise FormatError(f"unknown tag {tag!r}")

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -31,25 +30,8 @@ from .grouptool import (
     idempotents,
     largest_abelian_normal,
 )
-from .hopfcore import AlgebraElement, HopfAlgebra
+from .hopfcore import AlgebraElement, HopfAlgebra, Report, _acc, group_likes_bismash
 from .bismash import MatchedPair, build_bismash, dualize_trivial_action, make_A, make_B
-from .hopfcore import group_likes_bismash
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("HOPFQT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    n = _threads()
-    items = list(items)
-    if n <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +46,6 @@ class TensorSquareElement:
         self.entries = {k: v for k, v in entries.items() if v}
         self.support = support  # optional IdemSupport certificate
 
-    def materialize(self) -> "TensorSquareElement":
-        """Fill entries from a lazy (support, exponent-matrix) description."""
-        lazy = getattr(self, "_lazy", None)
-        if lazy is not None and not self.entries:
-            sup, W, L = lazy
-            self.entries = r_entries_from_support(sup, W, L)
-        return self
-
     def __eq__(self, other):
         return self.host is other.host and self.entries == other.entries
 
@@ -82,22 +56,16 @@ class TensorSquareElement:
         return f"<TensorSquareElement nnz={len(self.entries)}>"
 
 
-def _acc(out, key, val):
-    s = out.get(key)
-    s = val if s is None else s + val
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
-def t2_mul(H: HopfAlgebra, A: dict, B: dict) -> dict:
-    """Product of two sparse tensors in H (x) H (dict entries)."""
+def _join(mult, A, B, carry):
+    """The sparse product of two tensors through ``mult``: the sum of
+    a b (b_i b_k) (x) (b_j b_l) over entries (i, j) -> a of A and
+    (k, l) -> b of B, keyed (u, v) by the basis elements in the two products.
+    With ``carry`` only the first legs multiply and the second legs are
+    carried along: the product R13 R12 in H (x) H (x) H, keyed (u, l, j)."""
     out = {}
     bf = {}
-    for (k, l), c in B.items():
-        bf.setdefault(k, {})[l] = c
-    mult = H.mult
+    for (k, l), b in B.items():
+        bf.setdefault(k, {})[l] = b
     for (i, j), a in A.items():
         row_i = mult[i]
         row_j = mult[j]
@@ -106,6 +74,12 @@ def t2_mul(H: HopfAlgebra, A: dict, B: dict) -> dict:
         for k in ks:
             sub = bf[k]
             ti = row_i[k]
+            if carry:
+                for l, b in sub.items():
+                    ab = a * b
+                    for u, cu in ti:
+                        _acc(out, (u, l, j), ab * cu)
+                continue
             ls = row_j.keys() & sub.keys() if len(row_j) < len(sub) else \
                 [l for l in sub if l in row_j]
             for l in ls:
@@ -116,6 +90,11 @@ def t2_mul(H: HopfAlgebra, A: dict, B: dict) -> dict:
     return out
 
 
+def t2_mul(H: HopfAlgebra, A: dict, B: dict) -> dict:
+    """Product of two sparse tensors in H (x) H (dict entries)."""
+    return _join(H.mult, A, B, False)
+
+
 def unit_tensor(H: HopfAlgebra) -> dict:
     out = {}
     for i, ci in H.unit.items():
@@ -124,50 +103,16 @@ def unit_tensor(H: HopfAlgebra) -> dict:
     return out
 
 
-def _hexagon1_sides(H, R):
-    # (Delta (x) id)(R) vs R13 R23
-    lhs = {}
-    for (i, j), c in R.items():
-        for u, v, cc in H.comult[i]:
-            _acc(lhs, (u, v, j), c * cc)
-    rhs = {}
-    by_second = {}
-    for (k, l), c in R.items():
-        by_second.setdefault(l, []).append((k, c))
-    mult = H.mult
-    for (i, j), c in R.items():
-        row_j = mult[j]
-        for l in (row_j.keys() & by_second.keys()
-                  if len(row_j) < len(by_second)
-                  else [x for x in by_second if x in row_j]):
-            for k, c2 in by_second[l]:
-                cc = c * c2
-                for t, ct in row_j[l]:
-                    _acc(rhs, (i, k, t), cc * ct)
-    return lhs, rhs
-
-
-def _hexagon2_sides(H, R):
-    # (id (x) Delta)(R) vs R13 R12
+def _hexagon_sides(H, R, op):
+    """Both sides of the right coproduct identity (id (x) Delta)(R) = R13 R12.
+    With ``op`` the left side applies Delta-op instead; on the flip R21 of R
+    this gives the left identity (Delta (x) id)(R) = R13 R23 with every key
+    reversed."""
     lhs = {}
     for (i, j), c in R.items():
         for u, v, cc in H.comult[j]:
-            _acc(lhs, (i, u, v), c * cc)
-    rhs = {}
-    by_first = {}
-    for (k, l), c in R.items():
-        by_first.setdefault(k, {})[l] = c
-    mult = H.mult
-    for (i, j), c in R.items():
-        row_i = mult[i]
-        for k in (row_i.keys() & by_first.keys()
-                  if len(row_i) < len(by_first)
-                  else [x for x in by_first if x in row_i]):
-            for l, c2 in by_first[k].items():
-                cc = c * c2
-                for t, ct in row_i[k]:
-                    _acc(rhs, (t, l, j), cc * ct)
-    return lhs, rhs
+            _acc(lhs, (i, v, u) if op else (i, u, v), c * cc)
+    return lhs, _join(H.mult, R, R, True)
 
 
 def _delta_tensor(H, h, op=False):
@@ -178,33 +123,37 @@ def _delta_tensor(H, h, op=False):
     return out
 
 
-def t2_invert(H: HopfAlgebra, R: dict):
-    """(inverse, None) via the minimal polynomial of R in the unital
-    subalgebra it generates, or (None, annihilator) when R is a zero divisor."""
-    one = unit_tensor(H)
-    powers = [one]
+def _inverse(x, mul, unit, dim, candidate):
+    """Two-sided inverse of x in an algebra of dimension dim with product
+    ``mul`` and ``unit``: ``candidate`` when it is one, else the inverse read
+    off the minimal polynomial of x; None when x is a zero divisor."""
+    def inverts(y):
+        return y is not None and mul(x, y) == unit and mul(y, x) == unit
+
+    if inverts(candidate):
+        return candidate
+    powers = [unit]
     rs = RowSpace()
-    rs.add(dict(one))
-    cur = one
-    for _ in range(len(R) + H.dim * H.dim):
-        cur = t2_mul(H, cur, R)
+    rs.add(dict(unit))
+    cur = unit
+    # dim + 2 powers in a dim-dimensional space are always dependent
+    for _ in range(dim + 1):
+        cur = mul(cur, x)
         powers.append(cur)
         if not rs.add(dict(cur)):
+            # x^d = sum combo[k] x^k over k < d, so with
+            # g = x^(d-1) - sum_(k>=1) combo[k] x^(k-1): x g = combo[0] 1
             combo = rs.last_dependence()
-            # powers[d] = sum combo[k] powers[k], k < d
-            d = len(powers) - 1
-            g = {}
-            for key, v in powers[d - 1].items():
-                _acc(g, key, v)
+            g = dict(powers[-2])
             for k, a in combo.items():
                 if k >= 1:
                     for key, v in powers[k - 1].items():
                         _acc(g, key, -a * v)
             a0 = combo.get(0)
-            if a0 is None or not a0:
-                return None, g  # R * g = 0 with g != 0
+            if not a0:
+                return None
             inv = {k: v / a0 for k, v in g.items()}
-            return inv, None
+            return inv if inverts(inv) else None
     raise RuntimeError("minimal polynomial search did not terminate")
 
 
@@ -238,8 +187,10 @@ class IdemSupport:
             return self
         H = self.host
         m = self.m
+        arrays = self._mono_arrays()
         # orthogonality and idempotency
-        fast = self._certify_orthogonality_numpy()
+        fast = None if arrays is None else \
+            self._certify_orthogonality_numpy(*arrays)
         if fast is None:
             els = self.elements()
             for s in range(m):
@@ -258,7 +209,7 @@ class IdemSupport:
         if total.coeffs != H.unit:
             raise ValueError("support does not sum to the unit")
         # comultiplication factorization
-        fast = self._certify_comult_numpy()
+        fast = None if arrays is None else self._certify_comult_numpy(*arrays)
         if fast is None:
             self._certify_comult_generic()
         elif fast is False:
@@ -266,24 +217,11 @@ class IdemSupport:
         self.certified = True
         return self
 
-    def _certify_orthogonality_numpy(self):
-        arrays = self._mono_arrays()
-        if arrays is None:
-            return None
+    def _certify_orthogonality_numpy(self, support_ids, pos, E, scale, rootmat):
         H = self.host
         N = H.conductor
-        owner, idx, exp, scale = arrays
         m = self.m
-        support_ids = sorted(set(idx.tolist()))
         ns = len(support_ids)
-        pos = {int(i): k for k, i in enumerate(support_ids)}
-        E = np.zeros((m, ns), dtype=np.int64)
-        present = np.zeros((m, ns), dtype=bool)
-        for t, i, e in zip(owner, idx, exp):
-            E[t, pos[int(i)]] = e
-            present[t, pos[int(i)]] = True
-        if not present.all():
-            return None
         # products of support basis elements must be zero or single monomials
         xs, ys, tzs, tes = [], [], [], []
         for a, ia in enumerate(support_ids):
@@ -306,7 +244,6 @@ class IdemSupport:
         Y = np.array(ys, dtype=np.int64)
         TZ = np.array(tzs, dtype=np.int64)
         TE = np.array(tes, dtype=np.int64)
-        rootmat = np.array([_rootvec(N, k) for k in range(N)], dtype=np.int64)
         phi = rootmat.shape[1]
         num, den = scale.numerator, scale.denominator
         # batch all (s, t) pairs: coefficient of e_s e_t at coordinate z is
@@ -325,7 +262,11 @@ class IdemSupport:
         return bool(np.array_equal(num * vecs, den * expect))
 
     def _mono_arrays(self):
-        # uniform-scale monomial expansion of all idempotent vectors
+        """(support_ids, pos, E, scale, rootmat) when every idempotent is
+        scale * sum_x zeta^E[t, x] b_x over one common support; else None.
+
+        support_ids are the sorted basis indices of the support, pos maps
+        them to columns of E, and rootmat[k] is zeta^k in the power basis."""
         N = self.host.conductor
         scale = None
         idx, exp, owner = [], [], []
@@ -341,36 +282,30 @@ class IdemSupport:
                 owner.append(t)
                 idx.append(i)
                 exp.append(r[0])
-        return (np.array(owner), np.array(idx), np.array(exp, dtype=np.int64),
-                scale)
+        support_ids = sorted(set(idx))
+        pos = {i: k for k, i in enumerate(support_ids)}
+        E = np.zeros((self.m, len(support_ids)), dtype=np.int64)
+        present = np.zeros(E.shape, dtype=bool)
+        for t, i, e in zip(owner, idx, exp):
+            E[t, pos[i]] = e
+            present[t, pos[i]] = True
+        if not present.all():
+            return None  # non-uniform support; generic path
+        rootmat = np.array([_rootvec(N, k) for k in range(N)], dtype=np.int64)
+        return support_ids, pos, E, scale, rootmat
 
-    def _certify_comult_numpy(self):
-        arrays = self._mono_arrays()
-        if arrays is None:
-            return None
+    def _certify_comult_numpy(self, support_ids, pos, E, scale, rootmat):
         H = self.host
         N = H.conductor
-        owner, idx, exp, scale = arrays
         # Delta on the support must be diagonal: Delta(b_i) = (b_i, b_i, 1)
         # for every basis index in the support (group-like basis) -- otherwise
         # fall back to the generic path.
-        support_ids = sorted(set(idx.tolist()))
         for i in support_ids:
             terms = H.comult[i]
             if len(terms) != 1 or terms[0][:2] != (i, i) or not terms[0][2].is_one():
                 return None
         m = self.m
-        pos = {int(i): k for k, i in enumerate(support_ids)}
         ns = len(support_ids)
-        E = np.zeros((m, ns), dtype=np.int64)
-        present = np.zeros((m, ns), dtype=bool)
-        for t, i, e in zip(owner, idx, exp):
-            E[t, pos[int(i)]] = e
-            present[t, pos[int(i)]] = True
-        if not present.all():
-            return None  # non-uniform support; generic path
-        rootmat = np.array(
-            [_rootvec(N, k) for k in range(N)], dtype=np.int64)
         kinvmul = np.empty((m, m), dtype=np.int64)
         for t1 in range(m):
             for t in range(m):
@@ -488,69 +423,42 @@ def _rootvec(N, k):
 # verify_qt
 
 
-class QTReport:
-    def __init__(self):
-        self.failures = {}
-        self.inverse = None
-
-    def fail(self, axiom, witness):
-        self.failures.setdefault(axiom, []).append(witness)
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def __repr__(self):
-        if self.passed:
-            return "<QTReport PASS>"
-        parts = [f"{k}({len(v)})" for k, v in self.failures.items()]
-        return f"<QTReport FAIL {', '.join(parts)}>"
-
-
 def verify_qt(H: HopfAlgebra, R: TensorSquareElement, mode: str = "full",
-              candidate_inverse: dict | None = None) -> QTReport:
+              candidate_inverse: dict | None = None) -> Report:
     """Exact verification: invertibility of R, both coproduct identities
     (Delta (x) id)R = R13 R23 and (id (x) Delta)R = R13 R12, and the
     intertwiner identity Delta-op(h) R = R Delta(h) for every basis h."""
-    rep = QTReport()
+    rep = Report()
     fast = mode == "fast"
     entries = R.entries if isinstance(R, TensorSquareElement) else dict(R)
 
-    one = unit_tensor(H)
-    inv = None
-    if candidate_inverse is not None:
-        if t2_mul(H, entries, candidate_inverse) == one and \
-           t2_mul(H, candidate_inverse, entries) == one:
-            inv = candidate_inverse
-    if inv is None:
-        inv, annihilator = t2_invert(H, entries)
-        if inv is not None and not (t2_mul(H, entries, inv) == one
-                                    and t2_mul(H, inv, entries) == one):
-            inv = None
-    if inv is None:
+    if _inverse(entries, partial(t2_mul, H), unit_tensor(H), H.dim ** 2,
+                candidate_inverse) is None:
         rep.fail("invertible", ("zero divisor or no inverse",))
         if fast:
             return rep
-    rep.inverse = inv
 
-    lhs, rhs = _hexagon1_sides(H, entries)
-    if lhs != rhs:
-        rep.fail("coproduct identity (left)", _first_diff(lhs, rhs))
-        if fast:
-            return rep
-    lhs, rhs = _hexagon2_sides(H, entries)
-    if lhs != rhs:
-        rep.fail("coproduct identity (right)", _first_diff(lhs, rhs))
-        if fast:
-            return rep
+    flip = {(j, i): c for (i, j), c in entries.items()}
+    for name, T, op in (("coproduct identity (left)", flip, True),
+                        ("coproduct identity (right)", entries, False)):
+        lhs, rhs = _hexagon_sides(H, T, op)
+        if lhs != rhs:
+            key, = _first_diff(lhs, rhs)
+            rep.fail(name, (key[::-1] if op else key,))
+            if fast:
+                return rep
     for h in range(H.dim):
-        a = _delta_tensor(H, h, op=True)
-        b = _delta_tensor(H, h, op=False)
-        if t2_mul(H, a, entries) != t2_mul(H, entries, b):
+        if not _intertwines(H, entries, h):
             rep.fail("intertwiner", (h,))
             if fast:
                 return rep
     return rep
+
+
+def _intertwines(H, entries, h):
+    """Delta-op(b_h) R = R Delta(b_h)."""
+    return (t2_mul(H, _delta_tensor(H, h, op=True), entries)
+            == t2_mul(H, entries, _delta_tensor(H, h, op=False)))
 
 
 def _first_diff(a, b):
@@ -561,7 +469,7 @@ def _first_diff(a, b):
 
 
 def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
-                        conj_perms=None) -> QTReport:
+                        conj_perms=None) -> Report:
     """verify_qt for R = sum w(s,t) E_s (x) E_t on a certified support.
 
     w_elem is the integer exponent matrix of w on support indices mod L.
@@ -569,7 +477,7 @@ def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
     integer exponent identities; the inverse is w -> -w.
     """
     sup.certify()
-    rep = QTReport()
+    rep = Report()
     kmul = sup.kmul
     W = np.asarray(w_elem, dtype=np.int64)
     # hexagons
@@ -583,17 +491,13 @@ def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
     for h, perm in enumerate(perms):
         if perm is None:
             # generic fallback for this basis element
-            H = sup.host
             entries = r_entries_from_support(sup, W, L)
-            a = _delta_tensor(H, h, op=True)
-            b = _delta_tensor(H, h, op=False)
-            if t2_mul(H, a, entries) != t2_mul(H, entries, b):
+            if not _intertwines(sup.host, entries, h):
                 rep.fail("intertwiner", (h,))
         else:
             p = np.asarray(perm)
             if not ((W[np.ix_(p, p)] - W) % L == 0).all():
                 rep.fail("intertwiner", (h,))
-    rep.inverse = ("certified", "negate exponents")
     return rep
 
 
@@ -754,12 +658,11 @@ def qt_group_algebra_enumerate(G: FiniteGroup, verify_all=True) -> GroupQTEnumer
     gen_perms = [np.asarray(conjugation_map(G, g, sub))
                  for g in sorted(set(G.generators.values()))]
 
-    def _inv_filter(w):
+    invariant = []
+    for w in ws:
         W, L = _bichar_index_matrix(w, K)
-        ok = all(((W[np.ix_(p, p)] - W) % L == 0).all() for p in gen_perms)
-        return (w, W, L) if ok else None
-
-    invariant = [x for x in _parallel_map(_inv_filter, ws) if x is not None]
+        if all(((W[np.ix_(p, p)] - W) % L == 0).all() for p in gen_perms):
+            invariant.append((w, W, L))
 
     closed = closed_form_survivors(G, ws, K)
 
@@ -773,9 +676,7 @@ def qt_group_algebra_enumerate(G: FiniteGroup, verify_all=True) -> GroupQTEnumer
             raise AssertionError(
                 "conjugation-invariant bicharacter failed the full verifier")
         full_keys.add(w.key())
-        R = TensorSquareElement(H, {}, support=sup)
-        R._lazy = (sup, W, L)
-        pairs.append((w, R))
+        pairs.append((w, TensorSquareElement(H, {}, support=sup)))
     if verify_all:
         # soundness of the rejections: every non-invariant bicharacter fails
         # the intertwiner identity at some generator
@@ -936,15 +837,16 @@ def _qt_B_oracle(mp, H, dec, ws):
     align = np.array([order_l[c] for c in rcoords], dtype=np.int64)
     assert set(lcoords) == set(rcoords)
 
-    def _oracle_one(w):
+    keys = set()
+    for w in ws:
         W, L = _bichar_index_matrix(w, dec)
         # compare at the common conductor lcm(N, L)
         M = N * L // math.gcd(N, L)
         le = (lfix * (M // N) + W[lw1, lw2] * (M // L)) % M
         re = (rfix * (M // N) + W[rw1, rw2] * (M // L)) % M
-        return w.key() if np.array_equal(le[align], re) else None
-
-    return {k for k in _parallel_map(_oracle_one, ws) if k is not None}
+        if np.array_equal(le[align], re):
+            keys.add(w.key())
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -965,10 +867,6 @@ class BraidingForm:
     def value(self, i, j):
         v = self.values.get((i, j))
         return v if v is not None else CycloNumber.zero(self.host.conductor)
-
-    def matrix(self):
-        n = self.host.dim
-        return [[self.value(i, j) for j in range(n)] for i in range(n)]
 
     def rows(self):
         if self._rows is None:
@@ -998,24 +896,6 @@ class BraidingForm:
 
     def __repr__(self):
         return f"<BraidingForm nnz={len(self.values)} params={self.params}>"
-
-
-class CoQTReport:
-    def __init__(self):
-        self.failures = {}
-
-    def fail(self, axiom, witness):
-        self.failures.setdefault(axiom, []).append(witness)
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def __repr__(self):
-        if self.passed:
-            return "<CoQTReport PASS>"
-        parts = [f"{k}({len(v)})" for k, v in self.failures.items()]
-        return f"<CoQTReport FAIL {', '.join(parts)}>"
 
 
 def conv_mul(H: HopfAlgebra, B1: dict, B2: dict) -> dict:
@@ -1061,36 +941,11 @@ def conv_unit(H: HopfAlgebra) -> dict:
     return out
 
 
-def conv_invert(H: HopfAlgebra, B: dict):
-    """Convolution inverse via the minimal polynomial, or None."""
-    unit = conv_unit(H)
-    powers = [unit]
-    rs = RowSpace()
-    rs.add(dict(unit))
-    cur = unit
-    for _ in range(H.dim * H.dim + 1):
-        cur = conv_mul(H, cur, B)
-        powers.append(cur)
-        if not rs.add(dict(cur)):
-            combo = rs.last_dependence()
-            d = len(powers) - 1
-            g = dict(powers[d - 1])
-            for k, acoef in combo.items():
-                if k >= 1:
-                    for key, v in powers[k - 1].items():
-                        _acc(g, key, -acoef * v)
-            a0 = combo.get(0)
-            if a0 is None or not a0:
-                return None
-            return {k: v / a0 for k, v in g.items()}
-    return None
-
-
-def verify_coqt(H: HopfAlgebra, form: BraidingForm, mode: str = "full") -> CoQTReport:
+def verify_coqt(H: HopfAlgebra, form: BraidingForm, mode: str = "full") -> Report:
     """Exact verification of the braiding axioms on all basis tuples:
     <ab,c> = <a,c1><b,c2>, <a,bc> = <a1,c><a2,b>, the commutation identity,
     and convolution invertibility (an explicit inverse form is stored)."""
-    rep = CoQTReport()
+    rep = Report()
     fast = mode == "fast"
     n = H.dim
     rows = form.rows()
@@ -1178,19 +1033,8 @@ def verify_coqt(H: HopfAlgebra, form: BraidingForm, mode: str = "full") -> CoQTR
                     return rep
 
     # convolution invertibility
-    inv = None
-    if form.inverse is not None:
-        unit = conv_unit(H)
-        if conv_mul(H, form.values, form.inverse) == unit and \
-           conv_mul(H, form.inverse, form.values) == unit:
-            inv = form.inverse
-    if inv is None:
-        inv = conv_invert(H, form.values)
-        if inv is not None:
-            unit = conv_unit(H)
-            if not (conv_mul(H, form.values, inv) == unit
-                    and conv_mul(H, inv, form.values) == unit):
-                inv = None
+    inv = _inverse(form.values, partial(conv_mul, H), conv_unit(H),
+                   H.dim ** 2, form.inverse)
     if inv is None:
         rep.fail("convolution invertibility", ())
     else:
@@ -1200,13 +1044,6 @@ def verify_coqt(H: HopfAlgebra, form: BraidingForm, mode: str = "full") -> CoQTR
 
 # ---------------------------------------------------------------------------
 # braiding constructions for the sigma-twisted family
-
-
-def _phi_character(mp: MatchedPair, g: int, power: int) -> CycloNumber:
-    """phi^power(g) where phi(a) = 1, phi(b) = omega on Z_p x| Z_q."""
-    q = mp.F.order
-    _, j = mp.G.states[g]
-    return zeta(q, j * power)
 
 
 def braiding_A0_construct(p, q, t, lam) -> BraidingForm:
@@ -1220,36 +1057,21 @@ def braiding_A0_construct(p, q, t, lam) -> BraidingForm:
     H = build_bismash(mp)
     G = mp.G
     b = G.generators["b"]
-    g0 = [G.power(b, j) for j in range(q)]
-    g1 = [G.power(b, -i) for i in range(q)]
-    values = {}
-    for i in range(q):
-        for j in range(q):
-            values[(H.gf_index(g0[j], i), H.gf_index(g1[i], j))] = lam ** (i * j)
-    form = BraidingForm(H, values, params=(b, G.inv(b), lam))
-    form.inverse = _delta_form_inverse(H, mp, b, G.inv(b), lam)
+    form = BraidingForm(H, _delta_form_values(H, mp, b, G.inv(b), lam),
+                        params=(b, G.inv(b), lam))
+    form.inverse = _delta_form_values(H, mp, G.inv(b), b, lam.inv())
     return form
 
 
 def _delta_form_values(H, mp, g0, g1, lam):
+    """<e_(g0^j) g^i, e_(g1^i) g^j> = lam^(i j); the parameters
+    (g0^-1, g1^-1, lam^-1) give its convolution inverse."""
     G, q = mp.G, mp.F.order
     values = {}
     for i in range(q):
         for j in range(q):
             values[(H.gf_index(G.power(g0, j), i),
                     H.gf_index(G.power(g1, i), j))] = lam ** (i * j)
-    return values
-
-
-def _delta_form_inverse(H, mp, g0, g1, lam):
-    # closed-form convolution inverse of the delta-shaped family
-    G, q = mp.G, mp.F.order
-    lam_inv = lam.inv()
-    values = {}
-    for i in range(q):
-        for j in range(q):
-            values[(H.gf_index(G.power(G.inv(g0), j), i),
-                    H.gf_index(G.power(G.inv(g1), i), j))] = lam_inv ** (i * j)
     return values
 
 
@@ -1303,7 +1125,8 @@ def braiding_A_search(p, q, t, l) -> list[BraidingForm]:
                 chain = form.pair_elements(g_embedded, g_embedded) ** (q + 1)
                 if lhs != chain:
                     continue
-                form.inverse = _delta_form_inverse(H, mp, g0, g1, lam)
+                form.inverse = _delta_form_values(H, mp, G.inv(g0), G.inv(g1),
+                                                  lam.inv())
                 rep = verify_coqt(H, form)
                 if rep.passed:
                     results.append(form)
@@ -1314,25 +1137,40 @@ def braiding_A_search(p, q, t, l) -> list[BraidingForm]:
 # the no-go check for the dualized tau-twisted family
 
 
+_HOLDS = "intertwiner holds unexpectedly"
+_OFF_SUPPORT = "nonzero coefficient off the identity idempotent"
+_NOT_ANNIHILATED = "annihilator product nonzero"
+
+
 class NoQTReport:
+    """Outcome of no_qt_B_dual; ``checks`` records every candidate that
+    escapes the no-go argument as a failure."""
+
     def __init__(self, lam, branch):
         self.lam = lam
         self.branch = branch
         self.candidates_checked = 0
-        self.all_fail = True
-        self.witnesses = []
         self.nullspace_dim = None
-        self.support_condition_holds = True
-        self.annihilator_holds = True
+        self.checks = Report()
         self.note = ("any quasitriangular structure is supported on the "
                      "group-like span (structural dichotomy for minimal "
                      "quasitriangular subalgebras); on that support none exists")
 
     @property
+    def all_fail(self):
+        return _HOLDS not in self.checks.failures
+
+    @property
+    def support_condition_holds(self):
+        return _OFF_SUPPORT not in self.checks.failures
+
+    @property
+    def annihilator_holds(self):
+        return _NOT_ANNIHILATED not in self.checks.failures
+
+    @property
     def no_qt_on_support(self):
-        if self.branch == "nonzero":
-            return self.all_fail
-        return self.support_condition_holds and self.annihilator_holds
+        return self.checks.passed
 
     def __repr__(self):
         return (f"<NoQTReport lam={self.lam} branch={self.branch} "
@@ -1394,11 +1232,7 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
             rhs = t2_mul(H, entries, da)
             report.candidates_checked += 1
             if lhs == rhs:
-                report.all_fail = False
-                report.witnesses.append(("intertwiner holds unexpectedly", e))
-            else:
-                report.witnesses.append(
-                    ("intertwiner fails", e, _first_diff(lhs, rhs)))
+                report.checks.fail(_HOLDS, e)
         return report
 
     # lam == 0: linear system on the group-like tensor support
@@ -1435,7 +1269,7 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
     report.nullspace_dim = len(basis)
 
     e_g1_e_g0 = {(H.gf_index(1, 0), H.gf_index(0, 0)): CycloNumber.one(N)}
-    for vec in basis:
+    for n, vec in enumerate(basis):
         sol = {}
         for cidx, val in enumerate(vec):
             if val:
@@ -1443,12 +1277,9 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
         for (u, v), val in sol.items():
             gi, _ = H.basis_gf(u)
             if gi != 0:
-                report.support_condition_holds = False
-                report.witnesses.append(("nonzero coefficient off the identity "
-                                         "idempotent", (u, v)))
+                report.checks.fail(_OFF_SUPPORT, (u, v))
         if t2_mul(H, e_g1_e_g0, sol):
-            report.annihilator_holds = False
-            report.witnesses.append(("annihilator product nonzero",))
+            report.checks.fail(_NOT_ANNIHILATED, n)
     report.candidates_checked = len(basis)
     return report
 

@@ -126,8 +126,10 @@ def test_build_dimensions():
 def test_build_rejects_invalid_pair():
     mp = make_A(7, 3, 2, 1)
     bad = mp.with_sigma_scaled(mp.G.generators["b"], 1, 1, zeta(3))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as err:
         build_bismash(bad)
+    assert str(err.value) == ("matched pair invalid: sigma cocycle fails at "
+                              "(1, 1, 1, 2)")
 
 
 def test_trivial_pair_gives_group_algebra_like_hopf():
@@ -246,6 +248,25 @@ def test_matched_pair_roundtrip():
         assert all(back.tau[g][g2][f] == mp.tau[g][g2][f]
                    for g in range(ng) for g2 in range(ng) for f in range(nf))
         assert validate_matched_pair(back).passed
+
+
+def test_load_matched_pair_rejects_truncation():
+    text = dump_matched_pair(trivial_pair([3], [5]))
+    lines = text.splitlines()
+    for cut in (0, 2, lines.index("actl") + 2, len(lines) - 2):
+        with pytest.raises(ValueError, match="truncated after line"):
+            load_matched_pair("\n".join(lines[:cut]) + "\n")
+
+
+@pytest.mark.parametrize("header,value", [("actl", "7"), ("actl", "-1"),
+                                          ("actr", "5"), ("actr", "-1")])
+def test_load_matched_pair_rejects_out_of_range_action(header, value):
+    # |G| = 3 and |F| = 5: actl entries lie in G, actr entries in F
+    lines = dump_matched_pair(trivial_pair([3], [5])).splitlines()
+    i = lines.index(header) + 1
+    lines[i] = " ".join([value] + lines[i].split()[1:])
+    with pytest.raises(ValueError, match=f"at line {i + 1}$"):
+        load_matched_pair("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

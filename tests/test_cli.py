@@ -83,6 +83,31 @@ def test_mutated_dump_fails_verification(tmp_path):
     assert rc == 1
     doc = json.loads((tmp_path / "r.json").read_text())
     assert not all(a["passed"] for a in doc["axioms"])
+    assert [(a["name"], a["passed"], a["failures"]) for a in doc["axioms"]] == [
+        ("associativity", False, 8),
+        ("unit", False, 1),
+        ("coassociativity", True, 0),
+        ("counit", True, 0),
+        ("comultiplication is an algebra map", False, 21),
+        ("counit is an algebra map", False, 1),
+        ("antipode", False, 1),
+    ]
+
+
+@pytest.mark.parametrize("old,new", [
+    # a negative index would alias the last basis element
+    ("MUL 2 2 1 1 1 0", "MUL -1 2 1 1 1 0"),
+    ("MUL 1 2 0 1 1 0", "MUL 1 2 9 1 1 0"),
+    ("EPS 0 1 1 0", "EPS 0 0 1 0"),
+], ids=["negative-index", "index-out-of-range", "zero-denominator"])
+def test_bad_dump_line_exit_code(tmp_path, old, new):
+    from hopfqt.grouptool import cyclic_group
+    from hopfqt.hopfcore import dump_structure, group_algebra
+    text = dump_structure(group_algebra(cyclic_group(3), 3))
+    assert old in text.splitlines()
+    dump = tmp_path / "c3.txt"
+    dump.write_text(text.replace(old + "\n", new + "\n"))
+    run_cli("verify", "--in", str(dump), expect=3)
 
 
 def test_classify_counts(tmp_path):
