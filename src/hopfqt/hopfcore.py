@@ -562,12 +562,12 @@ def group_likes_bismash(mp) -> GroupLikeSet:
     H = build_bismash(mp)
     N = H.conductor
 
-    fixed_fs = [f for f in range(F.order)
-                if all(mp.act_right[g][f] == f for g in range(G.order))]
+    fixed_fs = np.flatnonzero((mp.act_right == np.arange(F.order)).all(axis=0))
+    tau = mp.tau.tolist()
 
     candidates = []
-    for f in fixed_fs:
-        for chi in _twisted_characters(G, lambda a, b: mp.tau[a][b][f], N):
+    for f in fixed_fs.tolist():
+        for chi in _twisted_characters(G, lambda a, b: zeta(N, tau[a][b][f]), N):
             coeffs = {H.gf_index(g, f): chi[g] for g in range(G.order)}
             candidates.append(AlgebraElement(H, coeffs))
 
@@ -714,6 +714,18 @@ def load_structure(text: str) -> HopfAlgebra:
             raise FormatError("missing dim/conductor")
         dim = int(lines[1].split()[1])
         conductor = int(lines[2].split()[1])
+        # bound the header before allocating: a dump has a CMUL line per
+        # basis element, and N < 8 phi(N) for every N < 10^30
+        if not 1 <= dim <= len(lines) - 4:
+            raise FormatError(f"dim {dim} is not in 1..{len(lines) - 4}, "
+                              "the number of structure lines")
+        coeff_at = {"UNIT": 2, "EPS": 2, "MUL": 4, "CMUL": 4, "S": 3}
+        degree = next((len(parts) - coeff_at[parts[0]] - 1
+                       for parts in map(str.split, lines[3:-1])
+                       if parts[0] in coeff_at), 0)
+        if not 1 <= conductor <= 8 * degree:
+            raise FormatError(f"conductor {conductor} is not in 1..{8 * degree}, "
+                              "8 times the field degree of the first coefficient line")
         phi = euler_phi(conductor)
         labels = [f"b{i}" for i in range(dim)]
         zero = CycloNumber.zero(conductor)

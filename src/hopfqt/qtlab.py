@@ -695,7 +695,7 @@ def qt_group_algebra_enumerate(G: FiniteGroup, verify_all=True) -> GroupQTEnumer
 
 def eta(mp: MatchedPair, h: int, k: int, f: int) -> CycloNumber:
     """tau(h, k, f) tau(k, h, f)^-1."""
-    return mp.tau[h][k][f] / mp.tau[k][h][f]
+    return zeta(mp.conductor, int(mp.tau[h, k, f] - mp.tau[k, h, f]))
 
 
 class QTBEnumeration(list):
@@ -736,7 +736,7 @@ def qt_B_enumerate(p, q, m, lam) -> QTBEnumeration:
 
     filter_keys = {w.key() for w in ws if cond(w)}
 
-    oracle_keys = _qt_B_oracle(mp, H, dec, ws)
+    oracle_keys = _qt_B_oracle(H, dec, ws)
     if filter_keys != oracle_keys:
         raise AssertionError("generator-condition filter disagrees with the "
                              "direct intertwiner oracle")
@@ -770,15 +770,15 @@ def qt_B_enumerate(p, q, m, lam) -> QTBEnumeration:
     return QTBEnumeration(pairs, filter_keys, oracle_keys)
 
 
-def _qt_B_oracle(mp, H, dec, ws):
+def _qt_B_oracle(H, dec, ws):
     """Keys of bicharacters w whose R satisfies Delta-op(g) R = R Delta(g),
     with both sides computed by real structure-constant joins.
 
     The join structure is independent of w, so it is templated once: each
     nonzero output coordinate carries a fixed root exponent plus one w-slot.
     """
-    G, F = mp.G, mp.F
     N = H.conductor
+    mt, me = H.mono_tables()
     g_embedded = H.embed_f(1)
     dg = g_embedded.comult_apply()          # Delta(g), real comult
     idem_ids = {H.gf_index(r, 0): ri for ri, r in enumerate(dec.elements)}
@@ -788,15 +788,12 @@ def _qt_B_oracle(mp, H, dec, ws):
     dg_op = {(k, j): c for (j, k), c in dg.items()}
     lcoords, lfix, lw1, lw2 = [], [], [], []
     for (i, j), c in dg_op.items():
-        base = c.lift(N).as_root()[0]
         ks = [k for k in H.mult[i] if k in idem_ids]
         ls = [l for l in H.mult[j] if l in idem_ids]
         assert len(ks) == 1 and len(ls) == 1
         k, l = ks[0], ls[0]
-        (u, cu), = H.mult[i][k]
-        (v, cv), = H.mult[j][l]
-        lcoords.append((u, v))
-        lfix.append(base + cu.lift(N).as_root()[0] + cv.lift(N).as_root()[0])
+        lcoords.append((int(mt[i, k]), int(mt[j, l])))
+        lfix.append(c.lift(N).as_root()[0] + me[i, k] + me[j, l])
         lw1.append(idem_ids[k])
         lw2.append(idem_ids[l])
     lfix = np.array(lfix, dtype=np.int64)
@@ -820,12 +817,8 @@ def _qt_B_oracle(mp, H, dec, ws):
             ls = [l for l in H.mult[j] if l in sub]
             assert len(ls) == 1
             l = ls[0]
-            (u, cu), = H.mult[i][k]
-            (v, cv), = H.mult[j][l]
-            e = (sub[l].lift(N).as_root()[0]
-                 + cu.lift(N).as_root()[0] + cv.lift(N).as_root()[0])
-            rcoords.append((u, v))
-            rfix.append(e)
+            rcoords.append((int(mt[i, k]), int(mt[j, l])))
+            rfix.append(sub[l].lift(N).as_root()[0] + me[i, k] + me[j, l])
             rw1.append(idem_ids[i])
             rw2.append(idem_ids[j])
     rfix = np.array(rfix, dtype=np.int64)

@@ -100,7 +100,7 @@ def test_criterion_03_duality():
                     for l in range(q):
                         x = F2.states.index((i, j))
                         y = F2.states.index((k, l))
-                        expect = zeta(q, c[n] * j * k * pow(m, (lam + 1) * n, q))
+                        expect = c[n] * j * k * pow(m, (lam + 1) * n, q) % q
                         assert d.sigma[n][x][y] == expect
     report(3, "duality", "explicit isomorphism verified for both duals; "
            "dual cocycle table matches the closed formula at all "
@@ -447,11 +447,11 @@ def test_criterion_10_mutation_sensitivity():
             kind = rng.randrange(3)
             if kind == 0:
                 bad = mp.with_sigma_scaled(rng.randrange(ng), rng.randrange(nf),
-                                           rng.randrange(nf), zeta(N))
+                                           rng.randrange(nf), 1)
                 assert not validate_matched_pair(bad, mode="fast").passed
             elif kind == 1:
                 bad = mp.with_tau_scaled(rng.randrange(ng), rng.randrange(ng),
-                                         rng.randrange(nf), zeta(N))
+                                         rng.randrange(nf), 1)
                 assert not validate_matched_pair(bad, mode="fast").passed
             else:
                 i = rng.randrange(H.dim)

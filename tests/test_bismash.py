@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from hopfqt.exactfield import CycloNumber, zeta
+from hopfqt.exactfield import zeta
 from hopfqt.grouptool import ParameterError, abelian_group, cyclic_group
 from hopfqt.bismash import (
     MatchedPair,
@@ -22,12 +23,16 @@ def trivial_pair(orders_g, orders_f):
     """Untwisted data on abelian G, F with trivial actions and sigma=tau=1."""
     G = abelian_group(orders_g)
     F = abelian_group(orders_f)
-    one = CycloNumber.one()
     act_left = [[g for _ in range(F.order)] for g in range(G.order)]
     act_right = [[f for f in range(F.order)] for _ in range(G.order)]
-    sigma = [[[one] * F.order for _ in range(F.order)] for _ in range(G.order)]
-    tau = [[[one] * F.order for _ in range(G.order)] for _ in range(G.order)]
+    sigma = np.zeros((G.order, F.order, F.order), dtype=np.int64)
+    tau = np.zeros((G.order, G.order, F.order), dtype=np.int64)
     return MatchedPair(G, F, act_left, act_right, sigma, tau, 1, name="trivial")
+
+
+def failure_profile(rep):
+    """(condition, witness count, first witness) in the order found."""
+    return [(cond, len(ws), ws[0]) for cond, ws in rep.failures.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -50,18 +55,39 @@ def test_B_top_index_has_no_valid_cocycle():
     # tau transport cannot close up around the F-cycle
     rep = validate_matched_pair(make_B(3, 7, 2, 2), mode="fast")
     assert not rep.passed
+    assert failure_profile(validate_matched_pair(make_B(3, 7, 2, 2))) == [
+        ("sigma-tau compatibility", 5292, (1, 7, 1, 2))]
 
 
 def test_validate_mutated_sigma_fails():
     mp = make_A(7, 3, 2, 1)
-    bad = mp.with_sigma_scaled(mp.G.generators["b"], 1, 1, zeta(3))
+    bad = mp.with_sigma_scaled(mp.G.generators["b"], 1, 1, 1)
     assert not validate_matched_pair(bad, mode="fast").passed
+    assert failure_profile(validate_matched_pair(bad)) == [
+        ("sigma cocycle", 4, (1, 1, 1, 2)),
+        ("sigma-tau compatibility", 58, (1, 1, 1, 1))]
 
 
 def test_validate_mutated_tau_fails():
     mp = make_B(3, 7, 2, 1)
-    bad = mp.with_tau_scaled(mp.G.generators["a"], mp.G.generators["b"], 1, zeta(7))
+    bad = mp.with_tau_scaled(mp.G.generators["a"], mp.G.generators["b"], 1, 1)
     assert not validate_matched_pair(bad, mode="fast").passed
+    assert failure_profile(validate_matched_pair(bad)) == [
+        ("tau cocycle", 190, (1, 7, 1, 1)),
+        ("sigma-tau compatibility", 5, (7, 1, 1, 1))]
+
+
+def test_validate_unit_block_order():
+    # the unit block checks its conditions element by element and fast mode
+    # stops after the whole block
+    mp = trivial_pair([3], [5])
+    mp.act_left[1][0] = 2
+    mp.act_right[0][1] = 0
+    unit = [("g <| 1 = g", 1, (1,)), ("1 |> f = f", 1, (1,))]
+    assert failure_profile(validate_matched_pair(mp)) == unit + [
+        ("g |> (f f') = (g |> f)((g <| f) |> f')", 10, (0, 1, 1)),
+        ("(g g') <| f = (g <| (g' |> f))(g' <| f)", 5, (1, 0, 1))]
+    assert failure_profile(validate_matched_pair(mp, mode="fast")) == unit
 
 
 def test_make_A_parameter_validation():
@@ -88,14 +114,14 @@ def test_A_sigma_values():
     mp = make_A(7, 3, 2, 1)
     G, b = mp.G, mp.G.generators["b"]
     # carry(2,2) = 1, j = 1, l = 1: sigma(b, g^2, g^2) = omega
-    assert mp.sigma[b][2][2] == zeta(3, 1)
+    assert mp.sigma[b][2][2] == 1
     a = G.generators["a"]
     for m in range(3):
         for n in range(3):
-            assert mp.sigma[a][m][n].is_one()
+            assert mp.sigma[a][m][n] == 0
     # l = 0 kills the twist entirely
     mp0 = make_A(7, 3, 2, 0)
-    assert all(mp0.sigma[g][m][n].is_one()
+    assert all(mp0.sigma[g][m][n] == 0
                for g in range(21) for m in range(3) for n in range(3))
 
 
@@ -104,14 +130,14 @@ def test_B_tau_values():
     G = mp.G
     a, b = G.generators["a"], G.generators["b"]
     # tau(-, -, identity of F) = 1
-    assert all(mp.tau[g][g2][0].is_one() for g in range(49) for g2 in range(49))
+    assert all(mp.tau[g][g2][0] == 0 for g in range(49) for g2 in range(49))
     # first power of the geometric sum is 1: tau(b, a, g) = zeta
-    assert mp.tau[b][a][1] == zeta(7, 1)
-    assert mp.tau[a][b][1].is_one()
+    assert mp.tau[b][a][1] == 1
+    assert mp.tau[a][b][1] == 0
     # no b-part in the first slot kills the exponent
     for g2 in range(49):
         for n in range(mp.F.order):
-            assert mp.tau[a][g2][n].is_one()
+            assert mp.tau[a][g2][n] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +151,7 @@ def test_build_dimensions():
 
 def test_build_rejects_invalid_pair():
     mp = make_A(7, 3, 2, 1)
-    bad = mp.with_sigma_scaled(mp.G.generators["b"], 1, 1, zeta(3))
+    bad = mp.with_sigma_scaled(mp.G.generators["b"], 1, 1, 1)
     with pytest.raises(ParameterError) as err:
         build_bismash(bad)
     assert str(err.value) == ("matched pair invalid: sigma cocycle fails at "
@@ -154,7 +180,7 @@ def test_product_formula_spot_check():
     assert len(terms) == 1
     k, c = terms[0]
     assert k == H.gf_index(a, 2)
-    assert c == mp.sigma[a][1][1]
+    assert c == zeta(3, mp.sigma[a][1][1])
 
 
 def test_dual_basis_product_identity():
@@ -174,7 +200,7 @@ def test_dual_basis_product_identity():
                             continue
                         k = H.gf_index(G.mul(g, g2), f)
                         assert set(terms) == {k}
-                        assert terms[k] == mp.tau[g][g2][f]
+                        assert terms[k] == zeta(mp.conductor, mp.tau[g][g2][f])
             if g > 6:
                 break  # full sweep is quadratic; a band suffices here
 
@@ -199,13 +225,13 @@ def test_dualize_matches_derived_sigma_table():
             for (k, l) in [(1, 0), (0, 1), (3, 2), (6, 1)]:
                 x = F2.states.index((i, j))
                 y = F2.states.index((k, l))
-                expected = zeta(q, c[n] * j * k * pow(m, (lam + 1) * n, q))
+                expected = c[n] * j * k * pow(m, (lam + 1) * n, q) % q
                 assert d.sigma[n][x][y] == expected
 
 
 def test_dualize_B0_tau_trivial():
     d = dualize_trivial_action(make_B(3, 7, 2, 0))
-    assert all(d.tau[f][f2][g].is_one()
+    assert all(d.tau[f][f2][g] == 0
                for f in range(3) for f2 in range(3) for g in range(49))
 
 
@@ -219,7 +245,8 @@ def test_dualize_involution_on_trivial_data():
     mp = trivial_pair([3], [5])
     dd = dualize_trivial_action(dualize_trivial_action(mp))
     assert dd.G.order == mp.G.order and dd.F.order == mp.F.order
-    assert dd.act_left == mp.act_left and dd.act_right == mp.act_right
+    assert np.array_equal(dd.act_left, mp.act_left)
+    assert np.array_equal(dd.act_right, mp.act_right)
     assert all(dd.sigma[g][f][f2] == mp.sigma[g][f][f2]
                for g in range(3) for f in range(5) for f2 in range(5))
 
@@ -240,8 +267,8 @@ def test_matched_pair_roundtrip():
         text = dump_matched_pair(mp)
         back = load_matched_pair(text)
         assert back.conductor == mp.conductor
-        assert back.act_left == mp.act_left
-        assert back.act_right == mp.act_right
+        assert np.array_equal(back.act_left, mp.act_left)
+        assert np.array_equal(back.act_right, mp.act_right)
         ng, nf = mp.G.order, mp.F.order
         assert all(back.sigma[g][f][f2] == mp.sigma[g][f][f2]
                    for g in range(ng) for f in range(nf) for f2 in range(nf))
@@ -256,6 +283,25 @@ def test_load_matched_pair_rejects_truncation():
     for cut in (0, 2, lines.index("actl") + 2, len(lines) - 2):
         with pytest.raises(ValueError, match="truncated after line"):
             load_matched_pair("\n".join(lines[:cut]) + "\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x", str(2**64 + 13)])
+def test_load_matched_pair_rejects_bad_conductor(value):
+    lines = dump_matched_pair(trivial_pair([3], [5])).splitlines()
+    lines[1] = f"conductor {value}"
+    with pytest.raises(ValueError, match="at line 2$"):
+        load_matched_pair("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("header", ["sigma", "tau"])
+def test_load_matched_pair_rejects_out_of_range_exponent(header):
+    # 5 is no exponent of a cube root of unity
+    lines = dump_matched_pair(trivial_pair([3], [5])).splitlines()
+    lines[1] = "conductor 3"
+    i = lines.index(header) + 1
+    lines[i] = " ".join(["5"] + lines[i].split()[1:])
+    with pytest.raises(ValueError, match=f"at line {i + 1}$"):
+        load_matched_pair("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("header,value", [("actl", "7"), ("actl", "-1"),
@@ -283,9 +329,20 @@ def test_mutation_sensitivity_sampled(seed):
         if rng.random() < 0.5:
             g = rng.randrange(ng)
             f, f2 = rng.randrange(nf), rng.randrange(nf)
-            bad = mp.with_sigma_scaled(g, f, f2, zeta(N))
+            bad = mp.with_sigma_scaled(g, f, f2, 1)
         else:
             g, g2 = rng.randrange(ng), rng.randrange(ng)
             f = rng.randrange(nf)
-            bad = mp.with_tau_scaled(g, g2, f, zeta(N))
+            bad = mp.with_tau_scaled(g, g2, f, 1)
         assert not validate_matched_pair(bad, mode="fast").passed
+
+
+def test_mutation_sensitivity_exhaustive():
+    # every single-site sigma and tau mutant of A_1(7,3): 189 + 1323 sites
+    mp = make_A(7, 3, 2, 1)
+    assert mp.sigma.size + mp.tau.size == 1512
+    missed = [("sigma", s) for s in np.ndindex(mp.sigma.shape)
+              if validate_matched_pair(mp.with_sigma_scaled(*s, 1), mode="fast").passed]
+    missed += [("tau", s) for s in np.ndindex(mp.tau.shape)
+               if validate_matched_pair(mp.with_tau_scaled(*s, 1), mode="fast").passed]
+    assert not missed

@@ -99,7 +99,12 @@ def test_mutated_dump_fails_verification(tmp_path):
     ("MUL 2 2 1 1 1 0", "MUL -1 2 1 1 1 0"),
     ("MUL 1 2 0 1 1 0", "MUL 1 2 9 1 1 0"),
     ("EPS 0 1 1 0", "EPS 0 0 1 0"),
-], ids=["negative-index", "index-out-of-range", "zero-denominator"])
+    # header bounds fire before anything is allocated
+    ("dim 3", "dim -2"),
+    ("dim 3", "dim 1000000000"),
+    ("conductor 3", "conductor 1000000007"),
+], ids=["negative-index", "index-out-of-range", "zero-denominator",
+        "negative-dim", "huge-dim", "huge-conductor"])
 def test_bad_dump_line_exit_code(tmp_path, old, new):
     from hopfqt.grouptool import cyclic_group
     from hopfqt.hopfcore import dump_structure, group_algebra

@@ -48,7 +48,7 @@ def test_bismash_product_formula_via_elements():
     x = H.basis_element(H.gf_index(a, 1))
     y = H.basis_element(H.gf_index(mp.act_left[a][1], 1))
     z = x * y
-    assert z.coeffs == {H.gf_index(a, 2): mp.sigma[a][1][1]}
+    assert z.coeffs == {H.gf_index(a, 2): zeta(3, mp.sigma[a][1][1])}
 
 
 # ---------------------------------------------------------------------------
