@@ -538,6 +538,17 @@ class SparseMatrix:
         return out
 
 
+def _axpy(dst, f, src):
+    """dst += f * src on sparse dict vectors, dropping entries that vanish."""
+    for k, v in src.items():
+        nv = dst.get(k)
+        nv = f * v if nv is None else nv + f * v
+        if nv:
+            dst[k] = nv
+        else:
+            dst.pop(k, None)
+
+
 def _rref(rows, ncols):
     """In-place reduced row echelon form on a list of dict rows.
 
@@ -559,23 +570,11 @@ def _rref(rows, ncols):
         for r in rows:
             f = r.get(col)
             if f is not None:
-                for c, v in prow.items():
-                    nv = r.get(c)
-                    nv = -f * v if nv is None else nv - f * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
+                _axpy(r, -f, prow)
         for _, done in pivots:
             f = done.get(col)
             if f is not None:
-                for c, v in prow.items():
-                    nv = done.get(c)
-                    nv = -f * v if nv is None else nv - f * v
-                    if nv:
-                        done[c] = nv
-                    else:
-                        done.pop(c, None)
+                _axpy(done, -f, prow)
         pivots.append((col, prow))
         rows = [r for r in rows if r]
     return pivots
@@ -624,13 +623,7 @@ def matrix_rank(m: SparseMatrix) -> int:
             f = other.get(prow)
             if f is not None:
                 scale = f * inv
-                for r, v in col.items():
-                    nv = other.get(r)
-                    nv = -scale * v if nv is None else nv - scale * v
-                    if nv:
-                        other[r] = nv
-                    else:
-                        other.pop(r, None)
+                _axpy(other, -scale, col)
             if other:
                 rest.append(other)
         work = rest
@@ -660,20 +653,8 @@ class RowSpace:
         for pivot, row, rcombo in self._rows:
             f = vec.get(pivot)
             if f is not None:
-                for k, v in row.items():
-                    nv = vec.get(k)
-                    nv = -f * v if nv is None else nv - f * v
-                    if nv:
-                        vec[k] = nv
-                    else:
-                        vec.pop(k, None)
-                for i, v in rcombo.items():
-                    nv = combo.get(i)
-                    nv = f * v if nv is None else nv + f * v
-                    if nv:
-                        combo[i] = nv
-                    else:
-                        combo.pop(i, None)
+                _axpy(vec, -f, row)
+                _axpy(combo, f, rcombo)
         return vec, combo
 
     def add(self, vec) -> bool:
@@ -693,20 +674,8 @@ class RowSpace:
         for pk, prow, pcombo in self._rows:
             f = prow.get(pivot)
             if f is not None:
-                for k, v in row.items():
-                    nv = prow.get(k)
-                    nv = -f * v if nv is None else nv - f * v
-                    if nv:
-                        prow[k] = nv
-                    else:
-                        prow.pop(k, None)
-                for i, v in combo.items():
-                    nv = pcombo.get(i)
-                    nv = -f * v if nv is None else nv - f * v
-                    if nv:
-                        pcombo[i] = nv
-                    else:
-                        pcombo.pop(i, None)
+                _axpy(prow, -f, row)
+                _axpy(pcombo, -f, combo)
         self._rows.append((pivot, row, combo))
         self._rows.sort(key=lambda t: t[0])
         return True

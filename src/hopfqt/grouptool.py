@@ -165,6 +165,8 @@ class FiniteGroup:
         if len(lines) != n + 1:
             raise ValueError(f"expected {n} table rows, got {len(lines) - 1}")
         table = [[int(x) for x in ln.split()] for ln in lines[1:]]
+        if not all(0 <= x < n for row in table for x in row):
+            raise ValueError(f"table entries must lie in 0..{n - 1}")
         return FiniteGroup(table, **kw)
 
     def __repr__(self):

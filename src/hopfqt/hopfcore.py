@@ -703,6 +703,12 @@ def _parse_coeff(fields, conductor, phi):
     return CycloNumber.from_coeffs(conductor, [Fraction(x, den) for x in nums])
 
 
+# The field of a conductor N tabulates N powers of zeta_N over phi(N)
+# coordinates, so loading costs time and memory quadratic in N.  The dumps
+# hopfqt writes have conductor 1 (group algebras) or q (bismash products).
+MAX_CONDUCTOR = 1024
+
+
 def load_structure(text: str) -> HopfAlgebra:
     from .exactfield import euler_phi
 
@@ -726,6 +732,8 @@ def load_structure(text: str) -> HopfAlgebra:
         if not 1 <= conductor <= 8 * degree:
             raise FormatError(f"conductor {conductor} is not in 1..{8 * degree}, "
                               "8 times the field degree of the first coefficient line")
+        if conductor > MAX_CONDUCTOR:
+            raise FormatError(f"conductor {conductor} exceeds {MAX_CONDUCTOR}")
         phi = euler_phi(conductor)
         labels = [f"b{i}" for i in range(dim)]
         zero = CycloNumber.zero(conductor)

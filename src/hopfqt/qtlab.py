@@ -169,7 +169,9 @@ class IdemSupport:
     orthogonality E_s E_t = delta E_s, completeness sum E_t = 1, and the
     comultiplication factorization Delta(E_t) = sum_{t1 t2 = t} E_t1 (x) E_t2.
     Tensors supported on a certified family can then be verified through
-    integer exponent identities.
+    integer exponent identities.  Structure constants are read from the
+    host's exponent tables (``mono_tables``) when it has them, else through
+    ``AlgebraElement`` products.
     """
 
     def __init__(self, host, vectors, kmul):
@@ -208,43 +210,35 @@ class IdemSupport:
             total = total + e
         if total.coeffs != H.unit:
             raise ValueError("support does not sum to the unit")
-        # comultiplication factorization
-        fast = None if arrays is None else self._certify_comult_numpy(*arrays)
+        # comultiplication factorization; kdiv[t1, t] is the t2 with t1 t2 = t
+        if not np.array_equal(np.sort(self.kmul, axis=1),
+                              np.broadcast_to(np.arange(m), (m, m))):
+            raise ValueError("support index table is not a group")
+        kdiv = np.argsort(self.kmul, axis=1)
+        fast = None if arrays is None else \
+            self._certify_comult_numpy(kdiv, *arrays)
         if fast is None:
-            self._certify_comult_generic()
+            self._certify_comult_generic(kdiv)
         elif fast is False:
             raise ValueError("comultiplication does not factor over the support")
         self.certified = True
         return self
 
-    def _certify_orthogonality_numpy(self, support_ids, pos, E, scale, rootmat):
+    def _certify_orthogonality_numpy(self, S, pos, E, scale, rootmat):
         H = self.host
+        tables = H.mono_tables()
+        if tables is None:
+            return None
         N = H.conductor
         m = self.m
-        ns = len(support_ids)
-        # products of support basis elements must be zero or single monomials
-        xs, ys, tzs, tes = [], [], [], []
-        for a, ia in enumerate(support_ids):
-            row = H.mult[ia]
-            for b, ib in enumerate(support_ids):
-                terms = row.get(ib, ())
-                if not terms:
-                    continue
-                if len(terms) != 1:
-                    return None
-                k, c = terms[0]
-                r = c.lift(N).as_root()
-                if r is None or r[1] != 1 or k not in pos:
-                    return None
-                xs.append(a)
-                ys.append(b)
-                tzs.append(pos[k])
-                tes.append(r[0])
-        X = np.array(xs, dtype=np.int64)
-        Y = np.array(ys, dtype=np.int64)
-        TZ = np.array(tzs, dtype=np.int64)
-        TE = np.array(tes, dtype=np.int64)
-        phi = rootmat.shape[1]
+        ns = len(S)
+        # products of support basis elements must stay in the support
+        T = tables[0][np.ix_(S, S)]
+        X, Y = np.nonzero(T >= 0)
+        TZ = pos[T[X, Y]]
+        if (TZ < 0).any():
+            return None
+        TE = tables[1][np.ix_(S, S)][X, Y]
         num, den = scale.numerator, scale.denominator
         # batch all (s, t) pairs: coefficient of e_s e_t at coordinate z is
         # scale^2 sum over contributing (x, y) of zeta^(E[s,x]+E[t,y]+texp)
@@ -252,22 +246,21 @@ class IdemSupport:
         pair_ids = (np.arange(m)[:, None] * m + np.arange(m)[None, :])
         keys = (pair_ids[:, :, None] * ns + TZ[None, None]) * N + exps
         counts = np.bincount(keys.reshape(-1), minlength=m * m * ns * N)
-        vecs = counts.reshape(m * m * ns, N) @ rootmat
-        vecs = vecs.reshape(m, m, ns, phi)
+        vecs = (counts.reshape(m * m * ns, N) @ rootmat).reshape(m, m, ns, -1)
         # expected: num/den * delta_(s,t) * e_s, i.e. den * vecs == E-vector
-        expect = np.zeros((m, m, ns, phi), dtype=np.int64)
-        srange = np.arange(m)
-        evecs = rootmat[E % N]            # (m, ns, phi)
-        expect[srange, srange] = evecs
+        expect = np.zeros_like(vecs)
+        expect[np.arange(m), np.arange(m)] = rootmat[E % N]
         return bool(np.array_equal(num * vecs, den * expect))
 
     def _mono_arrays(self):
-        """(support_ids, pos, E, scale, rootmat) when every idempotent is
+        """(S, pos, E, scale, rootmat) when every idempotent is
         scale * sum_x zeta^E[t, x] b_x over one common support; else None.
 
-        support_ids are the sorted basis indices of the support, pos maps
-        them to columns of E, and rootmat[k] is zeta^k in the power basis."""
-        N = self.host.conductor
+        S holds the sorted basis indices of the support, pos[i] is the column
+        of E for basis index i (-1 off the support), and rootmat[k] is zeta^k
+        in the power basis."""
+        H = self.host
+        N = H.conductor
         scale = None
         idx, exp, owner = [], [], []
         for t, vec in enumerate(self.vectors):
@@ -282,141 +275,101 @@ class IdemSupport:
                 owner.append(t)
                 idx.append(i)
                 exp.append(r[0])
-        support_ids = sorted(set(idx))
-        pos = {i: k for k, i in enumerate(support_ids)}
-        E = np.zeros((self.m, len(support_ids)), dtype=np.int64)
-        present = np.zeros(E.shape, dtype=bool)
-        for t, i, e in zip(owner, idx, exp):
-            E[t, pos[i]] = e
-            present[t, pos[i]] = True
-        if not present.all():
+        S = np.array(sorted(set(idx)), dtype=np.int64)
+        pos = np.full(H.dim, -1, dtype=np.int64)
+        pos[S] = np.arange(len(S))
+        if len(idx) != self.m * len(S):
             return None  # non-uniform support; generic path
-        rootmat = np.array([_rootvec(N, k) for k in range(N)], dtype=np.int64)
-        return support_ids, pos, E, scale, rootmat
+        E = np.zeros((self.m, len(S)), dtype=np.int64)
+        E[owner, pos[idx]] = exp
+        rootmat = np.array([zeta(N, k).serial()[1] for k in range(N)],
+                           dtype=np.int64)
+        return S, pos, E, scale, rootmat
 
-    def _certify_comult_numpy(self, support_ids, pos, E, scale, rootmat):
+    def _certify_comult_numpy(self, kdiv, S, pos, E, scale, rootmat):
         H = self.host
         N = H.conductor
-        # Delta on the support must be diagonal: Delta(b_i) = (b_i, b_i, 1)
-        # for every basis index in the support (group-like basis) -- otherwise
-        # fall back to the generic path.
-        for i in support_ids:
-            terms = H.comult[i]
-            if len(terms) != 1 or terms[0][:2] != (i, i) or not terms[0][2].is_one():
-                return None
+        # Delta on the support must be diagonal -- otherwise fall back to the
+        # generic path.
+        if not all(_group_like(H, i) for i in S):
+            return None
         m = self.m
-        ns = len(support_ids)
-        kinvmul = np.empty((m, m), dtype=np.int64)
-        for t1 in range(m):
-            for t in range(m):
-                # t2 with t1 * t2 = t
-                t2s = np.nonzero(self.kmul[t1] == t)[0]
-                if len(t2s) != 1:
-                    raise ValueError("support index table is not a group")
-                kinvmul[t1, t] = t2s[0]
+        ns = len(S)
         num, den = scale.numerator, scale.denominator
         for t in range(m):
             # RHS coefficient at (x, y): scale^2 sum_t1 zeta^(E[t1,x]+E[t2,y])
-            t2 = kinvmul[:, t]
-            exps = (E[:, :, None] + E[t2][:, None, :]) % N  # (m, ns, ns)
-            counts = np.zeros((ns, ns, N), dtype=np.int64)
-            flat = exps.reshape(m, -1)
-            coord = np.tile(np.arange(ns * ns), m)
-            np.add.at(counts.reshape(-1, N), (coord, flat.reshape(-1)), 1)
+            exps = (E[:, :, None] + E[kdiv[:, t]][:, None, :]) % N  # (m, ns, ns)
+            keys = np.arange(ns * ns) * N + exps.reshape(m, -1)
+            counts = np.bincount(keys.reshape(-1), minlength=ns * ns * N)
             vec_rhs = counts.reshape(-1, N) @ rootmat  # (ns*ns, phi)
             # LHS: scale * zeta^(E[t,x]) at diagonal (x, x)
             vec_lhs = np.zeros_like(vec_rhs)
-            diag = np.arange(ns) * ns + np.arange(ns)
-            lhs_counts = np.zeros((ns, N), dtype=np.int64)
-            np.add.at(lhs_counts, (np.arange(ns), E[t] % N), 1)
-            vec_lhs[diag] = lhs_counts @ rootmat
+            vec_lhs[np.arange(ns) * (ns + 1)] = rootmat[E[t] % N]
             # compare scale^2 * rhs == scale * lhs  =>  num*rhs == den*lhs
             if not np.array_equal(num * vec_rhs, den * vec_lhs):
                 return False
         return True
 
-    def _certify_comult_generic(self):
-        H = self.host
+    def _certify_comult_generic(self, kdiv):
         els = self.elements()
         m = self.m
         for t in range(m):
             lhs = els[t].comult_apply()
             rhs = {}
             for t1 in range(m):
-                t2 = int(np.nonzero(self.kmul[t1] == t)[0][0])
                 for i, ci in self.vectors[t1].items():
-                    for j, cj in self.vectors[t2].items():
+                    for j, cj in self.vectors[kdiv[t1, t]].items():
                         _acc(rhs, (i, j), ci * cj)
             if lhs != rhs:
                 raise ValueError("comultiplication does not factor over the support")
 
     def conj_perms(self):
-        """For each basis element h of the host: the permutation induced by
-        h E_t h^-1 on the support when h is group-like and invertible with a
-        basis inverse; None rows mark elements where this shape fails."""
+        """For each basis element h of the host: the permutation t -> t' with
+        h E_t h^-1 = E_t' when h is group-like with a scaled basis inverse,
+        read off the exponent tables; None rows mark elements where this
+        shape fails (all rows when the host has no tables, the support is not
+        monomial or the unit is not one basis element)."""
         H = self.host
+        N = H.conductor
+        tables = H.mono_tables()
+        arrays = self._mono_arrays()
+        root = None
+        if len(H.unit) == 1:
+            (u, cu), = H.unit.items()
+            root = cu.lift(N).as_root()
+        if tables is None or arrays is None or root is None or root[1] != 1:
+            return [None] * H.dim
+        mt, me = tables
+        S, pos, E, _, _ = arrays
+        row_of = {row.tobytes(): t for t, row in enumerate(E % N)}
         out = []
         for h in range(H.dim):
-            terms = H.comult[h]
-            if len(terms) != 1 or terms[0][:2] != (h, h) or not terms[0][2].is_one():
+            # h^-1 = zeta^(e_u - me[h, j]) b_j for the unique j with b_h b_j ~ b_u
+            js = np.flatnonzero(mt[h] == u)
+            if not _group_like(H, h) or len(js) != 1:
                 out.append(None)
                 continue
-            out.append(self._conj_perm_of(h))
+            j = js[0]
+            hx = mt[h, S]
+            y = mt[hx, j]
+            cols = pos[y]
+            if (mt[j, h] != u or (me[j, h] - me[h, j]) % N or (hx < 0).any()
+                    or (y < 0).any() or (cols < 0).any()
+                    or len(np.unique(cols)) != len(S)):
+                out.append(None)
+                continue
+            # b_h b_x h^-1 = zeta^(me[h,x] + me[hx,j] + e_u - me[h,j]) b_y
+            conj = np.empty_like(E)
+            conj[:, cols] = (E + me[h, S] + me[hx, j] + root[0] - me[h, j]) % N
+            perm = [row_of.get(row.tobytes()) for row in conj]
+            out.append(None if None in perm else perm)
         return out
 
-    def _conj_perm_of(self, h):
-        H = self.host
-        hh = H.basis_element(h)
-        hinv = _basis_inverse(H, h)
-        if hinv is None:
-            return None
-        key_to_t = {}
-        for t, vec in enumerate(self.vectors):
-            key_to_t[_vec_key(vec)] = t
-        perm = []
-        for t in range(self.m):
-            conj = (hh * AlgebraElement(H, self.vectors[t])) * hinv
-            k = _vec_key(conj.coeffs)
-            if k not in key_to_t:
-                return None
-            perm.append(key_to_t[k])
-        return perm
 
-
-def _vec_key(coeffs):
-    items = []
-    for i in sorted(coeffs):
-        den, nums = coeffs[i].serial()
-        items.append((i, den, tuple(nums)))
-    return tuple(items)
-
-
-def _basis_inverse(H, h):
-    """b_h^-1 as an AlgebraElement when a scaled basis element inverts it."""
-    x = H.basis_element(h)
-    if len(H.unit) == 1:
-        for j, terms in H.mult[h].items():
-            if len(terms) == 1:
-                k, c = terms[0]
-                uk = H.unit.get(k)
-                if uk is not None:
-                    cand = AlgebraElement(H, {j: uk / c})
-                    if (cand * x).coeffs == H.unit and (x * cand).coeffs == H.unit:
-                        return cand
-    return None
-
-
-_ROOTVEC_CACHE = {}
-
-
-def _rootvec(N, k):
-    key = (N, k)
-    v = _ROOTVEC_CACHE.get(key)
-    if v is None:
-        den, nums = zeta(N, k).serial()
-        assert den == 1
-        v = _ROOTVEC_CACHE[key] = nums
-    return v
+def _group_like(H, i):
+    """Delta(b_i) = b_i (x) b_i."""
+    terms = H.comult[i]
+    return len(terms) == 1 and terms[0][:2] == (i, i) and terms[0][2].is_one()
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +422,13 @@ def _first_diff(a, b):
 
 
 def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
-                        conj_perms=None) -> Report:
+                        conj_perms) -> Report:
     """verify_qt for R = sum w(s,t) E_s (x) E_t on a certified support.
 
     w_elem is the integer exponent matrix of w on support indices mod L.
     With the certified product/coproduct facts the identities become exact
-    integer exponent identities; the inverse is w -> -w.
+    integer exponent identities; the inverse is w -> -w.  conj_perms is
+    sup.conj_perms(); its None rows are checked on the generic R.
     """
     sup.certify()
     rep = Report()
@@ -487,11 +441,12 @@ def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
     if not ((WT[kmul] - WT[:, None, :] - WT[None, :, :]) % L == 0).all():
         rep.fail("coproduct identity (right)", ("second-slot multiplicativity",))
     # intertwiner over all basis elements of the host
-    perms = conj_perms if conj_perms is not None else sup.conj_perms()
-    for h, perm in enumerate(perms):
+    entries = None
+    for h, perm in enumerate(conj_perms):
         if perm is None:
             # generic fallback for this basis element
-            entries = r_entries_from_support(sup, W, L)
+            if entries is None:
+                entries = r_entries_from_support(sup, W, L)
             if not _intertwines(sup.host, entries, h):
                 rep.fail("intertwiner", (h,))
         else:

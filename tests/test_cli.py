@@ -115,6 +115,23 @@ def test_bad_dump_line_exit_code(tmp_path, old, new):
     run_cli("verify", "--in", str(dump), expect=3)
 
 
+def test_dump_conductor_cap(tmp_path, capsys):
+    # k[C3] written out at the prime conductor 1031: every coefficient line
+    # has 1,031 fields (a denominator and phi = 1030 numerators), so the dump
+    # is well formed, but its field tables would be quadratic in the conductor
+    from hopfqt.grouptool import cyclic_group
+    from hopfqt.hopfcore import MAX_CONDUCTOR, dump_structure, group_algebra
+    text = dump_structure(group_algebra(cyclic_group(3), 3))
+    wide = " 1 1" + " 0" * 1029
+    lines = [ln[:-len(" 1 1 0")] + wide if ln.endswith(" 1 1 0") else ln
+             for ln in text.replace("conductor 3", "conductor 1031").splitlines()]
+    assert len(lines[6].split()[2:]) == 1031 > MAX_CONDUCTOR
+    dump = tmp_path / "c3.txt"
+    dump.write_text("\n".join(lines) + "\n")
+    run_cli("verify", "--in", str(dump), expect=3)
+    assert f"conductor 1031 exceeds {MAX_CONDUCTOR}" in capsys.readouterr().err
+
+
 def test_classify_counts(tmp_path):
     out = tmp_path / "r.json"
     run_cli("classify-qt", "--family", "A", "--p", "7", "--q", "3",

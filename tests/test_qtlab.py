@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from hopfqt.exactfield import CycloNumber, zeta
@@ -8,12 +11,15 @@ from hopfqt.grouptool import (
     build_group,
     cyclic_group,
     enumerate_bicharacters,
+    idempotents,
+    largest_abelian_normal,
     semidirect_pq,
 )
-from hopfqt.hopfcore import group_algebra
+from hopfqt.hopfcore import AlgebraElement, group_algebra
 from hopfqt.bismash import build_bismash, make_A, make_B
 from hopfqt.qtlab import (
     BraidingForm,
+    IdemSupport,
     TensorSquareElement,
     braiding_A0_construct,
     braiding_A_search,
@@ -29,6 +35,7 @@ from hopfqt.qtlab import (
     unit_tensor,
     verify_coqt,
     verify_qt,
+    _k_index_table,
 )
 
 
@@ -137,6 +144,106 @@ def test_abelian_group_algebra_unconstrained():
     res = qt_group_algebra_enumerate(G)
     assert len(res) == 81
     assert res.oracle_equivalent
+
+
+# ---------------------------------------------------------------------------
+# certified idempotent supports
+
+
+def group_support(fam, **params):
+    """The idempotents of k[K] in k[G], K the largest abelian normal
+    subgroup, as qt_group_algebra_enumerate certifies them."""
+    G = build_group(fam, **params)
+    K = largest_abelian_normal(G).decomposition
+    H = group_algebra(G, conductor=math.lcm(1, *K.orders))
+    return H, idempotents(K), _k_index_table(K)
+
+
+def conj_perms_by_products(H, vectors):
+    """conj_perms through AlgebraElement products: the t' with
+    (b_h E_t) h^-1 = E_t' for every group-like b_h with a scaled basis
+    inverse, else None."""
+    N = H.conductor
+    one = H.one()
+    (u, cu), = H.unit.items()
+    idems = [AlgebraElement(H, v) for v in vectors]
+    rows = []
+    for h in range(H.dim):
+        bh = H.basis_element(h)
+        inv = None
+        if bh.comult_apply() == {(h, h): CycloNumber.one(N)}:
+            for j in range(H.dim):
+                prod = (bh * H.basis_element(j)).coeffs
+                if list(prod) == [u]:
+                    cand = H.basis_element(j).scale(cu / prod[u])
+                    if bh * cand == one and cand * bh == one:
+                        inv = cand
+                        break
+        if inv is None:
+            rows.append(None)
+            continue
+        perm = []
+        for E in idems:
+            conj = (bh * E) * inv
+            perm.append(next((s for s, F in enumerate(idems) if F == conj), None))
+        rows.append(None if None in perm else perm)
+    return rows
+
+
+@pytest.mark.parametrize("fam,params", [
+    ("gamma3", dict(p=7, q=3, m=2)),
+    ("beta7", dict(p=3, q=5)),
+    ("gamma4", dict(p=19, q=3, m=4)),
+])
+def test_conj_perms_match_products(fam, params):
+    H, vectors, kmul = group_support(fam, **params)
+    rows = IdemSupport(H, vectors, kmul).conj_perms()
+    assert None not in rows
+    assert rows == conj_perms_by_products(H, vectors)
+
+
+@pytest.mark.parametrize("site", [(20, 60), (41, 3), (32, 13), (4, 15)])
+def test_conj_perms_match_products_on_mutants(site):
+    # a zeta-scaled structure constant keeps the exponent tables; the rows
+    # through h (and through h^-1) change or become None
+    H, vectors, kmul = group_support("gamma3", p=7, q=3, m=2)
+    i, j = site
+    (k, _), = H.mult[i][j]
+    Hm = H.with_scaled_mult_entry(i, j, k, zeta(H.conductor))
+    rows = IdemSupport(Hm, vectors, kmul).conj_perms()
+    expect = conj_perms_by_products(Hm, vectors)
+    assert any(r is None for r in rows)
+    for h in range(H.dim):
+        assert rows[h] == expect[h], h
+
+
+def test_certify_rejects_broken_support_numpy():
+    H, vectors, kmul = group_support("gamma3", p=7, q=3, m=2)
+    IdemSupport(H, vectors, kmul).certify()
+    bad = [dict(v) for v in vectors]
+    x = next(iter(bad[1]))
+    bad[1][x] = bad[1][x] * zeta(H.conductor)
+    kmul = np.array(kmul)
+    non_group = np.where(kmul == 1, 0, kmul)
+    for vecs, km in ((bad, kmul), (vectors, non_group),
+                     (vectors, kmul[np.roll(np.arange(len(kmul)), 1)])):
+        with pytest.raises(ValueError):
+            IdemSupport(H, vecs, km).certify()
+
+
+def test_certify_rejects_swapped_kmul_generic():
+    # the basis idempotents e_r # 1 of B are not group-like, so their
+    # comultiplication is checked through AlgebraElement products
+    mp = make_B(3, 7, 2, 1)
+    H = build_bismash(mp)
+    dec = abelian_decomposition(mp.G, range(mp.G.order))
+    vectors = [{H.gf_index(r, 0): CycloNumber.one(H.conductor)}
+               for r in dec.elements]
+    kmul = np.array(_k_index_table(dec))
+    IdemSupport(H, vectors, kmul).certify()
+    kmul[0, [0, 1]] = kmul[0, [1, 0]]
+    with pytest.raises(ValueError):
+        IdemSupport(H, vectors, kmul).certify()
 
 
 # ---------------------------------------------------------------------------
