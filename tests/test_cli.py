@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from hopfqt.bismash import build_bismash, make_A
 from hopfqt.cli import load_schema, main, validate_json
+from hopfqt.hopfcore import dump_structure
 
 
 def run_cli(*argv, expect=0):
@@ -90,6 +92,25 @@ def test_mutated_dump_fails_verification(tmp_path):
         ("counit", True, 0),
         ("comultiplication is an algebra map", False, 21),
         ("counit is an algebra map", False, 1),
+        ("antipode", False, 1),
+    ]
+
+
+def test_doubled_constant_dump_fails_verification(tmp_path):
+    # twice a root of unity leaves the exponent tables: the generic sweeps run
+    H = build_bismash(make_A(7, 3, 2, 1)).with_scaled_mult_entry(54, 54, 54, 2)
+    bad = tmp_path / "doubled.txt"
+    bad.write_text(dump_structure(H))
+    rc = main(["verify", "--in", str(bad), "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert [(a["name"], a["passed"], a["failures"]) for a in doc["axioms"]] == [
+        ("associativity", False, 8),
+        ("unit", False, 1),
+        ("coassociativity", True, 0),
+        ("counit", True, 0),
+        ("comultiplication is an algebra map", False, 21),
+        ("counit is an algebra map", True, 0),
         ("antipode", False, 1),
     ]
 

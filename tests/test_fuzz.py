@@ -1,7 +1,8 @@
 """Hypothesis fuzzing of the two loaders: mutated structure dumps through
 ``hopfqt verify`` and mutated matched-pair dumps through load_matched_pair.
 Malformed input must end in a documented exit code or a ValueError, never in
-another exception."""
+another exception.  Also: the generic axiom sweeps against their references
+on algebras with one scaled structure constant."""
 
 import os
 import tempfile
@@ -11,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from hopfqt.bismash import MatchedPair, dump_matched_pair, load_matched_pair
 from hopfqt.cli import main
-from hopfqt.grouptool import abelian_group, cyclic_group
-from hopfqt.hopfcore import dump_structure, group_algebra
+from hopfqt.exactfield import CycloNumber, zeta
+from hopfqt.grouptool import abelian_group, cyclic_group, semidirect_pq
+from hopfqt.hopfcore import (HopfAlgebra, dual_hopf, dump_structure, group_algebra,
+                             verify_hopf_axioms)
+from test_hopfcore import generic_copy, joined_failures, reference_failures
 
 TOKENS = st.one_of(
     st.integers(-3, 40).map(str),
@@ -97,3 +101,44 @@ def test_load_mutated_matched_pair(edits):
     except ValueError:
         return
     assert isinstance(mp, MatchedPair)
+
+
+SMALL_ALGEBRAS = [
+    group_algebra(cyclic_group(4), 4),
+    group_algebra(semidirect_pq(7, 3, 2), 3),
+    dual_hopf(group_algebra(semidirect_pq(7, 3, 2), 3)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(SMALL_ALGEBRAS) - 1),
+       st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
+       st.one_of(st.none(), st.integers(0, 30),
+                 st.fractions(-3, 3, max_denominator=4)),
+       st.sampled_from(["full", "fast"]))
+def test_generic_join_matches_reference(which, site, factor, mode):
+    """Scale one constant by zeta_N^e (an int) or by a rational, or drop it
+    (None); the generic join must find the numpy path's failures on a
+    monomial result and the product reference's otherwise."""
+    H = SMALL_ALGEBRAS[which]
+    i = site[0] % H.dim
+    js = sorted(H.mult[i])
+    j = js[site[1] % len(js)]
+    k = H.mult[i][j][site[2] % len(H.mult[i][j])][0]
+    if factor is None:  # as if the MUL line were missing from a dump
+        mult = [dict(row) for row in H.mult]
+        mult[i][j] = tuple(t for t in mult[i][j] if t[0] != k)
+        if not mult[i][j]:
+            del mult[i][j]
+        bad = HopfAlgebra(H.dim, H.conductor, mult, H.comult, H.unit,
+                          H.counit, H.antipode)
+    elif isinstance(factor, int):
+        bad = H.with_scaled_mult_entry(i, j, k, zeta(H.conductor, factor))
+    else:
+        bad = H.with_scaled_mult_entry(i, j, k, CycloNumber.from_rational(factor))
+    generic = generic_copy(bad)
+    if bad.mono_tables() is not None:
+        assert (verify_hopf_axioms(generic, mode=mode).failures
+                == verify_hopf_axioms(bad, mode=mode).failures)
+    else:
+        assert joined_failures(generic, mode) == reference_failures(bad, mode)

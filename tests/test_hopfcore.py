@@ -1,12 +1,16 @@
-import random
+import copy
+from itertools import islice
 
 import pytest
 
 from hopfqt.exactfield import CycloNumber, RowSpace, zeta
-from hopfqt.grouptool import abelian_group, cyclic_group, semidirect_pq
+from hopfqt.grouptool import abelian_group, build_group, cyclic_group, semidirect_pq
 from hopfqt.bismash import build_bismash, dualize_trivial_action, make_A, make_B
 from hopfqt.hopfcore import (
     FormatError,
+    Report,
+    _check_antipode,
+    _check_unit_laws,
     antipode_diagnostics,
     dual_hopf,
     dump_structure,
@@ -79,15 +83,130 @@ def test_axioms_fail_on_mutated_structure_constant():
     assert not rep.passed
 
 
+def generic_copy(H):
+    """H without its exponent tables: every sweep takes the generic join."""
+    G = copy.copy(H)
+    G._mono = None
+    return G
+
+
+# the constant of Bdual(3,7,lam=0) whose zeta-mutant has 190 associativity
+# witnesses (a first-row mutant has 192)
+BDUAL_SITE = (37, 29)
+
+
+def zeta_mutant(H, i, j):
+    """H with the first constant of b_i b_j scaled by zeta_N: still
+    monomial, so the numpy associativity check applies."""
+    return H.with_scaled_mult_entry(i, j, H.mult[i][j][0][0], zeta(H.conductor))
+
+
 def test_generic_assoc_path_matches_numpy_path():
-    # force the generic path by scaling one coefficient by a non-root
-    H = group_algebra(cyclic_group(4), conductor=4)
-    assert H.mono_tables() is not None
-    bad = H.with_scaled_mult_entry(1, 1, 2, CycloNumber.from_rational(2))
-    assert bad.mono_tables() is None
-    rep = verify_hopf_axioms(bad, mode="fast")
-    assert not rep.passed
-    assert "associativity" in rep.failures or not rep.passed
+    cases = [
+        (zeta_mutant(build_bismash(make_A(7, 3, 2, 1)), 54, 54), 8),
+        (zeta_mutant(group_algebra(build_group("beta7", p=3, q=5), 5), 3, 4), 294),
+        (zeta_mutant(build_bismash(dualize_trivial_action(make_B(3, 7, 2, 0))),
+                     *BDUAL_SITE), 190),
+    ]
+    for H, n_assoc in cases:
+        assert H.mono_tables() is not None
+        G = generic_copy(H)
+        assert G.mono_tables() is None
+        full = verify_hopf_axioms(H).failures
+        assert len(full["associativity"]) == n_assoc
+        assert verify_hopf_axioms(G).failures == full
+        fast = verify_hopf_axioms(H, mode="fast").failures
+        assert fast["associativity"] == full["associativity"][:1]
+        assert verify_hopf_axioms(G, mode="fast").failures == fast
+
+
+# The product-based sweeps that the sparse joins replaced, kept as the
+# oracle: b_i, b_j, b_k as AlgebraElement objects, in the same order.
+
+
+def _reference_assoc(H):
+    n = H.dim
+    for i in range(n):
+        xi = H.basis_element(i)
+        for j in range(n):
+            xij = xi * H.basis_element(j)
+            for k in range(n):
+                lhs = xij * H.basis_element(k)
+                rhs = xi * (H.basis_element(j) * H.basis_element(k))
+                if lhs != rhs:
+                    yield (i, j, k)
+
+
+def _reference_unit(H):
+    one = H.one()
+    for i in range(H.dim):
+        x = H.basis_element(i)
+        if one * x != x or x * one != x:
+            yield (i,)
+
+
+def _reference_antipode(H):
+    for i in range(H.dim):
+        left = H.zero()
+        right = H.zero()
+        for j, k, c in H.comult[i]:
+            sj = H.basis_element(j).antipode_apply()
+            left = left + c * (sj * H.basis_element(k))
+            sk = H.basis_element(k).antipode_apply()
+            right = right + c * (H.basis_element(j) * sk)
+        target = H.one().scale(H.counit[i])
+        if left != target or right != target:
+            yield (i,)
+
+
+REFERENCE_SWEEPS = {"associativity": _reference_assoc, "unit": _reference_unit,
+                    "antipode": _reference_antipode}
+
+
+def reference_failures(H, mode="full", conditions=tuple(REFERENCE_SWEEPS)):
+    """Witnesses of the product-based sweeps, as in Report.failures; fast
+    mode keeps the first witness of each condition."""
+    out = {}
+    for condition in conditions:
+        ws = list(islice(REFERENCE_SWEEPS[condition](H), 1 if mode == "fast" else None))
+        if ws:
+            out[condition] = ws
+    return out
+
+
+def joined_failures(H, mode="full"):
+    """verify_hopf_axioms failures of the conditions the reference covers."""
+    return {c: ws for c, ws in verify_hopf_axioms(H, mode=mode).failures.items()
+            if c in REFERENCE_SWEEPS}
+
+
+def test_generic_join_matches_product_reference():
+    A = build_bismash(make_A(7, 3, 2, 1)).with_scaled_mult_entry(54, 54, 54, 2)
+    C4 = group_algebra(cyclic_group(4), conductor=4).with_scaled_mult_entry(
+        1, 1, 2, CycloNumber.from_rational(2))
+    for bad in (A, C4):
+        assert bad.mono_tables() is None
+        for mode in ("full", "fast"):
+            assert joined_failures(bad, mode) == reference_failures(bad, mode)
+    assert not verify_hopf_axioms(C4, mode="fast").passed
+    full = joined_failures(A)
+    assert len(full["associativity"]) == 8
+    assert full["associativity"][0] == (28, 54, 54)
+    assert full["unit"] == [(54,)] and full["antipode"] == [(0,)]
+
+
+def test_unit_and_antipode_joins_match_product_reference():
+    # doubled constants in the first rows of A(7,3,l=1), which is neither
+    # commutative nor cocommutative: the two sides of the antipode law differ
+    H = build_bismash(make_A(7, 3, 2, 1))
+    for i in range(9):
+        for j in sorted(H.mult[i]):
+            bad = H.with_scaled_mult_entry(i, j, H.mult[i][j][0][0], 2)
+            for mode in ("full", "fast"):
+                rep = Report()
+                _check_unit_laws(bad, rep, mode == "fast")
+                _check_antipode(bad, rep, mode == "fast")
+                assert rep.failures == reference_failures(bad, mode, ("unit", "antipode"))
 
 
 # ---------------------------------------------------------------------------
