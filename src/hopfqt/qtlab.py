@@ -1,12 +1,15 @@
 """Quasitriangular and coquasitriangular structure laboratory.
 
-Verifiers check the defining identities exactly on all basis tuples.
-Enumerators sweep finite candidate spaces (bicharacters, or the
-(g0, g1, lambda) parameter grid for braiding forms) and return only
-candidates that pass their verifier.  For candidates supported on a
-certified family of orthogonal idempotents the heavy identities reduce to
-integer exponent identities; the certificates themselves are established by
-actual products of structure constants, once per host algebra.
+Verifiers check the defining identities exactly.  Enumerators sweep finite
+candidate spaces (bicharacters, or the (g0, g1, lambda) parameter grid for
+braiding forms) and return only candidates that pass their verifier.  Every
+R-matrix the enumerations find, on the group algebras and on the
+tau-twisted family, is R = sum w(s,t) E_s (x) E_t for a bicharacter w and a
+certified family of orthogonal idempotents E_t; ``verify_qt_certified``
+checks it through integer exponent identities, and the certificates
+themselves are established by actual products of structure constants, once
+per host algebra.  ``verify_qt`` checks every identity on all basis tuples
+and is the exhaustive oracle for that path.
 """
 
 from __future__ import annotations
@@ -376,17 +379,16 @@ def _group_like(H, i):
 # verify_qt
 
 
-def verify_qt(H: HopfAlgebra, R: TensorSquareElement, mode: str = "full",
-              candidate_inverse: dict | None = None) -> Report:
+def verify_qt(H: HopfAlgebra, R: TensorSquareElement, mode: str = "full") -> Report:
     """Exact verification: invertibility of R, both coproduct identities
     (Delta (x) id)R = R13 R23 and (id (x) Delta)R = R13 R12, and the
     intertwiner identity Delta-op(h) R = R Delta(h) for every basis h."""
     rep = Report()
     fast = mode == "fast"
-    entries = R.entries if isinstance(R, TensorSquareElement) else dict(R)
+    entries = R.entries
 
     if _inverse(entries, partial(t2_mul, H), unit_tensor(H), H.dim ** 2,
-                candidate_inverse) is None:
+                None) is None:
         rep.fail("invertible", ("zero divisor or no inverse",))
         if fast:
             return rep
@@ -423,12 +425,14 @@ def _first_diff(a, b):
 
 def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
                         conj_perms) -> Report:
-    """verify_qt for R = sum w(s,t) E_s (x) E_t on a certified support.
+    """verify_qt for R = sum w(s,t) E_s (x) E_t on a certified support;
+    the verifier both enumerations run on their survivors.
 
     w_elem is the integer exponent matrix of w on support indices mod L.
-    With the certified product/coproduct facts the identities become exact
-    integer exponent identities; the inverse is w -> -w.  conj_perms is
-    sup.conj_perms(); its None rows are checked on the generic R.
+    Orthogonality, completeness and Delta(E_t) = sum_(t1 t2 = t) E_t1 (x) E_t2
+    are certified, so the coproduct identities are exact integer exponent
+    identities and R is always invertible, with inverse w -> -w.  conj_perms
+    is sup.conj_perms(); its None rows are checked on the generic R.
     """
     sup.certify()
     rep = Report()
@@ -475,17 +479,9 @@ def r_from_bicharacter(H: HopfAlgebra, K: AbelianDecomposition,
                        w: Bicharacter) -> TensorSquareElement:
     """R = sum w(k, k') e_k (x) e_k' with e_k the orthogonal idempotents of
     k[K] inside the group algebra H."""
-    base = idempotents(K)
-    entries = {}
-    for a, ka in enumerate(K.elements):
-        for b, kb in enumerate(K.elements):
-            c = w.value(ka, kb)
-            for i, ci in base[a].items():
-                for j, cj in base[b].items():
-                    _acc(entries, (i, j), c * ci * cj)
-    sup = IdemSupport(H, base, _k_index_table(K))
-    R = TensorSquareElement(H, entries, support=sup)
-    return R
+    sup = IdemSupport(H, idempotents(K), _k_index_table(K))
+    W, L = _bichar_index_matrix(w, K)
+    return TensorSquareElement(H, r_entries_from_support(sup, W, L), support=sup)
 
 
 def _k_index_table(K: AbelianDecomposition):
@@ -567,81 +563,56 @@ def closed_form_survivors(G: FiniteGroup, ws, K: AbelianDecomposition,
     return out
 
 
-class GroupQTEnumeration(list):
-    """list of (Bicharacter, TensorSquareElement) with the cross-check sets."""
+class QTEnumeration(list):
+    """list of (Bicharacter, TensorSquareElement); each key set of the
+    independent checks is an attribute (``invariant_keys``,
+    ``closed_form_keys`` and ``full_keys`` for group algebras,
+    ``filter_keys`` and ``oracle_keys`` for the tau-twisted family)."""
 
-    def __init__(self, pairs, invariant_keys, closed_form_keys, full_keys):
+    def __init__(self, pairs, **key_sets):
         super().__init__(pairs)
-        self.invariant_keys = invariant_keys
-        self.closed_form_keys = closed_form_keys
-        self.full_keys = full_keys
+        vars(self).update(key_sets)
+        self._key_sets = list(key_sets.values())
 
     @property
     def oracle_equivalent(self):
-        return self.invariant_keys == self.closed_form_keys == self.full_keys
+        return all(k == self._key_sets[0] for k in self._key_sets)
 
 
-def qt_group_algebra_enumerate(G: FiniteGroup, verify_all=True) -> GroupQTEnumeration:
-    """All quasitriangular structures on k[G] supported on the largest
-    abelian normal subgroup: conjugation-invariant bicharacters, cross-checked
-    against the printed closed-form conditions and the full verifier."""
+def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
+    """All quasitriangular structures on k[G] supported on K, which is G
+    itself or its largest abelian normal subgroup: the bicharacters on K
+    invariant under conjugation by the generators of G, read off the rows of
+    the certified support's conj_perms, each verified by verify_qt_certified
+    and cross-checked against the printed closed-form conditions (every
+    bicharacter when G is abelian)."""
     from .hopfcore import group_algebra
 
-    if G.is_abelian():
-        K = abelian_decomposition(G, range(G.order))
-        ws = enumerate_bicharacters(K)
-        N = math.lcm(1, *(o for o in K.orders)) if K.orders else 1
-        H = group_algebra(G, conductor=N)
-        sup = IdemSupport(H, idempotents(K), _k_index_table(K)).certify()
-        perms = sup.conj_perms()
-        pairs = []
-        for w in ws:
-            W, L = _bichar_index_matrix(w, K)
-            repq = verify_qt_certified(sup, W, L, conj_perms=perms)
-            if not repq.passed:
-                raise AssertionError("bicharacter on an abelian group failed verify_qt")
-            pairs.append((w, TensorSquareElement(H, {}, support=sup)))
-        keys = {w.key() for w in ws}
-        return GroupQTEnumeration(pairs, keys, keys, keys)
-
-    sub = largest_abelian_normal(G)
-    K = sub.decomposition
-    N = math.lcm(1, *K.orders)
-    H = group_algebra(G, conductor=N)
+    abelian = G.is_abelian()
+    sub = None if abelian else largest_abelian_normal(G)
+    K = abelian_decomposition(G, range(G.order)) if abelian else sub.decomposition
     ws = enumerate_bicharacters(K)
-
-    gen_perms = [np.asarray(conjugation_map(G, g, sub))
-                 for g in sorted(set(G.generators.values()))]
-
-    invariant = []
-    for w in ws:
-        W, L = _bichar_index_matrix(w, K)
-        if all(((W[np.ix_(p, p)] - W) % L == 0).all() for p in gen_perms):
-            invariant.append((w, W, L))
-
-    closed = closed_form_survivors(G, ws, K)
-
+    H = group_algebra(G, conductor=math.lcm(1, *K.orders))
     sup = IdemSupport(H, idempotents(K), _k_index_table(K)).certify()
     conj = sup.conj_perms()
-    pairs = []
-    full_keys = set()
-    for w, W, L in invariant:
-        rep = verify_qt_certified(sup, W, L, conj_perms=conj)
-        if not rep.passed:
+    gen_perms = [conj[g] for g in sorted(set(G.generators.values()))]
+    if None in gen_perms:
+        raise AssertionError("a generator does not permute the idempotents of K")
+
+    pairs, invariant = [], set()
+    for w in ws:
+        W, L = _bichar_index_matrix(w, K)
+        if not all(((W[np.ix_(p, p)] - W) % L == 0).all() for p in gen_perms):
+            continue
+        invariant.add(w.key())
+        if not verify_qt_certified(sup, W, L, conj_perms=conj).passed:
             raise AssertionError(
-                "conjugation-invariant bicharacter failed the full verifier")
-        full_keys.add(w.key())
+                "conjugation-invariant bicharacter failed verify_qt_certified")
         pairs.append((w, TensorSquareElement(H, {}, support=sup)))
-    if verify_all:
-        # soundness of the rejections: every non-invariant bicharacter fails
-        # the intertwiner identity at some generator
-        for w in ws:
-            W, L = _bichar_index_matrix(w, K)
-            if any(((W[np.ix_(p, p)] - W) % L != 0).any() for p in gen_perms):
-                assert w.key() not in full_keys
-    return GroupQTEnumeration(
-        pairs, {w.key() for w, _, _ in invariant}, {w.key() for w in closed},
-        full_keys)
+    closed = ws if abelian else closed_form_survivors(G, ws, K, sub)
+    return QTEnumeration(pairs, invariant_keys=invariant,
+                         closed_form_keys={w.key() for w in closed},
+                         full_keys={w.key() for w, _ in pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -653,24 +624,14 @@ def eta(mp: MatchedPair, h: int, k: int, f: int) -> CycloNumber:
     return zeta(mp.conductor, int(mp.tau[h, k, f] - mp.tau[k, h, f]))
 
 
-class QTBEnumeration(list):
-    def __init__(self, pairs, filter_keys, oracle_keys):
-        super().__init__(pairs)
-        self.filter_keys = filter_keys
-        self.oracle_keys = oracle_keys
-
-    @property
-    def oracle_equivalent(self):
-        return self.filter_keys == self.oracle_keys
-
-
-def qt_B_enumerate(p, q, m, lam) -> QTBEnumeration:
+def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
     """All quasitriangular structures on the tau-twisted family.
 
     Filters the q^4 bicharacters on G by the four generator conditions,
     cross-checks against the independent intertwiner test Delta-op(g) R =
     R Delta(g) computed from actual structure constants for every candidate,
-    asserts the two sets coincide, and fully verifies every survivor.
+    asserts the two sets coincide, and verifies every survivor with
+    verify_qt_certified on the basis idempotents e_r # 1.
     """
     mp = make_B(p, q, m, lam)
     H = build_bismash(mp)
@@ -701,28 +662,18 @@ def qt_B_enumerate(p, q, m, lam) -> QTBEnumeration:
                for r in dec.elements]
     sup = IdemSupport(H, vectors, _k_index_table(dec)).certify()
 
+    conj = sup.conj_perms()
     pairs = []
     for w in ws:
         if w.key() not in filter_keys:
             continue
-        entries = {}
-        for s, es in enumerate(dec.elements):
-            for t, et in enumerate(dec.elements):
-                c = w.value(es, et)
-                if c:
-                    entries[(H.gf_index(es, 0), H.gf_index(et, 0))] = c
-        R = TensorSquareElement(H, entries, support=sup)
-        Winv, L = _bichar_index_matrix(w.inverse(), dec)
-        inv_entries = {}
-        for s, es in enumerate(dec.elements):
-            for t, et in enumerate(dec.elements):
-                inv_entries[(H.gf_index(es, 0), H.gf_index(et, 0))] = \
-                    zeta(L, int(Winv[s, t]))
-        rep = verify_qt(H, R, candidate_inverse=inv_entries)
+        W, L = _bichar_index_matrix(w, dec)
+        rep = verify_qt_certified(sup, W, L, conj_perms=conj)
         if not rep.passed:
-            raise AssertionError(f"survivor failed full verification: {rep!r}")
+            raise AssertionError(f"survivor failed verification: {rep!r}")
+        R = TensorSquareElement(H, r_entries_from_support(sup, W, L), support=sup)
         pairs.append((w, R))
-    return QTBEnumeration(pairs, filter_keys, oracle_keys)
+    return QTEnumeration(pairs, filter_keys=filter_keys, oracle_keys=oracle_keys)
 
 
 def _qt_B_oracle(H, dec, ws):
@@ -1238,9 +1189,8 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
 
 def hopf_images(H: HopfAlgebra, R: TensorSquareElement):
     """(dim H_l, dim H_r, dim of the unital subalgebra generated by both)."""
-    entries = R.entries if isinstance(R, TensorSquareElement) else dict(R)
     rows, cols = {}, {}
-    for (i, j), c in entries.items():
+    for (i, j), c in R.entries.items():
         rows.setdefault(i, {})[j] = c
         cols.setdefault(j, {})[i] = c
     rs_l = RowSpace()

@@ -161,6 +161,89 @@ def test_root_of_unity_identities_under_lift():
 
 
 # ---------------------------------------------------------------------------
+# sympy as an independent oracle: Q(zeta_N) = Q[x] / (Phi_N(x))
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def zeta_sums(draw):
+    """(N, c, d): two elements sum_k c[k] zeta_N^k and sum_k d[k] zeta_N^k
+    with k < N + 2, so powers beyond the power basis occur; about half have
+    one or two nonzero terms, which keeps monomials common.  Some d are c
+    plus a multiple of x^s Phi_N, the same number in another representation."""
+    n = draw(st.sampled_from((1, 3, 4, 5, 7, 9, 12, 21)))
+    nonzero = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+    def coeffs():
+        if draw(st.booleans()):
+            return draw(st.lists(st.sampled_from([0, 0, 0] + nonzero),
+                                 min_size=n + 2, max_size=n + 2))
+        c = [0] * (n + 2)
+        for k in draw(st.lists(st.integers(0, n + 1), min_size=1, max_size=2)):
+            c[k] = draw(st.sampled_from(nonzero))
+        return c
+
+    c, d = coeffs(), coeffs()
+    if draw(st.booleans()):
+        phi = cyclotomic_poly(n)
+        s = draw(st.integers(0, n + 2 - len(phi)))
+        m = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+        d = list(c)
+        for i, pi in enumerate(phi):
+            d[s + i] += m * pi
+    return n, c, d
+
+
+def _zeta_sum(n, c, step=1):
+    out = CycloNumber.zero(n)
+    for k, ck in enumerate(c):
+        out = out + CycloNumber.from_rational(ck) * zeta(n, k * step)
+    return out
+
+
+def _sympy_class(sympy, n, c, step=1):
+    """sum_k c[k] x^(k step) reduced mod Phi_n, as ascending Fractions."""
+    x = sympy.Symbol("x")
+    terms = {k * step: sympy.Rational(Fraction(ck).numerator, Fraction(ck).denominator)
+             for k, ck in enumerate(c)}
+    f = sympy.Poly.from_dict({(e,): v for e, v in terms.items()}, x,
+                             domain=sympy.QQ)
+    return f.rem(sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=sympy.QQ))
+
+
+def _fractions(poly, phi):
+    asc = [Fraction(int(r.p), int(r.q)) for r in reversed(poly.all_coeffs())]
+    return tuple(asc + [Fraction(0)] * (phi - len(asc)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(zeta_sums())
+def test_arithmetic_matches_sympy(sympy, case):
+    n, c, d = case
+    x = sympy.Symbol("x")
+    phi_n = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=sympy.QQ)
+    phi = euler_phi(n)
+    a, b = _zeta_sum(n, c), _zeta_sum(n, d)
+    fa, fb = _sympy_class(sympy, n, c), _sympy_class(sympy, n, d)
+    assert a.coeffs == _fractions(fa, phi)
+    assert (a + b).coeffs == _fractions((fa + fb).rem(phi_n), phi)
+    assert (a * b).coeffs == _fractions((fa * fb).rem(phi_n), phi)
+    assert (a == b) == (fa - fb).is_zero
+    if not fa.is_zero:
+        assert a.inv().coeffs == _fractions(sympy.invert(fa, phi_n), phi)
+    # Q(zeta_n) -> Q(zeta_nk) sends zeta_n to zeta_nk^k
+    for k in (2, 3):
+        lifted = a.lift(n * k)
+        assert lifted.coeffs == _fractions(_sympy_class(sympy, n * k, c, k),
+                                           euler_phi(n * k))
+        assert lifted == a
+
+
+# ---------------------------------------------------------------------------
 # sparse linear algebra
 
 

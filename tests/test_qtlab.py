@@ -29,12 +29,16 @@ from hopfqt.qtlab import (
     no_qt_B_dual,
     qt_B_enumerate,
     qt_group_algebra_enumerate,
+    r_entries_from_support,
     r_from_bicharacter,
     r_matrix_json,
     t2_mul,
     unit_tensor,
     verify_coqt,
     verify_qt,
+    verify_qt_certified,
+    _bichar_index_matrix,
+    _intertwines,
     _k_index_table,
 )
 
@@ -144,6 +148,31 @@ def test_abelian_group_algebra_unconstrained():
     res = qt_group_algebra_enumerate(G)
     assert len(res) == 81
     assert res.oracle_equivalent
+
+
+def test_group_rejections_fail_intertwiner():
+    # K = Z21 in gamma3(7,3): 21 bicharacters, 3 survivors
+    G = build_group("gamma3", p=7, q=3, m=2)
+    res = qt_group_algebra_enumerate(G)
+    K = res[0][0].domain
+    sup = res[0][1].support
+    H = sup.host
+    conj = sup.conj_perms()
+    accepted = [w for w, _ in res]
+    keys = {w.key() for w in accepted}
+    rejected = [w for w in enumerate_bicharacters(K) if w.key() not in keys]
+    assert len(accepted) == 3 and len(rejected) == 18
+    for w in rejected:
+        W, L = _bichar_index_matrix(w, K)
+        rep = verify_qt_certified(sup, W, L, conj_perms=conj)
+        assert "intertwiner" in rep.failures, w
+    # the generic intertwiner over the generators agrees with acceptance;
+    # a sample, since the generic check of all 21 is slow
+    gens = sorted(set(G.generators.values()))
+    for w in accepted + rejected[::6]:
+        R = r_from_bicharacter(H, K, w)
+        holds = all(_intertwines(H, R.entries, g) for g in gens)
+        assert holds == (w.key() in keys), w
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +310,49 @@ def test_qt_B_counts_and_oracle():
     # bicharacter fails: R = 1x1 is not among the survivors
     assert not any(w.is_trivial() for w, _ in res0)
     assert not any(w.is_trivial() for w, _ in res1)
+
+
+@pytest.mark.parametrize("lam", [0, 1])
+def test_qt_B_survivors_pass_exhaustive_verifier(lam):
+    res = qt_B_enumerate(3, 7, 2, lam)
+    H = res[0][1].host
+    for w, R in res:
+        # reference: R = sum w(s,t) (e_s # 1) (x) (e_t # 1), entry by entry
+        elements = w.domain.elements
+        expect = {(H.gf_index(s, 0), H.gf_index(t, 0)): w.value(s, t)
+                  for s in elements for t in elements}
+        assert R.entries == expect
+        assert verify_qt(H, R).passed
+
+
+LEFT, RIGHT, INTERTWINER = ("coproduct identity (left)",
+                            "coproduct identity (right)", "intertwiner")
+
+
+def test_qt_B_certified_matches_exhaustive_on_mutants():
+    (w, R), = qt_B_enumerate(3, 7, 2, 1)
+    H, sup = R.host, R.support
+    conj = sup.conj_perms()
+    assert all(row is None for row in conj)
+    W, L = _bichar_index_matrix(w, w.domain)
+    shifted, shifted_at_unit = W.copy(), W.copy()
+    shifted[3, 5] += 1
+    shifted_at_unit[0, 0] += 2
+    noise = np.random.default_rng(7).integers(0, L, size=W.shape)
+    mutants = [
+        (shifted, {LEFT, RIGHT, INTERTWINER}),
+        (shifted_at_unit, {LEFT, RIGHT}),
+        (noise, {LEFT, RIGHT, INTERTWINER}),   # not a bicharacter
+        (W.T, {INTERTWINER}),
+        (2 * W, {INTERTWINER}),
+    ]
+    for Wm, failed in mutants:
+        Wm = Wm % L
+        full = verify_qt(H, TensorSquareElement(H, r_entries_from_support(sup, Wm, L)))
+        cert = verify_qt_certified(sup, Wm, L, conj_perms=conj)
+        assert not full.passed and not cert.passed
+        assert set(full.failures) == set(cert.failures) == failed
+        assert full.failures.get(INTERTWINER) == cert.failures.get(INTERTWINER)
 
 
 def test_qt_B_members_have_small_left_image():
