@@ -9,7 +9,9 @@ certified family of orthogonal idempotents E_t; ``verify_qt_certified``
 checks it through integer exponent identities, and the certificates
 themselves are established by actual products of structure constants, once
 per host algebra.  ``verify_qt`` checks every identity on all basis tuples
-and is the exhaustive oracle for that path.
+and is the exhaustive oracle for that path.  It is also the braiding
+verifier: a braiding form on H is checked as the R-matrix it defines on the
+dual Hopf algebra (``verify_coqt``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .grouptool import (
     idempotents,
     largest_abelian_normal,
 )
-from .hopfcore import AlgebraElement, HopfAlgebra, Report, _acc, group_likes_bismash
+from .hopfcore import (AlgebraElement, HopfAlgebra, Report, _acc, dual_hopf,
+                       group_likes_bismash)
 from .bismash import MatchedPair, build_bismash, dualize_trivial_action, make_A, make_B
 
 
@@ -126,15 +129,10 @@ def _delta_tensor(H, h, op=False):
     return out
 
 
-def _inverse(x, mul, unit, dim, candidate):
+def _inverse(x, mul, unit, dim):
     """Two-sided inverse of x in an algebra of dimension dim with product
-    ``mul`` and ``unit``: ``candidate`` when it is one, else the inverse read
-    off the minimal polynomial of x; None when x is a zero divisor."""
-    def inverts(y):
-        return y is not None and mul(x, y) == unit and mul(y, x) == unit
-
-    if inverts(candidate):
-        return candidate
+    ``mul`` and ``unit``, read off the minimal polynomial of x; None when x
+    is a zero divisor."""
     powers = [unit]
     rs = RowSpace()
     rs.add(dict(unit))
@@ -156,7 +154,7 @@ def _inverse(x, mul, unit, dim, candidate):
             if not a0:
                 return None
             inv = {k: v / a0 for k, v in g.items()}
-            return inv if inverts(inv) else None
+            return inv if mul(x, inv) == unit and mul(inv, x) == unit else None
     raise RuntimeError("minimal polynomial search did not terminate")
 
 
@@ -387,8 +385,7 @@ def verify_qt(H: HopfAlgebra, R: TensorSquareElement, mode: str = "full") -> Rep
     fast = mode == "fast"
     entries = R.entries
 
-    if _inverse(entries, partial(t2_mul, H), unit_tensor(H), H.dim ** 2,
-                None) is None:
+    if _inverse(entries, partial(t2_mul, H), unit_tensor(H), H.dim ** 2) is None:
         rep.fail("invertible", ("zero divisor or no inverse",))
         if fast:
             return rep
@@ -565,9 +562,11 @@ def closed_form_survivors(G: FiniteGroup, ws, K: AbelianDecomposition,
 
 class QTEnumeration(list):
     """list of (Bicharacter, TensorSquareElement); each key set of the
-    independent checks is an attribute (``invariant_keys``,
-    ``closed_form_keys`` and ``full_keys`` for group algebras,
-    ``filter_keys`` and ``oracle_keys`` for the tau-twisted family)."""
+    independent checks is an attribute (``invariant_keys`` and
+    ``closed_form_keys`` for group algebras, ``filter_keys`` and
+    ``oracle_keys`` for the tau-twisted family).  Every listed pair passed
+    its verifier; an enumeration raises rather than leave out a filtered
+    candidate that fails it."""
 
     def __init__(self, pairs, **key_sets):
         super().__init__(pairs)
@@ -611,8 +610,7 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
         pairs.append((w, TensorSquareElement(H, {}, support=sup)))
     closed = ws if abelian else closed_form_survivors(G, ws, K, sub)
     return QTEnumeration(pairs, invariant_keys=invariant,
-                         closed_form_keys={w.key() for w in closed},
-                         full_keys={w.key() for w, _ in pairs})
+                         closed_form_keys={w.key() for w in closed})
 
 
 # ---------------------------------------------------------------------------
@@ -759,186 +757,35 @@ class BraidingForm:
         self.host = host
         self.values = values            # dict (i, j) -> CycloNumber, sparse
         self.params = params            # optional (g0, g1, lambda)
-        self.inverse = None
-        self._rows = None
-        self._cols = None
 
     def value(self, i, j):
         v = self.values.get((i, j))
         return v if v is not None else CycloNumber.zero(self.host.conductor)
 
-    def rows(self):
-        if self._rows is None:
-            rows = [dict() for _ in range(self.host.dim)]
-            for (i, j), v in self.values.items():
-                rows[i][j] = v
-            self._rows = rows
-        return self._rows
-
-    def cols(self):
-        if self._cols is None:
-            cols = [dict() for _ in range(self.host.dim)]
-            for (i, j), v in self.values.items():
-                cols[j][i] = v
-            self._cols = cols
-        return self._cols
-
     def pair_elements(self, x: AlgebraElement, y: AlgebraElement) -> CycloNumber:
         out = CycloNumber.zero(self.host.conductor)
-        for i, ci in x.coeffs.items():
-            row = self.rows()[i]
-            for j, cj in y.coeffs.items():
-                v = row.get(j)
-                if v is not None:
-                    out = out + ci * cj * v
+        for (i, j), v in self.values.items():
+            ci, cj = x.coeffs.get(i), y.coeffs.get(j)
+            if ci is not None and cj is not None:
+                out = out + ci * cj * v
         return out
 
     def __repr__(self):
         return f"<BraidingForm nnz={len(self.values)} params={self.params}>"
 
 
-def conv_mul(H: HopfAlgebra, B1: dict, B2: dict) -> dict:
-    """Convolution product of two bilinear forms (dicts on basis pairs)."""
-    out = {}
-    r1 = [dict() for _ in range(H.dim)]
-    for (i, j), v in B1.items():
-        r1[i][j] = v
-    r2 = [dict() for _ in range(H.dim)]
-    for (i, j), v in B2.items():
-        r2[i][j] = v
-    for a in range(H.dim):
-        da = H.comult[a]
-        for b in range(H.dim):
-            acc = None
-            for a1, a2, ca in da:
-                row1 = r1[a1]
-                row2 = r2[a2]
-                if not row1 or not row2:
-                    continue
-                for b1, b2, cb in H.comult[b]:
-                    v1 = row1.get(b1)
-                    if v1 is None:
-                        continue
-                    v2 = row2.get(b2)
-                    if v2 is None:
-                        continue
-                    term = ca * cb * v1 * v2
-                    acc = term if acc is None else acc + term
-            if acc is not None and acc:
-                out[(a, b)] = acc
-    return out
-
-
-def conv_unit(H: HopfAlgebra) -> dict:
-    out = {}
-    for i in range(H.dim):
-        if not H.counit[i]:
-            continue
-        for j in range(H.dim):
-            if H.counit[j]:
-                out[(i, j)] = H.counit[i] * H.counit[j]
-    return out
-
-
 def verify_coqt(H: HopfAlgebra, form: BraidingForm, mode: str = "full") -> Report:
-    """Exact verification of the braiding axioms on all basis tuples:
-    <ab,c> = <a,c1><b,c2>, <a,bc> = <a1,c><a2,b>, the commutation identity,
-    and convolution invertibility (an explicit inverse form is stored)."""
-    rep = Report()
-    fast = mode == "fast"
-    n = H.dim
-    rows = form.rows()
-    cols = form.cols()
-    mult = H.mult
+    """Exact verification of the braiding axioms of ``form`` on H, as the
+    R-matrix R = sum form(b_i, b_j) b_i* (x) b_j* on the dual Hopf algebra,
+    whose basis element i is the dual of basis element i of H.
 
-    # product axiom: <ab, c> = <a, c_(1)><b, c_(2)>
-    for c in range(n):
-        rhs = {}
-        for c1, c2, cc in H.comult[c]:
-            col1 = cols[c1]
-            col2 = cols[c2]
-            if not col1 or not col2:
-                continue
-            for a, va in col1.items():
-                for b, vb in col2.items():
-                    _acc(rhs, (a, b), cc * va * vb)
-        lhs = {}
-        for a in range(n):
-            for b, terms in mult[a].items():
-                acc = None
-                for t, ct in terms:
-                    v = rows[t].get(c)
-                    if v is not None:
-                        term = ct * v
-                        acc = term if acc is None else acc + term
-                if acc is not None and acc:
-                    lhs[(a, b)] = acc
-        if lhs != rhs:
-            rep.fail("product pairing", (c, _first_diff(lhs, rhs)))
-            if fast:
-                return rep
-
-    # coproduct axiom: <a, bc> = <a_(1), c><a_(2), b>
-    for a in range(n):
-        rhs = {}
-        for a1, a2, ca in H.comult[a]:
-            row1 = rows[a1]
-            row2 = rows[a2]
-            if not row1 or not row2:
-                continue
-            for cx, v1 in row1.items():
-                for bx, v2 in row2.items():
-                    _acc(rhs, (bx, cx), ca * v1 * v2)
-        lhs = {}
-        row_a = rows[a]
-        for b in range(n):
-            for c, terms in mult[b].items():
-                acc = None
-                for t, ct in terms:
-                    v = row_a.get(t)
-                    if v is not None:
-                        term = ct * v
-                        acc = term if acc is None else acc + term
-                if acc is not None and acc:
-                    lhs[(b, c)] = acc
-        if lhs != rhs:
-            rep.fail("coproduct pairing", (a, _first_diff(lhs, rhs)))
-            if fast:
-                return rep
-
-    # commutation: <a1,b1> a2 b2 = b1 a1 <a2,b2>
-    for a in range(n):
-        da = H.comult[a]
-        for b in range(n):
-            db = H.comult[b]
-            left, right = {}, {}
-            for a1, a2, ca in da:
-                row1 = rows[a1]
-                row2 = rows[a2]
-                for b1, b2, cb in db:
-                    v = row1.get(b1)
-                    if v is not None:
-                        c0 = ca * cb * v
-                        for t, ct in mult[a2].get(b2, ()):
-                            _acc(left, t, c0 * ct)
-                    v2 = row2.get(b2)
-                    if v2 is not None:
-                        c0 = ca * cb * v2
-                        for t, ct in mult[b1].get(a1, ()):
-                            _acc(right, t, c0 * ct)
-            if left != right:
-                rep.fail("commutation", (a, b))
-                if fast:
-                    return rep
-
-    # convolution invertibility
-    inv = _inverse(form.values, partial(conv_mul, H), conv_unit(H),
-                   H.dim ** 2, form.inverse)
-    if inv is None:
-        rep.fail("convolution invertibility", ())
-    else:
-        form.inverse = inv
-    return rep
+    verify_qt on the dual reports each braiding axiom under its R-matrix name:
+    <ab, c> = <a, c1><b, c2> is ``coproduct identity (left)``,
+    <a, bc> = <a1, c><a2, b> is ``coproduct identity (right)``, the
+    commutation identity <a1, b1> a2 b2 = b1 a1 <a2, b2> is ``intertwiner``
+    and convolution invertibility is ``invertible``."""
+    D = dual_hopf(H)
+    return verify_qt(D, TensorSquareElement(D, form.values), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -956,10 +803,8 @@ def braiding_A0_construct(p, q, t, lam) -> BraidingForm:
     H = build_bismash(mp)
     G = mp.G
     b = G.generators["b"]
-    form = BraidingForm(H, _delta_form_values(H, mp, b, G.inv(b), lam),
+    return BraidingForm(H, _delta_form_values(H, mp, b, G.inv(b), lam),
                         params=(b, G.inv(b), lam))
-    form.inverse = _delta_form_values(H, mp, G.inv(b), b, lam.inv())
-    return form
 
 
 def _delta_form_values(H, mp, g0, g1, lam):
@@ -1024,8 +869,6 @@ def braiding_A_search(p, q, t, l) -> list[BraidingForm]:
                 chain = form.pair_elements(g_embedded, g_embedded) ** (q + 1)
                 if lhs != chain:
                     continue
-                form.inverse = _delta_form_values(H, mp, G.inv(g0), G.inv(g1),
-                                                  lam.inv())
                 rep = verify_coqt(H, form)
                 if rep.passed:
                     results.append(form)

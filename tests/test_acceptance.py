@@ -33,6 +33,7 @@ from hopfqt.bismash import (
     validate_matched_pair,
 )
 from hopfqt.qtlab import (
+    BraidingForm,
     braiding_A0_construct,
     braiding_A_search,
     no_qt_B_dual,
@@ -460,6 +461,23 @@ def test_criterion_10_mutation_sensitivity():
                 badH = H.with_scaled_mult_entry(i, j, k, zeta(N))
                 assert not verify_hopf_axioms(badH, mode="fast").passed
             total += 1
-    assert total >= 28
+    # single-entry braiding-form mutants of the A0 forms: one value scaled
+    # by zeta_q, or dropped
+    braidings = 0
+    for k in range(3):
+        form = braiding_A0_construct(7, 3, 2, k)
+        keys = sorted(form.values)
+        for _ in range(3):
+            key = rng.choice(keys)
+            values = dict(form.values)
+            if rng.randrange(2):
+                values[key] = values[key] * zeta(3)
+            else:
+                del values[key]
+            bad = BraidingForm(form.host, values)
+            assert not verify_coqt(form.host, bad, mode="fast").passed, key
+            braidings += 1
+    assert total >= 28 and braidings == 9
     report(10, "mutation sensitivity", f"{total} random single-value "
-           "mutations, every one caught by a verifier")
+           f"mutations and {braidings} braiding-form mutations, every one "
+           "caught by a verifier")

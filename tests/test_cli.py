@@ -203,6 +203,21 @@ def test_reproduce_small(tmp_path):
     assert any("beta7" in t for t in texts)
 
 
+def test_reproduce_13_3(tmp_path):
+    # the sigma-twisted family beyond (7,3): dim 117
+    out = tmp_path / "r.json"
+    run_cli("reproduce", "--p", "13", "--q", "3", "--out", str(out))
+    doc = json.loads(out.read_text())
+    validate_json(doc, load_schema("report.schema.json"))
+    claims = doc["structures"]
+    assert doc["count"] == len(claims) == 12
+    assert doc["oracle_equivalent"] and all(c["passed"] for c in claims)
+    braidings = [c["count"] for c in claims if "braiding" in c["claim"]]
+    groups = [c["count"] for c in claims if c["claim"].startswith("group algebra")]
+    assert braidings == [3, 0, 0]
+    assert groups == [117, 1053, 3, 3, 3]
+
+
 def test_text_format(tmp_path):
     out = tmp_path / "r.txt"
     run_cli("classify-qt", "--family", "gamma5", "--p", "7", "--q", "3",

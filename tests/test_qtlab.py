@@ -1,4 +1,6 @@
 import math
+import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from hopfqt.grouptool import (
     largest_abelian_normal,
     semidirect_pq,
 )
-from hopfqt.hopfcore import AlgebraElement, group_algebra
+from hopfqt import qtlab
+from hopfqt.hopfcore import AlgebraElement, Report, _acc, dual_hopf, group_algebra
 from hopfqt.bismash import build_bismash, make_A, make_B
 from hopfqt.qtlab import (
     BraidingForm,
@@ -38,7 +41,9 @@ from hopfqt.qtlab import (
     verify_qt,
     verify_qt_certified,
     _bichar_index_matrix,
+    _delta_form_values,
     _intertwines,
+    _inverse,
     _k_index_table,
 )
 
@@ -432,7 +437,6 @@ def test_braiding_search_g0_g1_character_identity():
 
 def test_coqt_trivial_form_on_function_algebra():
     # <x, y> = eps(x) eps(y) on the dual of a group algebra
-    from hopfqt.hopfcore import dual_hopf
     H = dual_hopf(group_algebra(semidirect_pq(7, 3, 2), conductor=7))
     values = {}
     for i in range(H.dim):
@@ -451,6 +455,185 @@ def test_coqt_mutated_form_fails():
     bad_values[(i, j)] = v * zeta(3, 1)
     bad = BraidingForm(form.host, bad_values)
     assert not verify_coqt(form.host, bad, mode="fast").passed
+
+
+# ---------------------------------------------------------------------------
+# the braiding axioms swept on H: the oracle for verify_coqt, which checks a
+# form as the R-matrix it defines on the dual
+
+
+def conv_mul(H, B1, B2):
+    """Convolution product of two bilinear forms (dicts on basis pairs)."""
+    r1, r2 = form_rows(H, B1), form_rows(H, B2)
+    out = {}
+    for a in range(H.dim):
+        for b in range(H.dim):
+            acc = {}
+            for a1, a2, ca in H.comult[a]:
+                row1, row2 = r1[a1], r2[a2]
+                if not row1 or not row2:
+                    continue
+                for b1, b2, cb in H.comult[b]:
+                    v1, v2 = row1.get(b1), row2.get(b2)
+                    if v1 is not None and v2 is not None:
+                        _acc(acc, 0, ca * cb * v1 * v2)
+            if acc:
+                out[(a, b)] = acc[0]
+    return out
+
+
+def conv_unit(H):
+    return {(i, j): H.counit[i] * H.counit[j]
+            for i in range(H.dim) for j in range(H.dim)
+            if H.counit[i] and H.counit[j]}
+
+
+def form_rows(H, values):
+    rows = [dict() for _ in range(H.dim)]
+    for (i, j), v in values.items():
+        rows[i][j] = v
+    return rows
+
+
+def reference_coqt(H, form, inverse=None):
+    """The braiding axioms on all basis tuples of H, under their own names:
+    <ab,c> = <a,c1><b,c2>, <a,bc> = <a1,c><a2,b>, the commutation identity
+    <a1,b1> a2 b2 = b1 a1 <a2,b2> and convolution invertibility.  A
+    candidate ``inverse`` form is tried before the minimal polynomial."""
+    rep = Report()
+    n, mult = H.dim, H.mult
+    rows = form_rows(H, form.values)
+    cols = form_rows(H, {(j, i): v for (i, j), v in form.values.items()})
+
+    for c in range(n):
+        rhs = {}
+        for c1, c2, cc in H.comult[c]:
+            for a, va in cols[c1].items():
+                for b, vb in cols[c2].items():
+                    _acc(rhs, (a, b), cc * va * vb)
+        lhs = {}
+        for a in range(n):
+            for b, terms in mult[a].items():
+                for t, ct in terms:
+                    v = rows[t].get(c)
+                    if v is not None:
+                        _acc(lhs, (a, b), ct * v)
+        if lhs != rhs:
+            rep.fail("product pairing", c)
+
+    for a in range(n):
+        rhs = {}
+        for a1, a2, ca in H.comult[a]:
+            for cx, v1 in rows[a1].items():
+                for bx, v2 in rows[a2].items():
+                    _acc(rhs, (bx, cx), ca * v1 * v2)
+        lhs = {}
+        for b in range(n):
+            for c, terms in mult[b].items():
+                for t, ct in terms:
+                    v = rows[a].get(t)
+                    if v is not None:
+                        _acc(lhs, (b, c), ct * v)
+        if lhs != rhs:
+            rep.fail("coproduct pairing", a)
+
+    for a in range(n):
+        for b in range(n):
+            left, right = {}, {}
+            for a1, a2, ca in H.comult[a]:
+                for b1, b2, cb in H.comult[b]:
+                    v = rows[a1].get(b1)
+                    if v is not None:
+                        for t, ct in mult[a2].get(b2, ()):
+                            _acc(left, t, ca * cb * v * ct)
+                    v2 = rows[a2].get(b2)
+                    if v2 is not None:
+                        for t, ct in mult[b1].get(a1, ()):
+                            _acc(right, t, ca * cb * v2 * ct)
+            if left != right:
+                rep.fail("commutation", (a, b))
+
+    mul, unit = partial(conv_mul, H), conv_unit(H)
+    if not (inverse is not None and mul(form.values, inverse) == unit
+            and mul(inverse, form.values) == unit):
+        if _inverse(form.values, mul, unit, n ** 2) is None:
+            rep.fail("convolution invertibility", ())
+    return rep
+
+
+COQT_AS_QT = {"product pairing": LEFT, "coproduct pairing": RIGHT,
+              "commutation": INTERTWINER,
+              "convolution invertibility": "invertible"}
+
+
+def grid_form(H, g0, g1, lam):
+    """The (g0, g1, lambda) form and its convolution-inverse candidate."""
+    mp, G = H.mp, H.mp.G
+    return (BraidingForm(H, _delta_form_values(H, mp, g0, g1, lam),
+                         params=(g0, g1, lam)),
+            _delta_form_values(H, mp, G.inv(g0), G.inv(g1), lam.inv()))
+
+
+def assert_coqt_matches_reference(form, inverse):
+    H = form.host
+    ref = reference_coqt(H, form, inverse)
+    rep = verify_coqt(H, form)
+    assert rep.passed == ref.passed, form
+    assert set(rep.failures) == {COQT_AS_QT[c] for c in ref.failures}, form
+    return rep
+
+
+def assert_inverse_form_inverts(form, inverse):
+    # the (g0^-1, g1^-1, lambda^-1) form inverts R in D (x) D
+    D, R = dual_hopf(form.host), form.values
+    assert t2_mul(D, R, inverse) == unit_tensor(D) == t2_mul(D, inverse, R), form
+
+
+def test_coqt_matches_reference_on_search_candidates(monkeypatch):
+    # every candidate braiding_A_search passes its two prefilters at (7,3)
+    seen = []
+
+    def recording(H, form, mode="full"):
+        seen.append(form)
+        return verify_coqt(H, form, mode)
+
+    monkeypatch.setattr(qtlab, "verify_coqt", recording)
+    found = [f for l in (0, 1, 2) for f in braiding_A_search(7, 3, 2, l)]
+    assert len(seen) == 9 and len(found) == 3
+    passed = 0
+    for form in seen:
+        _, inverse = grid_form(form.host, *form.params)
+        passed += assert_coqt_matches_reference(form, inverse).passed
+        assert_inverse_form_inverts(form, inverse)
+    assert passed == 3
+
+
+def test_coqt_matches_reference_on_random_grid_forms():
+    rng = random.Random(20261018)
+    for l in (0, 1, 2):
+        H = build_bismash(make_A(7, 3, 2, l))
+        for _ in range(10):
+            form, inverse = grid_form(H, rng.randrange(H.mp.G.order),
+                                      rng.randrange(H.mp.G.order),
+                                      zeta(9, rng.randrange(9)))
+            assert_coqt_matches_reference(form, inverse)
+            assert_inverse_form_inverts(form, inverse)
+
+
+def test_coqt_matches_reference_on_A0_mutants():
+    form = braiding_A0_construct(7, 3, 2, 1)
+    H = form.host
+    _, inverse = grid_form(H, *form.params)
+    assert assert_coqt_matches_reference(form, inverse).passed
+    for key, v in sorted(form.values.items()):
+        for mutated in (v * zeta(3, 1), None):
+            values = dict(form.values)
+            if mutated is None:
+                del values[key]
+            else:
+                values[key] = mutated
+            rep = assert_coqt_matches_reference(BraidingForm(H, values), inverse)
+            assert not rep.passed, (key, mutated)
 
 
 # ---------------------------------------------------------------------------
