@@ -1,17 +1,23 @@
 """Finite-dimensional Hopf algebras by sparse structure constants.
 
 All structure data lives over one cyclotomic conductor.  Verification is
-exact on every basis tuple; when every structure constant is a single root of
+exact on every basis tuple.  When every structure constant is a single root of
 unity (true for group algebras, bismash products and their duals) the
-associativity sweep runs on integer exponent tables via numpy.  Otherwise,
-and for the other axioms, each sweep is a sparse join over the rows of the
-structure constants (mult, comult, antipode, unit) in exact CycloNumber
-arithmetic, with no AlgebraElement built per basis tuple.
+associativity sweep runs on integer exponent tables via numpy, and so do
+coassociativity and the law that Delta is an algebra map, as far as the
+tables can accept them: an index is accepted when both sides are sums over
+pairwise-distinct tensor keys with equal root exponents.  Every index the
+tables cannot accept, the other axioms, and every sweep on a host without
+tables, run a sparse join over the rows of the structure constants (mult,
+comult, antipode, unit) in exact CycloNumber arithmetic, with no
+AlgebraElement built per basis tuple.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +44,8 @@ class HopfAlgebra:
         self.counit = list(counit)
         self.antipode = antipode
         self.labels = list(labels) if labels else [f"b{i}" for i in range(dim)]
-        self._mono = -1  # lazy cache, -1 = not computed
+        self._mono = -1  # lazy caches, -1 = not computed
+        self._cmono = -1
 
     # -- elements
 
@@ -58,30 +65,44 @@ class HopfAlgebra:
 
     def mono_tables(self):
         """(targets, exponents) int arrays when every product of basis
-        elements is a single basis element scaled by a root of unity with
-        rational part 1; None otherwise."""
+        elements is a single basis element scaled by a power of zeta_N;
+        None otherwise."""
         if self._mono == -1:
             n, N = self.dim, self.conductor
-            mt = np.full((n, n), -1, dtype=np.int32)
-            me = np.zeros((n, n), dtype=np.int64)
-            ok = True
-            for i in range(n):
-                row = self.mult[i]
-                for j, terms in row.items():
-                    if len(terms) != 1:
-                        ok = False
-                        break
-                    k, c = terms[0]
-                    r = c.lift(N).as_root()
-                    if r is None or r[1] != 1:
-                        ok = False
-                        break
-                    mt[i, j] = k
-                    me[i, j] = r[0]
-                if not ok:
-                    break
-            self._mono = (mt, me) if ok else None
+            rows = self.mult
+            exps = None
+            if all(len(terms) == 1 for row in rows for terms in row.values()):
+                exps = _root_exponents(
+                    (terms[0][1] for row in rows for terms in row.values()), N)
+            if exps is None:
+                self._mono = None
+            else:
+                i = np.repeat(np.arange(n), list(map(len, rows)))
+                j = np.fromiter((j for row in rows for j in row), np.int64, len(i))
+                mt = np.full((n, n), -1, dtype=np.int32)
+                me = np.zeros((n, n), dtype=np.int64)
+                mt[i, j] = np.fromiter(
+                    (terms[0][0] for row in rows for terms in row.values()),
+                    np.int64, len(i))
+                me[i, j] = exps
+                self._mono = (mt, me)
         return self._mono
+
+    def comult_tables(self):
+        """(rows, lefts, rights, exponents) int arrays, one entry per term
+        (j, k, zeta_N^e) of each Delta(b_i), rows ascending, when every
+        coproduct coefficient is a power of zeta_N and the packed tensor keys
+        of the coalgebra sweeps fit in int64; None otherwise."""
+        if self._cmono == -1:
+            N = self.conductor
+            exps = _root_exponents((c for row in self.comult for _, _, c in row), N)
+            if exps is None or (self.dim ** 4 << (N.bit_length() + 1)) >= 2 ** 63:
+                self._cmono = None
+            else:
+                legs = [(i, j, k) for i, row in enumerate(self.comult) for j, k, _ in row]
+                self._cmono = (*np.array(legs, dtype=np.int64).reshape(-1, 3).T,
+                               np.array(exps, dtype=np.int64))
+        return self._cmono
 
     def with_scaled_mult_entry(self, i, j, k, factor) -> "HopfAlgebra":
         """Copy with the coefficient of b_k in b_i b_j multiplied by factor."""
@@ -204,6 +225,29 @@ def _acc(out, key, val):
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def _root_exponents(coeffs, N):
+    """[e] with c = zeta_N^e and e in 0..N-1 for each c in coeffs, or None
+    if some coefficient is no power of zeta_N."""
+    # structure constants share a few scalar objects; CycloNumber is not
+    # hashable, so they are memoized by identity (the host keeps them alive)
+    memo = {}
+    out = []
+    for c in coeffs:
+        e = memo.get(id(c))
+        if e is None:
+            r = c.lift(N).as_root()
+            if r is None:
+                return None
+            e, scale = r
+            if scale != 1:
+                if scale != -1 or N % 2:
+                    return None
+                e += N // 2
+            memo[id(c)] = e
+        out.append(e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +418,7 @@ def _check_unit_laws(H, rep, fast):
 
 def _check_coassoc(H, rep, fast):
     rep.note("coassociativity")
-    for i in range(H.dim):
+    for i in _coassoc_suspects(H):
         left, right = {}, {}
         for j, k, c in H.comult[i]:
             for a, b, c2 in H.comult[j]:
@@ -427,31 +471,168 @@ def _check_delta_algebra_map(H, rep, fast):
             d.setdefault(u, []).append((v, c))
         cleft.append(d)
     mult = H.mult
-    for i in range(n):
-        di = H.comult[i]
-        for j in range(n):
-            dj = cleft[j]
-            rhs = {}
-            for u1, v1, c1 in di:
-                row_u = mult[u1]
-                row_v = mult[v1]
-                for u2 in row_u.keys() & dj.keys():
-                    for v2, c2 in dj[u2]:
-                        terms_v = row_v.get(v2)
-                        if not terms_v:
-                            continue
-                        c12 = c1 * c2
-                        for tu, cu in row_u[u2]:
-                            for tv, cv in terms_v:
-                                _acc(rhs, (tu, tv), c12 * cu * cv)
-            lhs = {}
-            for k, ck in mult[i].get(j, ()):
-                for u, v, c in H.comult[k]:
-                    _acc(lhs, (u, v), ck * c)
-            if lhs != rhs:
-                rep.fail("comultiplication is an algebra map", (i, j))
-                if fast:
-                    return
+    for i, j in _delta_mult_suspects(H):
+        dj = cleft[j]
+        rhs = {}
+        for u1, v1, c1 in H.comult[i]:
+            row_u = mult[u1]
+            row_v = mult[v1]
+            for u2 in row_u.keys() & dj.keys():
+                for v2, c2 in dj[u2]:
+                    terms_v = row_v.get(v2)
+                    if not terms_v:
+                        continue
+                    c12 = c1 * c2
+                    for tu, cu in row_u[u2]:
+                        for tv, cv in terms_v:
+                            _acc(rhs, (tu, tv), c12 * cu * cv)
+        lhs = {}
+        for k, ck in mult[i].get(j, ()):
+            for u, v, c in H.comult[k]:
+                _acc(lhs, (u, v), ck * c)
+        if lhs != rhs:
+            rep.fail("comultiplication is an algebra map", (i, j))
+            if fast:
+                return
+
+
+# Exponent-table acceptance for the two coalgebra sweeps above.  Each side of
+# an identity is a list of terms zeta_N^e * (tensor key), the keys packed into
+# one int64 with the index of the identity most significant.  Rows of Delta
+# are processed in blocks of about _BLOCK terms to bound the temporaries.
+
+_BLOCK = 1 << 14
+
+
+def _row_blocks(cost):
+    """Consecutive row ranges [r0, r1) of about _BLOCK summed cost each."""
+    r0, acc = 0, 0
+    for r, c in enumerate(cost.tolist()):
+        if acc and acc + c > _BLOCK:
+            yield r0, r
+            r0, acc = r, 0
+        acc += c
+    yield r0, len(cost)
+
+
+def _expand(starts, counts):
+    """Ragged join: (x, starts[x] + o) for every x and o in 0..counts[x]-1."""
+    x = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return x, starts[x] + np.arange(x.size) - first[x]
+
+
+def _unmatched(lkey, lexp, rkey, rexp, N, span):
+    """The identities, ascending, that the tables cannot accept.  Identity x
+    owns the keys x*span..(x+1)*span-1; it is accepted when at each of its
+    keys the (key, exponent) terms of both sides are one term each, with
+    exponents equal mod N, so that the two sums are equal."""
+    # term -> key, exponent mod N, side (0 left, 1 right) in one int64;
+    # sorted, an accepted key is a matched pair v, v + 1 with v even
+    shift = N.bit_length() + 1
+    top = max(lexp.max(initial=0), rexp.max(initial=0)) + 1
+    red = np.arange(top) % N << 1
+    v = np.concatenate(((lkey << shift) | red[lexp], (rkey << shift) | red[rexp] | 1))
+    v.sort()
+    pair = (v[1:] - v[:-1] == 1) & (v[:-1] & 1 == 0)
+    alone = np.ones(v.size, dtype=bool)
+    alone[:-1] &= ~pair
+    alone[1:] &= ~pair
+    key = v >> shift
+    paired = key[:-1][pair]
+    bad = np.concatenate((key[alone], paired[1:][paired[1:] == paired[:-1]])) // span
+    bad.sort()
+    return bad[np.r_[True, bad[1:] != bad[:-1]]] if bad.size else bad
+
+
+def _comult_rows(tables, n):
+    """Number of terms and offset of the first term of each Delta(b_i)."""
+    rows = tables[0]
+    cnt = np.bincount(rows, minlength=n)
+    return cnt, np.r_[0, np.cumsum(cnt)]
+
+
+def _coassoc_suspects(H):
+    """Ascending i whose coassociativity the exponent tables cannot accept:
+    every i when the host has no tables."""
+    n, N = H.dim, H.conductor
+    tables = H.comult_tables()
+    if tables is None:
+        yield from range(n)
+        return
+    rows, lefts, rights, exps = tables
+    cnt, ptr = _comult_rows(tables, n)
+    legs = lefts * n + rights
+    lbase = rows * n ** 3 + rights          # key (i, ., ., k)
+    rbase = (rows * n + lefts) * n ** 2     # key (i, j, ., .)
+    cost = np.bincount(rows, weights=cnt[lefts] + cnt[rights], minlength=n)
+    for r0, r1 in _row_blocks(cost):
+        t = np.arange(ptr[r0], ptr[r1])
+        # (Delta (x) id) Delta(b_i): a term (a, b) of Delta(b_j) per term (j, k)
+        x, s = _expand(ptr[lefts[t]], cnt[lefts[t]])
+        tl = t[x]
+        # (id (x) Delta) Delta(b_i): a term (a, b) of Delta(b_k) per term (j, k)
+        x, s2 = _expand(ptr[rights[t]], cnt[rights[t]])
+        tr = t[x]
+        yield from _unmatched(lbase[tl] + legs[s] * n, exps[tl] + exps[s],
+                              rbase[tr] + legs[s2], exps[tr] + exps[s2],
+                              N, n ** 3).tolist()
+
+
+def _delta_mult_suspects(H):
+    """(i, j) in lexicographic order whose Delta(b_i b_j) = Delta(b_i)
+    Delta(b_j) the exponent tables cannot accept: every pair when the host
+    has no tables."""
+    n, N = H.dim, H.conductor
+    mono, tables = H.mono_tables(), H.comult_tables()
+    if mono is None or tables is None:
+        yield from itertools.product(range(n), repeat=2)
+        return
+    mt, me = mono
+    rows, lefts, rights, exps = tables
+    cnt, ptr = _comult_rows(tables, n)
+    # nonzero products b_u b_v, v listed by u
+    nzu, nzv = np.nonzero(mt >= 0)
+    nnz = np.bincount(nzu, minlength=n)
+    nzptr = np.r_[0, np.cumsum(nnz)]
+    # Delta(b_i) Delta(b_j) joins a term (u1, v1) of Delta(b_i) with the
+    # terms (u2, v2) of any Delta(b_j) where b_u1 b_u2 and b_v1 b_v2 are
+    # nonzero: looked up by both legs, or by the left leg alone when that
+    # gives fewer candidates (group algebras, whose every product is nonzero)
+    cost_pair = nnz[lefts] * nnz[rights]
+    cost_left = np.bincount(nzu, weights=np.bincount(lefts, minlength=n)[nzv],
+                            minlength=n)[lefts]
+    by_pair = cost_pair.sum() <= cost_left.sum()
+    index = lefts * n + rights if by_pair else lefts
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    lhs_cost = np.bincount(nzu, weights=cnt[mt[nzu, nzv]], minlength=n)
+    rhs_cost = np.bincount(rows, weights=cost_pair if by_pair else cost_left,
+                           minlength=n)
+    for r0, r1 in _row_blocks(lhs_cost + rhs_cost):
+        # Delta(b_i b_j) = zeta^me[i, j] Delta(b_mt[i, j])
+        ii, jj = np.nonzero(mt[r0:r1] >= 0)
+        ii += r0
+        k = mt[ii, jj]
+        x, s = _expand(ptr[k], cnt[k])
+        lkey = ((ii[x] * n + jj[x]) * n + lefts[s]) * n + rights[s]
+        lexp = me[ii, jj][x] + exps[s]
+        t = np.arange(ptr[r0], ptr[r1])
+        x, a = _expand(nzptr[lefts[t]], nnz[lefts[t]])
+        t, q = t[x], nzv[a]
+        if by_pair:
+            x, a = _expand(nzptr[rights[t]], nnz[rights[t]])
+            t, q = t[x], q[x] * n + nzv[a]
+        lo = np.searchsorted(index, q)
+        x, a = _expand(lo, np.searchsorted(index, q, side="right") - lo)
+        t1, t2 = t[x], order[a]
+        keep = mt[rights[t1], rights[t2]] >= 0
+        t1, t2 = t1[keep], t2[keep]
+        u1, v1, u2, v2 = lefts[t1], rights[t1], lefts[t2], rights[t2]
+        rkey = ((rows[t1] * n + rows[t2]) * n + mt[u1, u2]) * n + mt[v1, v2]
+        rexp = exps[t1] + exps[t2] + me[u1, u2] + me[v1, v2]
+        for ij in _unmatched(lkey, lexp, rkey, rexp, N, n * n).tolist():
+            yield divmod(ij, n)
 
 
 def _check_eps_algebra_map(H, rep, fast):
@@ -778,27 +959,45 @@ def load_structure(text: str) -> HopfAlgebra:
         # each distinct coefficient is parsed once per load
         coeff = functools.cache(lambda *fields: _parse_coeff(fields, conductor, phi))
 
+        # a second line for the same (tag, indices) would silently overwrite
+        # or add to the first, so it is rejected: here for the tags with one
+        # index, and row by row below for the others
+        singles = set()
         for ln in lines[3:-1]:
             parts = ln.split()
             tag = parts[0]
-            if tag == "label":
-                labels[index(parts[1])] = parts[2]
-            elif tag == "UNIT":
-                unit[index(parts[1])] = coeff(*parts[2:])
-            elif tag == "EPS":
-                counit[index(parts[1])] = coeff(*parts[2:])
-            elif tag == "MUL":
-                i, j, k = index(parts[1]), index(parts[2]), index(parts[3])
-                c = coeff(*parts[4:])
-                mult[i][j] = mult[i].get(j, ()) + ((k, c),)
-            elif tag == "CMUL":
-                i, j, k = index(parts[1]), index(parts[2]), index(parts[3])
-                comult[i].append((j, k, coeff(*parts[4:])))
-            elif tag == "S":
-                i, j = index(parts[1]), index(parts[2])
-                antipode[i].append((j, coeff(*parts[3:])))
-            else:
+            if tag != "label" and tag not in coeff_at:
                 raise FormatError(f"unknown tag {tag!r}")
+            at = coeff_at.get(tag, 2)
+            idx = tuple(index(f) for f in parts[1:at])
+            if at == 2:
+                if (tag, idx) in singles:
+                    raise FormatError(f"repeated {tag} line for {idx[0]}")
+                singles.add((tag, idx))
+            if tag == "label":
+                labels[idx[0]] = parts[2]
+            elif tag == "UNIT":
+                unit[idx[0]] = coeff(*parts[at:])
+            elif tag == "EPS":
+                counit[idx[0]] = coeff(*parts[at:])
+            elif tag == "MUL":
+                i, j, k = idx
+                mult[i][j] = mult[i].get(j, ()) + ((k, coeff(*parts[at:])),)
+            elif tag == "CMUL":
+                i, j, k = idx
+                comult[i].append((j, k, coeff(*parts[at:])))
+            else:
+                i, j = idx
+                antipode[i].append((j, coeff(*parts[at:])))
+        for i in range(dim):
+            for tag, keys in (
+                    ("MUL", [(j, k) for j, t in mult[i].items() for k, _ in t]),
+                    ("CMUL", [(j, k) for j, k, _ in comult[i]]),
+                    ("S", [(j,) for j, _ in antipode[i]])):
+                if len(set(keys)) < len(keys):
+                    key = next(x for x, m in Counter(keys).items() if m > 1)
+                    raise FormatError(f"repeated {tag} line for {i} "
+                                      + " ".join(map(str, key)))
     except (IndexError, ValueError) as exc:
         if isinstance(exc, FormatError):
             raise
@@ -807,21 +1006,24 @@ def load_structure(text: str) -> HopfAlgebra:
                        unit, counit, [tuple(t) for t in antipode], labels)
 
 
+def _summed(terms):
+    """Sparse dict of (key, coefficient) terms, repeated keys summed."""
+    out = {}
+    for key, c in terms:
+        _acc(out, key, c)
+    return out
+
+
 def hopf_structures_equal(a: HopfAlgebra, b: HopfAlgebra) -> bool:
+    """Equal structure constants, with repeated terms of a row summed."""
     if a.dim != b.dim:
         return False
-    for i in range(a.dim):
-        ra = {(j, k): c for j, t in a.mult[i].items() for k, c in t}
-        rb = {(j, k): c for j, t in b.mult[i].items() for k, c in t}
-        if ra.keys() != rb.keys() or any(ra[k] != rb[k] for k in ra):
-            return False
-        ca = {(u, v): c for u, v, c in a.comult[i]}
-        cb = {(u, v): c for u, v, c in b.comult[i]}
-        if ca.keys() != cb.keys() or any(ca[k] != cb[k] for k in ca):
-            return False
-        sa, sb = dict(a.antipode[i]), dict(b.antipode[i])
-        if sa.keys() != sb.keys() or any(sa[k] != sb[k] for k in sa):
-            return False
-    if a.unit.keys() != b.unit.keys() or any(a.unit[i] != b.unit[i] for i in a.unit):
-        return False
-    return all(x == y for x, y in zip(a.counit, b.counit))
+
+    def row(h, i):
+        return (_summed(((j, k), c) for j, t in h.mult[i].items() for k, c in t),
+                _summed(((u, v), c) for u, v, c in h.comult[i]),
+                _summed(h.antipode[i]))
+
+    return (all(row(a, i) == row(b, i) for i in range(a.dim))
+            and _summed(a.unit.items()) == _summed(b.unit.items())
+            and all(x == y for x, y in zip(a.counit, b.counit)))

@@ -45,6 +45,8 @@ from hopfqt.qtlab import (
 
 import numpy as np
 
+from test_hopfcore import comult_mutant, zeta_scaled
+
 
 def report(num, title, detail):
     print(f"\nACCEPTANCE {num:02d} {title}: PASS ({detail})")
@@ -477,7 +479,19 @@ def test_criterion_10_mutation_sensitivity():
             bad = BraidingForm(form.host, values)
             assert not verify_coqt(form.host, bad, mode="fast").passed, key
             braidings += 1
-    assert total >= 28 and braidings == 9
+    # single Delta coefficients scaled by zeta_N: the mutants keep their
+    # exponent tables, so the coalgebra sweeps run on the tables
+    coproducts = 0
+    for mp in (make_A(7, 3, 2, 1), make_B(3, 7, 2, 1)):
+        H = build_bismash(mp)
+        for _ in range(4):
+            i = rng.randrange(H.dim)
+            t = rng.randrange(len(H.comult[i]))
+            badH = comult_mutant(H, i, t, zeta_scaled(mp.conductor))
+            assert badH.comult_tables() is not None
+            assert not verify_hopf_axioms(badH, mode="fast").passed, (i, t)
+            coproducts += 1
+    assert total >= 28 and braidings == 9 and coproducts == 8
     report(10, "mutation sensitivity", f"{total} random single-value "
-           f"mutations and {braidings} braiding-form mutations, every one "
-           "caught by a verifier")
+           f"mutations, {coproducts} coproduct mutations and {braidings} "
+           "braiding-form mutations, every one caught by a verifier")

@@ -124,8 +124,17 @@ def test_doubled_constant_dump_fails_verification(tmp_path):
     ("dim 3", "dim -2"),
     ("dim 3", "dim 1000000000"),
     ("conductor 3", "conductor 1000000007"),
+    # a repeated (tag, indices) line would overwrite or add to the first
+    ("UNIT 0 1 1 0", "UNIT 0 1 1 0\nUNIT 0 1 0 1"),
+    ("EPS 1 1 1 0", "EPS 1 1 1 0\nEPS 1 1 1 0"),
+    ("MUL 1 1 2 1 1 0", "MUL 1 1 2 1 1 0\nMUL 1 1 2 1 1 0"),
+    ("CMUL 1 1 1 1 1 0", "CMUL 1 1 1 1 1 0\nCMUL 1 1 1 1 0 1"),
+    ("S 2 1 1 1 0", "S 2 1 1 1 0\nS 2 1 1 1 0"),
+    ("label 1 g^1", "label 1 g^1\nlabel 1 h"),
 ], ids=["negative-index", "index-out-of-range", "zero-denominator",
-        "negative-dim", "huge-dim", "huge-conductor"])
+        "negative-dim", "huge-dim", "huge-conductor", "repeated-UNIT",
+        "repeated-EPS", "repeated-MUL", "repeated-CMUL", "repeated-S",
+        "repeated-label"])
 def test_bad_dump_line_exit_code(tmp_path, old, new):
     from hopfqt.grouptool import cyclic_group
     from hopfqt.hopfcore import dump_structure, group_algebra

@@ -2,7 +2,7 @@
 ``hopfqt verify`` and mutated matched-pair dumps through load_matched_pair.
 Malformed input must end in a documented exit code or a ValueError, never in
 another exception.  Also: the generic axiom sweeps against their references
-on algebras with one scaled structure constant."""
+on algebras with one scaled or dropped structure constant."""
 
 import os
 import tempfile
@@ -16,7 +16,8 @@ from hopfqt.exactfield import CycloNumber, zeta
 from hopfqt.grouptool import abelian_group, cyclic_group, semidirect_pq
 from hopfqt.hopfcore import (HopfAlgebra, dual_hopf, dump_structure, group_algebra,
                              verify_hopf_axioms)
-from test_hopfcore import generic_copy, joined_failures, reference_failures
+from test_hopfcore import (comult_mutant, generic_copy, joined_failures,
+                           reference_failures)
 
 TOKENS = st.one_of(
     st.integers(-3, 40).map(str),
@@ -112,33 +113,43 @@ SMALL_ALGEBRAS = [
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, len(SMALL_ALGEBRAS) - 1),
+       st.sampled_from(["MUL", "CMUL"]),
        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
        st.one_of(st.none(), st.integers(0, 30),
                  st.fractions(-3, 3, max_denominator=4)),
        st.sampled_from(["full", "fast"]))
-def test_generic_join_matches_reference(which, site, factor, mode):
-    """Scale one constant by zeta_N^e (an int) or by a rational, or drop it
-    (None); the generic join must find the numpy path's failures on a
-    monomial result and the product reference's otherwise."""
+def test_generic_join_matches_reference(which, tag, site, factor, mode):
+    """Scale one constant of mult or comult by zeta_N^e (an int) or by a
+    rational, or drop it (None); the generic join must find the failures of
+    the exponent tables, and the product reference's when mult has no
+    tables."""
     H = SMALL_ALGEBRAS[which]
     i = site[0] % H.dim
-    js = sorted(H.mult[i])
-    j = js[site[1] % len(js)]
-    k = H.mult[i][j][site[2] % len(H.mult[i][j])][0]
-    if factor is None:  # as if the MUL line were missing from a dump
-        mult = [dict(row) for row in H.mult]
-        mult[i][j] = tuple(t for t in mult[i][j] if t[0] != k)
-        if not mult[i][j]:
-            del mult[i][j]
-        bad = HopfAlgebra(H.dim, H.conductor, mult, H.comult, H.unit,
-                          H.counit, H.antipode)
+    if factor is None:
+        scale = None
     elif isinstance(factor, int):
-        bad = H.with_scaled_mult_entry(i, j, k, zeta(H.conductor, factor))
+        scale = zeta(H.conductor, factor)
     else:
-        bad = H.with_scaled_mult_entry(i, j, k, CycloNumber.from_rational(factor))
+        scale = CycloNumber.from_rational(factor)
+    if tag == "CMUL":
+        t = site[1] % len(H.comult[i])
+        bad = comult_mutant(H, i, t, lambda j, k, c: [] if scale is None
+                            else [(j, k, c * scale)])
+    else:
+        js = sorted(H.mult[i])
+        j = js[site[1] % len(js)]
+        k = H.mult[i][j][site[2] % len(H.mult[i][j])][0]
+        if scale is None:  # as if the MUL line were missing from a dump
+            mult = [dict(row) for row in H.mult]
+            mult[i][j] = tuple(t for t in mult[i][j] if t[0] != k)
+            if not mult[i][j]:
+                del mult[i][j]
+            bad = HopfAlgebra(H.dim, H.conductor, mult, H.comult, H.unit,
+                              H.counit, H.antipode)
+        else:
+            bad = H.with_scaled_mult_entry(i, j, k, scale)
     generic = generic_copy(bad)
-    if bad.mono_tables() is not None:
-        assert (verify_hopf_axioms(generic, mode=mode).failures
-                == verify_hopf_axioms(bad, mode=mode).failures)
-    else:
+    assert (verify_hopf_axioms(generic, mode=mode).failures
+            == verify_hopf_axioms(bad, mode=mode).failures)
+    if bad.mono_tables() is None:
         assert joined_failures(generic, mode) == reference_failures(bad, mode)

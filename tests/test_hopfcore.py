@@ -1,13 +1,16 @@
 import copy
 from itertools import islice
 
+import numpy as np
 import pytest
 
+from hopfqt import hopfcore
 from hopfqt.exactfield import CycloNumber, RowSpace, zeta
 from hopfqt.grouptool import abelian_group, build_group, cyclic_group, semidirect_pq
 from hopfqt.bismash import build_bismash, dualize_trivial_action, make_A, make_B
 from hopfqt.hopfcore import (
     FormatError,
+    HopfAlgebra,
     Report,
     _check_antipode,
     _check_unit_laws,
@@ -86,8 +89,33 @@ def test_axioms_fail_on_mutated_structure_constant():
 def generic_copy(H):
     """H without its exponent tables: every sweep takes the generic join."""
     G = copy.copy(H)
-    G._mono = None
+    G._mono = G._cmono = None
     return G
+
+
+def comult_mutant(H, i, t, change):
+    """H with term t = (j, k, c) of Delta(b_i) replaced by the list of
+    terms change(j, k, c)."""
+    comult = list(H.comult)
+    terms = list(comult[i])
+    terms[t:t + 1] = change(*terms[t])
+    comult[i] = tuple(terms)
+    return HopfAlgebra(H.dim, H.conductor, H.mult, comult, H.unit, H.counit,
+                       H.antipode, H.labels)
+
+
+def zeta_scaled(N):
+    return lambda j, k, c: [(j, k, c * zeta(N))]
+
+
+def swapped(j, k, c):
+    return [(k, j, c)]
+
+
+def split_one(j, k, c):
+    """1 as zeta_6 + zeta_6^5: the same sum, with a repeated key."""
+    assert c.is_one()
+    return [(j, k, zeta(6)), (j, k, zeta(6, 5))]
 
 
 # the constant of Bdual(3,7,lam=0) whose zeta-mutant has 190 associativity
@@ -118,6 +146,116 @@ def test_generic_assoc_path_matches_numpy_path():
         fast = verify_hopf_axioms(H, mode="fast").failures
         assert fast["associativity"] == full["associativity"][:1]
         assert verify_hopf_axioms(G, mode="fast").failures == fast
+
+
+COALGEBRA = {"_coassoc_suspects": "coassociativity",
+             "_delta_mult_suspects": "comultiplication is an algebra map"}
+
+
+def spy_reruns(monkeypatch):
+    """Record, per coalgebra condition, the indices the exponent tables left
+    to the generic join."""
+    reruns = {cond: [] for cond in COALGEBRA.values()}
+    for name, cond in COALGEBRA.items():
+        def spy(H, real=getattr(hopfcore, name), seen=reruns[cond]):
+            for w in real(H):
+                seen.append(w if isinstance(w, tuple) else (w,))
+                yield w
+        monkeypatch.setattr(hopfcore, name, spy)
+    return reruns
+
+
+def reading_row(H, row):
+    """Per coalgebra condition, the indices whose identity reads Delta(b_row)."""
+    n, mt = H.dim, H.mono_tables()[0]
+    return {"coassociativity": {(i,) for i in range(n)
+                                if i == row or any(row in t[:2] for t in H.comult[i])},
+            "comultiplication is an algebra map": {
+                (i, j) for i in range(n) for j in range(n) if row in (i, j, mt[i, j])}}
+
+
+def test_coalgebra_tables_match_generic_join(monkeypatch):
+    """The exponent tables accept every index of a clean host and leave to
+    the generic join only the failing indices of a mutant, and, where a
+    swap made a repeated key, indices reading the mutated row.  The reports
+    equal those of the generic join alone, witness by witness.  The
+    zeta-mutants of mult constants are also compared in
+    test_generic_assoc_path_matches_numpy_path."""
+    A1 = build_bismash(make_A(7, 3, 2, 1))
+    B1 = build_bismash(make_B(3, 7, 2, 1))
+    clean = [build_bismash(make_A(7, 3, 2, l)) for l in (0, 2)] + [
+        A1, build_bismash(dualize_trivial_action(make_B(3, 7, 2, 0))), B1,
+        group_algebra(build_group("gamma5", p=7, q=3, m=2), 1)]
+    # (mutant, the row whose swap made a repeated key)
+    mutants = [(zeta_mutant(A1, 20, 9), None),
+               (comult_mutant(A1, 25, 20, zeta_scaled(3)), None),
+               (comult_mutant(A1, 37, 1, swapped), None),
+               (comult_mutant(B1, 142, 8, swapped), 142)]
+    for H, row in [(H, None) for H in clean] + mutants:
+        assert H.mono_tables() is not None and H.comult_tables() is not None
+        # on a clean host both modes sweep everything: one generic run
+        modes = ("full",) if H in clean else ("full", "fast")
+        generic = {m: verify_hopf_axioms(generic_copy(H), mode=m).failures
+                   for m in modes}
+        assert bool(generic["full"]) == (H not in clean)
+        for mode in ("full", "fast"):
+            reruns = spy_reruns(monkeypatch)
+            failures = verify_hopf_axioms(H, mode=mode).failures
+            monkeypatch.undo()
+            assert failures == generic.get(mode, generic["full"])
+            for cond, seen in reruns.items():
+                witnesses = set(failures.get(cond, []))
+                allowed = witnesses if row is None else reading_row(H, row)[cond]
+                assert witnesses <= set(seen) <= allowed
+    for H, _ in mutants[1:]:
+        assert set(COALGEBRA.values()) & set(verify_hopf_axioms(H).failures)
+
+
+def test_tables_accept_only_distinct_keys_with_equal_exponents():
+    # identity x owns keys 10x..10x+9; exponents are compared mod 7
+    def flagged(left, right):
+        arrays = [np.array(side, dtype=np.int64).reshape(-1, 2).T for side in (left, right)]
+        return hopfcore._unmatched(*arrays[0], *arrays[1], 7, 10).tolist()
+
+    assert flagged([(3, 1), (4, 2), (12, 0)], [(4, 9), (3, 8), (12, 7)]) == []
+    assert flagged([(3, 1)], [(3, 2)]) == [0]            # exponents differ
+    assert flagged([(3, 1), (14, 0)], [(3, 1)]) == [1]   # key on one side only
+    assert flagged([], [(25, 0), (31, 3)]) == [2, 3]
+    # a repeated key, even where both sides match term by term
+    assert flagged([(3, 1), (3, 2), (12, 0)], [(3, 1), (3, 2), (12, 0)]) == [0]
+    assert flagged([(3, 1), (3, 1)], [(3, 1), (3, 1)]) == [0]
+
+
+def test_coalgebra_generic_rerun_without_tables_or_with_repeated_keys(monkeypatch):
+    # twice a root of unity: no mult tables, so the Delta-algebra-map law
+    # runs on the generic join alone
+    doubled = build_bismash(make_A(7, 3, 2, 1)).with_scaled_mult_entry(54, 54, 54, 2)
+    assert doubled.mono_tables() is None and doubled.comult_tables() is not None
+    # a term 1 of Delta split into zeta_6 + zeta_6^5 = 1: the same algebra,
+    # but a repeated key, which the tables must leave to the generic join
+    D = dual_hopf(group_algebra(semidirect_pq(7, 3, 2), 6))
+    assert zeta(6) + zeta(6, 5) == 1
+    split = comult_mutant(D, 4, 2, split_one)
+    assert split.comult_tables() is not None
+    for mode in ("full", "fast"):
+        reruns = spy_reruns(monkeypatch)
+        failures = verify_hopf_axioms(doubled, mode=mode).failures
+        monkeypatch.undo()
+        assert failures == verify_hopf_axioms(generic_copy(doubled), mode=mode).failures
+        assert reruns["coassociativity"] == []
+        # every pair up to the first witness in fast mode
+        n = doubled.dim
+        i, j = failures["comultiplication is an algebra map"][0]
+        last = n * n if mode == "full" else i * n + j + 1
+        assert reruns["comultiplication is an algebra map"] == [
+            divmod(x, n) for x in range(last)]
+
+        reruns = spy_reruns(monkeypatch)
+        assert verify_hopf_axioms(split, mode=mode).passed
+        monkeypatch.undo()
+        # row 4 has the repeated key, and so does every row with 4 as a leg
+        assert reruns["coassociativity"] == sorted(reading_row(D, 4)["coassociativity"])
+        assert reruns["comultiplication is an algebra map"] == [(4, 4)]
 
 
 # The product-based sweeps that the sparse joins replaced, kept as the
@@ -249,6 +387,14 @@ def test_double_dual_is_identity():
               build_bismash(make_A(7, 3, 2, 1))):
         DD = dual_hopf(dual_hopf(H))
         assert hopf_structures_equal(H, DD)
+
+
+def test_structures_equal_sums_repeated_terms():
+    # a coproduct term 1 split into zeta_6 + zeta_6^5 is the same structure
+    D = dual_hopf(group_algebra(semidirect_pq(7, 3, 2), 6))
+    split = comult_mutant(D, 4, 2, split_one)
+    assert hopf_structures_equal(D, split) and hopf_structures_equal(split, D)
+    assert not hopf_structures_equal(D, comult_mutant(D, 4, 2, zeta_scaled(6)))
 
 
 def test_dual_preserves_axioms():
