@@ -112,40 +112,40 @@ class FiniteGroup:
         return [i for i in range(self.order) if np.array_equal(t[i], t[:, i])]
 
     def conjugacy_classes(self):
-        seen = [False] * self.order
+        # conj[g, x] = g x g^-1
+        conj = self.table[self.table, self.inverse[:, None]]
+        seen = np.zeros(self.order, dtype=bool)
         classes = []
         for i in range(self.order):
             if seen[i]:
                 continue
-            cl = {self.conjugate(g, i) for g in range(self.order)}
-            for x in cl:
-                seen[x] = True
-            classes.append(sorted(cl))
+            cl = np.unique(conj[:, i])
+            seen[cl] = True
+            classes.append(cl.tolist())
         return classes
 
     def subgroup_closure(self, gens):
-        out = {0}
-        frontier = list(set(gens) | {0})
-        while frontier:
-            new = []
-            for x in frontier:
-                for y in list(out):
-                    for z in (self.mul(x, y), self.mul(y, x)):
-                        if z not in out:
-                            out.add(z)
-                            new.append(z)
-            frontier = new
-        return frozenset(out)
+        mask = np.zeros(self.order, dtype=bool)
+        mask[0] = True
+        mask[np.fromiter(gens, dtype=np.intp)] = True
+        size = 1
+        while mask.sum() > size:
+            S = np.flatnonzero(mask)
+            size = len(S)
+            mask[self.table[np.ix_(S, S)].ravel()] = True
+        return frozenset(np.flatnonzero(mask).tolist())
 
     def is_normal(self, ids):
-        s = set(ids)
-        return all(self.conjugate(g, x) in s for g in range(self.order) for x in s)
+        mask = np.zeros(self.order, dtype=bool)
+        s = np.fromiter(ids, dtype=np.intp)
+        mask[s] = True
+        # g x g^-1 for every g (rows) and every x in ids (columns)
+        return bool(mask[self.table[self.table[:, s], self.inverse[:, None]]].all())
 
     def is_abelian_subset(self, ids):
-        ids = list(ids)
-        return all(
-            self.mul(x, y) == self.mul(y, x) for x in ids for y in ids
-        )
+        s = np.fromiter(ids, dtype=np.intp)
+        T = self.table[np.ix_(s, s)]
+        return bool(np.array_equal(T, T.T))
 
     # -- plain-text multiplication-table format
 

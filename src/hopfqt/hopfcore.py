@@ -874,7 +874,9 @@ def _serial_coeff(c: CycloNumber, conductor):
 
 
 def dump_structure(H: HopfAlgebra) -> str:
-    """Text dump of all structure constants; loads back bit-exactly."""
+    """Text dump of all structure constants, one line per (tag, indices)
+    with repeated terms of a row summed and zero sums left out; loads back
+    to an algebra with equal structure constants (``hopf_structures_equal``)."""
     N = H.conductor
     out = [f"hopfqt-structure 1", f"dim {H.dim}", f"conductor {N}"]
     for i, lab in enumerate(H.labels):
@@ -886,13 +888,14 @@ def dump_structure(H: HopfAlgebra) -> str:
             out.append(f"EPS {i} {_serial_coeff(c, N)}")
     for i in range(H.dim):
         for j in sorted(H.mult[i]):
-            for k, c in sorted(H.mult[i][j], key=lambda t: t[0]):
+            for k, c in sorted(_summed(H.mult[i][j]).items()):
                 out.append(f"MUL {i} {j} {k} {_serial_coeff(c, N)}")
     for i in range(H.dim):
-        for j, k, c in sorted(H.comult[i], key=lambda t: (t[0], t[1])):
+        terms = _summed(((j, k), c) for j, k, c in H.comult[i])
+        for (j, k), c in sorted(terms.items()):
             out.append(f"CMUL {i} {j} {k} {_serial_coeff(c, N)}")
     for i in range(H.dim):
-        for j, c in sorted(H.antipode[i], key=lambda t: t[0]):
+        for j, c in sorted(_summed(H.antipode[i]).items()):
             out.append(f"S {i} {j} {_serial_coeff(c, N)}")
     out.append("END")
     return "\n".join(out) + "\n"

@@ -172,7 +172,10 @@ class IdemSupport:
     Tensors supported on a certified family can then be verified through
     integer exponent identities.  Structure constants are read from the
     host's exponent tables (``mono_tables``) when it has them, else through
-    ``AlgebraElement`` products.
+    ``AlgebraElement`` products.  On the tables, orthogonality builds the
+    products E_s E_t one row s at a time, so its memory is linear in the
+    number m of idempotents times the products in the support, not
+    quadratic in m.
     """
 
     def __init__(self, host, vectors, kmul):
@@ -241,17 +244,20 @@ class IdemSupport:
             return None
         TE = tables[1][np.ix_(S, S)][X, Y]
         num, den = scale.numerator, scale.denominator
-        # batch all (s, t) pairs: coefficient of e_s e_t at coordinate z is
+        # one row s at a time: the coefficient of e_s e_t at coordinate z is
         # scale^2 sum over contributing (x, y) of zeta^(E[s,x]+E[t,y]+texp)
-        exps = (E[:, None, X] + E[None, :, Y] + TE[None, None]) % N
-        pair_ids = (np.arange(m)[:, None] * m + np.arange(m)[None, :])
-        keys = (pair_ids[:, :, None] * ns + TZ[None, None]) * N + exps
-        counts = np.bincount(keys.reshape(-1), minlength=m * m * ns * N)
-        vecs = (counts.reshape(m * m * ns, N) @ rootmat).reshape(m, m, ns, -1)
-        # expected: num/den * delta_(s,t) * e_s, i.e. den * vecs == E-vector
-        expect = np.zeros_like(vecs)
-        expect[np.arange(m), np.arange(m)] = rootmat[E % N]
-        return bool(np.array_equal(num * vecs, den * expect))
+        keys_t = (np.arange(m)[:, None] * ns + TZ[None]) * N
+        for s in range(m):
+            exps = (E[s, X][None] + E[:, Y] + TE[None]) % N
+            counts = np.bincount((keys_t + exps).reshape(-1),
+                                 minlength=m * ns * N)
+            vecs = (counts.reshape(m * ns, N) @ rootmat).reshape(m, ns, -1)
+            # expected: num/den * delta_(s,t) * e_s, i.e. den * vecs == E-vector
+            expect = np.zeros_like(vecs)
+            expect[s] = rootmat[E[s] % N]
+            if not np.array_equal(num * vecs, den * expect):
+                return False
+        return True
 
     def _mono_arrays(self):
         """(S, pos, E, scale, rootmat) when every idempotent is
@@ -429,7 +435,10 @@ def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
     Orthogonality, completeness and Delta(E_t) = sum_(t1 t2 = t) E_t1 (x) E_t2
     are certified, so the coproduct identities are exact integer exponent
     identities and R is always invertible, with inverse w -> -w.  conj_perms
-    is sup.conj_perms(); its None rows are checked on the generic R.
+    is sup.conj_perms().  At a row perm the intertwiner is W[perm, perm] = W
+    mod L, tested once per distinct permutation (a group algebra has few: one
+    per coset of the centralizer of K); its None rows are checked on the
+    generic R.  Failures are reported in ascending basis order.
     """
     sup.certify()
     rep = Report()
@@ -442,18 +451,21 @@ def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
     if not ((WT[kmul] - WT[:, None, :] - WT[None, :, :]) % L == 0).all():
         rep.fail("coproduct identity (right)", ("second-slot multiplicativity",))
     # intertwiner over all basis elements of the host
+    rows = [h for h, perm in enumerate(conj_perms) if perm is not None]
+    holds = {}
+    if rows:
+        P, which = np.unique(np.array([conj_perms[h] for h in rows]), axis=0,
+                             return_inverse=True)
+        ok = ((W[P[:, :, None], P[:, None, :]] - W) % L == 0).all(axis=(1, 2))
+        holds = dict(zip(rows, ok[which.reshape(-1)]))
     entries = None
-    for h, perm in enumerate(conj_perms):
-        if perm is None:
-            # generic fallback for this basis element
+    for h in range(len(conj_perms)):
+        if h not in holds:
             if entries is None:
                 entries = r_entries_from_support(sup, W, L)
-            if not _intertwines(sup.host, entries, h):
-                rep.fail("intertwiner", (h,))
-        else:
-            p = np.asarray(perm)
-            if not ((W[np.ix_(p, p)] - W) % L == 0).all():
-                rep.fail("intertwiner", (h,))
+            holds[h] = _intertwines(sup.host, entries, h)
+        if not holds[h]:
+            rep.fail("intertwiner", (h,))
     return rep
 
 
@@ -488,20 +500,24 @@ def _k_index_table(K: AbelianDecomposition):
             for a in range(m)]
 
 
+def _bichar_forms(ws, K: AbelianDecomposition):
+    """(X, A, L) with X @ A[k] @ X.T the exponent matrix of ws[k] on
+    K.elements indices, mod the common conductor L of the bicharacters on K:
+    X holds the exponent vectors of K.elements, and A[k][i, j] the generator
+    pair value of ws[k] as a power of zeta_L."""
+    r = len(K.orders)
+    L = math.lcm(1, *K.orders)
+    X = np.array([K.exponent_of(x) for x in K.elements],
+                 dtype=np.int64).reshape(len(K.elements), r)
+    O = np.gcd.outer(K.orders, K.orders).astype(np.int64)
+    E = np.array([w.exps for w in ws], dtype=np.int64).reshape(len(ws), r, r)
+    return X, (E % O) * (L // O), L
+
+
 def _bichar_index_matrix(w: Bicharacter, K: AbelianDecomposition):
     """Exponent matrix of w on K.elements indices, mod w.conductor."""
-    L = w.conductor
-    r = len(K.orders)
-    if r == 0:
-        return np.zeros((1, 1), dtype=np.int64), L
-    X = np.array([K.exponent_of(x) for x in K.elements], dtype=np.int64)
-    A = np.zeros((r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            o = math.gcd(K.orders[i], K.orders[j])
-            if o:
-                A[i, j] = (w.exps[i][j] % o) * (L // o)
-    return (X @ A @ X.T) % L, L
+    X, A, L = _bichar_forms([w], K)
+    return (X @ A[0] @ X.T) % L, L
 
 
 # ---------------------------------------------------------------------------
@@ -544,20 +560,20 @@ def closed_form_survivors(G: FiniteGroup, ws, K: AbelianDecomposition,
     from .grouptool import Subgroup
     sub = sub or Subgroup(G, K.ids, K)
     pos = {x: i for i, x in enumerate(K.elements)}
-    conds = []
+    rows, cols = [], []
     for gname in gen_names:
         perm = conjugation_map(G, G.generators[gname], sub)
         for (xw, yw) in pair_words:
             ix = pos[_closed_form_element(G, xw)]
             iy = pos[_closed_form_element(G, yw)]
-            conds.append(((perm[ix], perm[iy]), (ix, iy)))
-    out = []
-    for w in ws:
-        W, L = _bichar_index_matrix(w, K)
-        if all((int(W[a1, b1]) - int(W[a2, b2])) % L == 0
-               for (a1, b1), (a2, b2) in conds):
-            out.append(w)
-    return out
+            # w(phi(x), phi(y)) = w(x, y)
+            rows += [perm[ix], ix]
+            cols += [perm[iy], iy]
+    # the condition entries X[a] A_w X[b]^T of every w at once
+    X, A, L = _bichar_forms(ws, K)
+    V = np.einsum("ci,wij,cj->wc", X[rows], A, X[cols])
+    keep = ((V[:, 0::2] - V[:, 1::2]) % L == 0).all(axis=1)
+    return [w for w, k in zip(ws, keep) if k]
 
 
 class QTEnumeration(list):
@@ -597,11 +613,13 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
     gen_perms = [conj[g] for g in sorted(set(G.generators.values()))]
     if None in gen_perms:
         raise AssertionError("a generator does not permute the idempotents of K")
+    gen_ix = [np.ix_(p, p) for p in gen_perms]
 
+    X, A, L = _bichar_forms(ws, K)
     pairs, invariant = [], set()
-    for w in ws:
-        W, L = _bichar_index_matrix(w, K)
-        if not all(((W[np.ix_(p, p)] - W) % L == 0).all() for p in gen_perms):
+    for w, Aw in zip(ws, A):
+        W = (X @ Aw @ X.T) % L
+        if not all(((W[ix] - W) % L == 0).all() for ix in gen_ix):
             continue
         invariant.add(w.key())
         if not verify_qt_certified(sup, W, L, conj_perms=conj).passed:
@@ -734,9 +752,10 @@ def _qt_B_oracle(H, dec, ws):
     align = np.array([order_l[c] for c in rcoords], dtype=np.int64)
     assert set(lcoords) == set(rcoords)
 
+    X, A, L = _bichar_forms(ws, dec)
     keys = set()
-    for w in ws:
-        W, L = _bichar_index_matrix(w, dec)
+    for w, Aw in zip(ws, A):
+        W = (X @ Aw @ X.T) % L
         # compare at the common conductor lcm(N, L)
         M = N * L // math.gcd(N, L)
         le = (lfix * (M // N) + W[lw1, lw2] * (M // L)) % M

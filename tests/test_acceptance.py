@@ -40,6 +40,7 @@ from hopfqt.qtlab import (
     qt_B_enumerate,
     qt_group_algebra_enumerate,
     verify_coqt,
+    verify_qt_certified,
     _bichar_index_matrix,
 )
 
@@ -491,7 +492,24 @@ def test_criterion_10_mutation_sensitivity():
             assert badH.comult_tables() is not None
             assert not verify_hopf_axioms(badH, mode="fast").passed, (i, t)
             coproducts += 1
-    assert total >= 28 and braidings == 9 and coproducts == 8
+    # single entries of an invariant bicharacter's exponent matrix shifted:
+    # the R-matrix mutants go through the certified verifier of the
+    # group-algebra enumeration
+    r_matrices = 0
+    for fam, params in (("gamma3", dict(p=7, q=3, m=2)), ("beta7", dict(p=3, q=5))):
+        res = qt_group_algebra_enumerate(build_group(fam, **params))
+        sup = res[0][1].support
+        conj = sup.conj_perms()
+        for _ in range(4):
+            w, _ = rng.choice(res)
+            W, L = _bichar_index_matrix(w, w.domain)
+            s, t = rng.randrange(sup.m), rng.randrange(sup.m)
+            W[s, t] = (W[s, t] + 1 + rng.randrange(L - 1)) % L
+            assert not verify_qt_certified(sup, W, L, conj_perms=conj).passed, \
+                (fam, s, t)
+            r_matrices += 1
+    assert total >= 28 and braidings == 9 and coproducts == 8 and r_matrices == 8
     report(10, "mutation sensitivity", f"{total} random single-value "
-           f"mutations, {coproducts} coproduct mutations and {braidings} "
-           "braiding-form mutations, every one caught by a verifier")
+           f"mutations, {coproducts} coproduct mutations, {braidings} "
+           f"braiding-form mutations and {r_matrices} R-matrix mutations, "
+           "every one caught by a verifier")

@@ -11,6 +11,7 @@ from hopfqt.grouptool import (
     ParameterError,
     abelian_decomposition,
     abelian_group,
+    abelian_normal_subgroups,
     beta7_default_params,
     build_group,
     conjugation_map,
@@ -146,17 +147,18 @@ def brute_force_abelian_normals(G):
     return out
 
 
-@pytest.mark.parametrize(
-    "family,params,expected_orders",
-    [
-        ("semidirect_pq", dict(p=7, q=3, t=2), [7]),
-        ("beta5", dict(p=3, q=7, m=2), [7, 7]),
-        ("beta4", dict(p=3, q=7, m=2), [7, 7]),
-        ("gamma4", dict(p=19, q=3, m=4), [19]),
-        ("gamma3", dict(p=7, q=3, m=2), [21]),
-        ("gamma5", dict(p=7, q=3, m=2), [21]),
-    ],
-)
+LARGEST_ABELIAN_NORMAL_CASES = [
+    ("semidirect_pq", dict(p=7, q=3, t=2), [7]),
+    ("beta5", dict(p=3, q=7, m=2), [7, 7]),
+    ("beta4", dict(p=3, q=7, m=2), [7, 7]),
+    ("gamma4", dict(p=19, q=3, m=4), [19]),
+    ("gamma3", dict(p=7, q=3, m=2), [21]),
+    ("gamma5", dict(p=7, q=3, m=2), [21]),
+]
+
+
+@pytest.mark.parametrize("family,params,expected_orders",
+                         LARGEST_ABELIAN_NORMAL_CASES)
 def test_largest_abelian_normal_catalog(family, params, expected_orders):
     G = build_group(family, **params)
     K = largest_abelian_normal(G)
@@ -181,6 +183,93 @@ def test_gamma6_largest_includes_central_factor():
 def test_largest_abelian_normal_rejects_abelian():
     with pytest.raises(ParameterError):
         largest_abelian_normal(cyclic_group(9))
+
+
+# The element-by-element subgroup operations that the array operations on
+# G.table replaced, kept as the oracle.
+
+
+def reference_conjugacy_classes(G):
+    seen = [False] * G.order
+    classes = []
+    for i in range(G.order):
+        if seen[i]:
+            continue
+        cl = {G.conjugate(g, i) for g in range(G.order)}
+        for x in cl:
+            seen[x] = True
+        classes.append(sorted(cl))
+    return classes
+
+
+def reference_subgroup_closure(G, gens):
+    out = {0}
+    frontier = list(set(gens) | {0})
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in list(out):
+                for z in (G.mul(x, y), G.mul(y, x)):
+                    if z not in out:
+                        out.add(z)
+                        new.append(z)
+        frontier = new
+    return frozenset(out)
+
+
+def reference_is_normal(G, ids):
+    s = set(ids)
+    return all(G.conjugate(g, x) in s for g in range(G.order) for x in s)
+
+
+def reference_is_abelian_subset(G, ids):
+    ids = list(ids)
+    return all(G.mul(x, y) == G.mul(y, x) for x in ids for y in ids)
+
+
+def assert_subgroup_ops_match(G, gens):
+    sub = G.subgroup_closure(gens)
+    assert sub == reference_subgroup_closure(G, gens)
+    assert all(type(x) is int for x in sub)
+    for ids in (sub, gens):
+        assert G.is_normal(ids) is reference_is_normal(G, ids)
+        assert G.is_abelian_subset(ids) is reference_is_abelian_subset(G, ids)
+
+
+ORACLE_GROUPS = [(f, p) for f, p, _ in LARGEST_ABELIAN_NORMAL_CASES] + [
+    ("beta6", dict(p=3, q=7, m=2, n=4)),
+    ("beta7", dict(p=3, q=5)),
+    ("gamma6", dict(p=7, q=3, m=2, n=4)),
+]
+
+
+@pytest.mark.parametrize("family,params", ORACLE_GROUPS)
+def test_subgroup_ops_match_reference(family, params):
+    G = build_group(family, **params)
+    classes = G.conjugacy_classes()
+    assert classes == reference_conjugacy_classes(G)
+    assert all(type(x) is int for cl in classes for x in cl)
+    for cl in classes:
+        assert_subgroup_ops_match(G, cl)
+    for gens in ([], [0], list(G.generators.values()),
+                 *([g] for g in G.generators.values())):
+        assert_subgroup_ops_match(G, gens)
+    assert abelian_normal_subgroups(G) == brute_force_abelian_normals(G)
+
+
+_ORACLE_BUILT = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_GROUPS), st.data())
+def test_subgroup_ops_match_reference_on_random_generators(case, data):
+    family, params = case
+    key = (family, tuple(sorted(params.items())))
+    if key not in _ORACLE_BUILT:
+        _ORACLE_BUILT[key] = build_group(family, **params)
+    G = _ORACLE_BUILT[key]
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    assert_subgroup_ops_match(G, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,28 @@ def test_dump_load_roundtrip_bit_exact():
         assert dump_structure(back) == text
 
 
+def test_dump_sums_repeated_terms(tmp_path):
+    # a term 1 of Delta split into zeta_6 + zeta_6^5 is one CMUL line, and a
+    # pair of terms that cancels is none: the dump loads back and verifies
+    from hopfqt.cli import main
+    D = dual_hopf(group_algebra(semidirect_pq(7, 3, 2), 6))
+    split = comult_mutant(D, 4, 2, split_one)
+    keys = {(j, k) for j, k, _ in D.comult[5]}
+    u, v = next((u, v) for u in range(D.dim) for v in range(D.dim)
+                if (u, v) not in keys)
+    cancel = comult_mutant(D, 5, 0, lambda j, k, c: [
+        (j, k, c), (u, v, zeta(6)), (u, v, -zeta(6))])
+    for H in (split, cancel):
+        text = dump_structure(H)
+        assert text == dump_structure(D)
+        back = load_structure(text)
+        assert hopf_structures_equal(H, back) and hopf_structures_equal(D, back)
+        path = tmp_path / "dump.txt"
+        path.write_text(text)
+        assert main(["verify", "--in", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_load_rejects_malformed():
     with pytest.raises(FormatError):
         load_structure("not a dump\n")

@@ -8,9 +8,11 @@ import pytest
 from hopfqt.exactfield import CycloNumber, zeta
 from hopfqt.grouptool import (
     ParameterError,
+    Subgroup,
     abelian_decomposition,
     abelian_group,
     build_group,
+    conjugation_map,
     cyclic_group,
     enumerate_bicharacters,
     idempotents,
@@ -155,29 +157,97 @@ def test_abelian_group_algebra_unconstrained():
     assert res.oracle_equivalent
 
 
-def test_group_rejections_fail_intertwiner():
-    # K = Z21 in gamma3(7,3): 21 bicharacters, 3 survivors
-    G = build_group("gamma3", p=7, q=3, m=2)
+def reference_verify_qt_certified(sup, W, L, conj_perms):
+    """verify_qt_certified with one W[np.ix_(p, p)] test per conj_perms row,
+    as it was before the rows were stacked, kept as the oracle."""
+    rep = Report()
+    kmul = sup.kmul
+    W = np.asarray(W, dtype=np.int64)
+    if not ((W[kmul] - W[:, None, :] - W[None, :, :]) % L == 0).all():
+        rep.fail("coproduct identity (left)", ("first-slot multiplicativity",))
+    WT = W.T
+    if not ((WT[kmul] - WT[:, None, :] - WT[None, :, :]) % L == 0).all():
+        rep.fail("coproduct identity (right)", ("second-slot multiplicativity",))
+    entries = None
+    for h, perm in enumerate(conj_perms):
+        if perm is None:
+            if entries is None:
+                entries = qtlab.r_entries_from_support(sup, W, L)
+            holds = _intertwines(sup.host, entries, h)
+        else:
+            p = np.asarray(perm)
+            holds = ((W[np.ix_(p, p)] - W) % L == 0).all()
+        if not holds:
+            rep.fail("intertwiner", (h,))
+    return rep
+
+
+def test_group_rejections_fail_intertwiner(monkeypatch):
+    # K = Z5 x Z5 in beta7(3,5): 625 bicharacters; K = Z21 in gamma3(7,3):
+    # 21, also checked with rows forced onto the generic intertwiner
+    check_group_rejections(monkeypatch, "beta7", dict(p=3, q=5), 25, False)
+    check_group_rejections(monkeypatch, "gamma3", dict(p=7, q=3, m=2), 3, True)
+
+
+def check_group_rejections(monkeypatch, fam, params, accepted, generic):
+    """verify_qt_certified against the reference, witness by witness."""
+    G = build_group(fam, **params)
     res = qt_group_algebra_enumerate(G)
     K = res[0][0].domain
     sup = res[0][1].support
-    H = sup.host
     conj = sup.conj_perms()
-    accepted = [w for w, _ in res]
-    keys = {w.key() for w in accepted}
-    rejected = [w for w in enumerate_bicharacters(K) if w.key() not in keys]
-    assert len(accepted) == 3 and len(rejected) == 18
+    assert None not in conj
+    keys = {w.key() for w, _ in res}
+    ws = enumerate_bicharacters(K)
+    rejected = [w for w in ws if w.key() not in keys]
+    assert len(res) == accepted and len(rejected) == len(ws) - accepted
+
+    def failures(W, L, rows):
+        rep = verify_qt_certified(sup, W, L, conj_perms=rows)
+        assert rep.failures == reference_verify_qt_certified(
+            sup, W, L, rows).failures
+        return rep.failures
+
     for w in rejected:
         W, L = _bichar_index_matrix(w, K)
-        rep = verify_qt_certified(sup, W, L, conj_perms=conj)
-        assert "intertwiner" in rep.failures, w
-    # the generic intertwiner over the generators agrees with acceptance;
-    # a sample, since the generic check of all 21 is slow
+        assert list(failures(W, L, conj)) == ["intertwiner"], w
+    # Wt and 2W of an invariant bicharacter are invariant bicharacters; a
+    # shifted diagonal entry (a, a) breaks both hexagons, and the intertwiner
+    # at every h whose conjugation moves a
+    w = next(w for w, _ in res if not w.is_trivial())
+    W, L = _bichar_index_matrix(w, K)
     gens = sorted(set(G.generators.values()))
-    for w in accepted + rejected[::6]:
-        R = r_from_bicharacter(H, K, w)
-        holds = all(_intertwines(H, R.entries, g) for g in gens)
-        assert holds == (w.key() in keys), w
+    p = next(conj[g] for g in gens if conj[g] != sorted(conj[g]))
+    a = next(i for i, x in enumerate(p) if x != i)
+    shifted = W.copy()
+    shifted[a, a] += 1
+    for Wm in (W.T, 2 * W):
+        assert failures(Wm % L, L, conj) == {}
+    assert {"coproduct identity (left)", "coproduct identity (right)",
+            "intertwiner"} == set(failures(shifted % L, L, conj))
+    if not generic:
+        return
+    # rows forced to None go through the generic intertwiner, with the same
+    # verdicts; each generic R is built once, since that takes seconds
+    build, built = qtlab.r_entries_from_support, {}
+
+    def entries(sup, W, L):
+        key = (np.asarray(W, dtype=np.int64).tobytes(), L)
+        if key not in built:
+            built[key] = build(sup, W, L)
+        return built[key]
+
+    monkeypatch.setattr(qtlab, "r_entries_from_support", entries)
+    forced = list(conj)
+    for h in [0, *gens, G.order - 1]:
+        forced[h] = None
+    W_rejected = _bichar_index_matrix(rejected[0], K)[0]
+    for Wm in (W, shifted % L, W_rejected):
+        assert failures(Wm, L, forced) == failures(Wm, L, conj)
+    # the generic intertwiner at the generators agrees with acceptance
+    for Wm, holds in ((W, True), (W_rejected, False)):
+        R = entries(sup, Wm, L)
+        assert all(_intertwines(sup.host, R, g) for g in gens) is holds
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +348,123 @@ def test_certify_rejects_swapped_kmul_generic():
     kmul[0, [0, 1]] = kmul[0, [1, 0]]
     with pytest.raises(ValueError):
         IdemSupport(H, vectors, kmul).certify()
+
+
+def orthogonal_by_products(H, vectors):
+    """E_s E_t = delta_(s,t) E_s through AlgebraElement products."""
+    els = [AlgebraElement(H, v) for v in vectors]
+    return all((els[s] * els[t]).coeffs == (els[s].coeffs if s == t else {})
+               for s in range(len(els)) for t in range(len(els)))
+
+
+@pytest.mark.parametrize("fam,params", [
+    ("gamma3", dict(p=7, q=3, m=2)),
+    ("gamma4", dict(p=19, q=3, m=4)),
+])
+def test_orthogonality_certificate_matches_products(fam, params):
+    # the product loop is quartic in the number of idempotents, so the
+    # supports are the two smallest of the catalog (21 and 19 idempotents)
+    H, vectors, kmul = group_support(fam, **params)
+    scaled = [dict(v) for v in vectors]
+    scaled[2] = {x: c * zeta(H.conductor) for x, c in scaled[2].items()}
+    swapped = list(vectors)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    summed = list(vectors)
+    summed[1] = dict(vectors[1])
+    for x, c in vectors[2].items():
+        _acc(summed[1], x, c)
+    for vecs, expect in ((vectors, True), (scaled, False), (swapped, True),
+                         (summed, False)):
+        assert orthogonal_by_products(H, vecs) is expect
+        sup = IdemSupport(H, vecs, kmul)
+        arrays = sup._mono_arrays()
+        if vecs is summed:
+            # E_1 + E_2 has coefficients that are no scaled roots of unity:
+            # certify() takes the generic loop
+            assert arrays is None
+            with pytest.raises(ValueError, match="not orthogonal"):
+                sup.certify()
+        else:
+            assert sup._certify_orthogonality_numpy(*arrays) is expect
+
+
+def test_certify_memory_on_beta6():
+    # the orthogonality products are built one row of the m x m table at a
+    # time; broadcasting them all at once took 117 MB here
+    import tracemalloc
+    H, vectors, kmul = group_support("beta6", p=3, q=7, m=2, n=4)
+    H.mono_tables()
+    sup = IdemSupport(H, vectors, kmul)
+    tracemalloc.start()
+    try:
+        sup.certify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sup.certified
+    assert peak < 20 * 2**20, peak
+
+
+def reference_index_matrix(w, K):
+    """_bichar_index_matrix built generator pair by generator pair."""
+    L = w.conductor
+    r = len(K.orders)
+    if r == 0:
+        return np.zeros((1, 1), dtype=np.int64), L
+    X = np.array([K.exponent_of(x) for x in K.elements], dtype=np.int64)
+    A = np.zeros((r, r), dtype=np.int64)
+    for i in range(r):
+        for j in range(r):
+            o = math.gcd(K.orders[i], K.orders[j])
+            A[i, j] = (w.exps[i][j] % o) * (L // o)
+    return (X @ A @ X.T) % L, L
+
+
+def reference_closed_form_survivors(G, ws, K):
+    """closed_form_survivors with one index matrix per bicharacter."""
+    gen_names, pair_words = qtlab._CLOSED_FORM[G.family_tag]
+    sub = Subgroup(G, K.ids, K)
+    pos = {x: i for i, x in enumerate(K.elements)}
+    conds = []
+    for gname in gen_names:
+        perm = conjugation_map(G, G.generators[gname], sub)
+        for xw, yw in pair_words:
+            ix = pos[qtlab._closed_form_element(G, xw)]
+            iy = pos[qtlab._closed_form_element(G, yw)]
+            conds.append(((perm[ix], perm[iy]), (ix, iy)))
+    out = []
+    for w in ws:
+        W, L = reference_index_matrix(w, K)
+        if all((int(W[a1, b1]) - int(W[a2, b2])) % L == 0
+               for (a1, b1), (a2, b2) in conds):
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("fam,params", [
+    ("beta3", dict(p=3, q=7, m=18)),
+    ("beta4", dict(p=3, q=7, m=2)),
+    ("beta5", dict(p=3, q=7, m=2)),
+    ("beta6", dict(p=3, q=7, m=2, n=4)),
+    ("beta7", dict(p=3, q=5)),
+    ("gamma3", dict(p=7, q=3, m=2)),
+    ("gamma4", dict(p=19, q=3, m=4)),
+    ("gamma5", dict(p=7, q=3, m=2)),
+    ("gamma6", dict(p=7, q=3, m=2, n=4)),
+])
+def test_closed_form_survivors_match_reference(fam, params):
+    G = build_group(fam, **params)
+    assert G.family_tag in qtlab._CLOSED_FORM
+    K = largest_abelian_normal(G).decomposition
+    ws = enumerate_bicharacters(K)
+    for w in ws[::7]:
+        W, L = _bichar_index_matrix(w, K)
+        W0, L0 = reference_index_matrix(w, K)
+        assert L == L0 and np.array_equal(W, W0)
+    got = qtlab.closed_form_survivors(G, ws, K)
+    assert [w.key() for w in got] == [
+        w.key() for w in reference_closed_form_survivors(G, ws, K)]
+    assert 0 < len(got) < len(ws)
 
 
 # ---------------------------------------------------------------------------
