@@ -753,11 +753,11 @@ def _qt_B_oracle(H, dec, ws):
     assert set(lcoords) == set(rcoords)
 
     X, A, L = _bichar_forms(ws, dec)
+    # compare at the common conductor lcm(N, L)
+    M = N * L // math.gcd(N, L)
     keys = set()
     for w, Aw in zip(ws, A):
         W = (X @ Aw @ X.T) % L
-        # compare at the common conductor lcm(N, L)
-        M = N * L // math.gcd(N, L)
         le = (lfix * (M // N) + W[lw1, lw2] * (M // L)) % M
         re = (rfix * (M // N) + W[rw1, rw2] * (M // L)) % M
         if np.array_equal(le[align], re):

@@ -185,8 +185,8 @@ def test_largest_abelian_normal_rejects_abelian():
         largest_abelian_normal(cyclic_group(9))
 
 
-# The element-by-element subgroup operations that the array operations on
-# G.table replaced, kept as the oracle.
+# Element-by-element subgroup operations: the oracle for the array
+# operations on G.table.
 
 
 def reference_conjugacy_classes(G):

@@ -158,8 +158,8 @@ def test_abelian_group_algebra_unconstrained():
 
 
 def reference_verify_qt_certified(sup, W, L, conj_perms):
-    """verify_qt_certified with one W[np.ix_(p, p)] test per conj_perms row,
-    as it was before the rows were stacked, kept as the oracle."""
+    """verify_qt_certified with one W[np.ix_(p, p)] test per conj_perms row:
+    the oracle for its stacked test of the distinct rows."""
     rep = Report()
     kmul = sup.kmul
     W = np.asarray(W, dtype=np.int64)
@@ -390,7 +390,7 @@ def test_orthogonality_certificate_matches_products(fam, params):
 
 def test_certify_memory_on_beta6():
     # the orthogonality products are built one row of the m x m table at a
-    # time; broadcasting them all at once took 117 MB here
+    # time; broadcast over all (s, t) at once they would take 117 MB
     import tracemalloc
     H, vectors, kmul = group_support("beta6", p=3, q=7, m=2, n=4)
     H.mono_tables()
