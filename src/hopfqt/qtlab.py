@@ -509,7 +509,8 @@ def _bichar_forms(ws, K: AbelianDecomposition):
     L = math.lcm(1, *K.orders)
     X = np.array([K.exponent_of(x) for x in K.elements],
                  dtype=np.int64).reshape(len(K.elements), r)
-    O = np.gcd.outer(K.orders, K.orders).astype(np.int64)
+    o = np.asarray(K.orders, dtype=np.int64)
+    O = np.gcd.outer(o, o)
     E = np.array([w.exps for w in ws], dtype=np.int64).reshape(len(ws), r, r)
     return X, (E % O) * (L // O), L
 

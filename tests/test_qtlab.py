@@ -244,10 +244,13 @@ def check_group_rejections(monkeypatch, fam, params, accepted, generic):
     W_rejected = _bichar_index_matrix(rejected[0], K)[0]
     for Wm in (W, shifted % L, W_rejected):
         assert failures(Wm, L, forced) == failures(Wm, L, conj)
-    # the generic intertwiner at the generators agrees with acceptance
-    for Wm, holds in ((W, True), (W_rejected, False)):
-        R = entries(sup, Wm, L)
-        assert all(_intertwines(sup.host, R, g) for g in gens) is holds
+    # the generic intertwiner over the generators agrees with acceptance on
+    # every accepted bicharacter, the trivial one included, and a sample of
+    # the rejected ones
+    for w in [w for w, _ in res] + rejected[::6]:
+        R = r_from_bicharacter(sup.host, K, w)
+        holds = all(_intertwines(sup.host, R.entries, g) for g in gens)
+        assert holds == (w.key() in keys), w
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +468,19 @@ def test_closed_form_survivors_match_reference(fam, params):
     assert [w.key() for w in got] == [
         w.key() for w in reference_closed_form_survivors(G, ws, K)]
     assert 0 < len(got) < len(ws)
+
+
+def test_bichar_index_matrix_on_trivial_group():
+    # K = G = 1: no generators, one bicharacter, the zero 1x1 matrix
+    G = build_group("cyclic", n=1)
+    K = abelian_decomposition(G, range(G.order))
+    w, = enumerate_bicharacters(K)
+    W, L = _bichar_index_matrix(w, K)
+    W0, L0 = reference_index_matrix(w, K)
+    assert L == L0 == 1 and np.array_equal(W, W0)
+    res = qt_group_algebra_enumerate(G)
+    assert [v.key() for v, _ in res] == [w.key()]
+    assert res.invariant_keys == res.closed_form_keys == {w.key()}
 
 
 # ---------------------------------------------------------------------------
