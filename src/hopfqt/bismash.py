@@ -19,6 +19,7 @@ from .grouptool import (
     ParameterError,
     abelian_group,
     cyclic_group,
+    is_prime,
     semidirect_pq,
 )
 from .hopfcore import HopfAlgebra, Report, _acc, dual_hopf
@@ -242,10 +243,6 @@ def build_bismash(mp: MatchedPair) -> BismashHopf:
 # built-in families
 
 
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
 def _states(G: FiniteGroup, shape):
     """The two state coordinates of every element of G, and the element at
     each pair of coordinates."""
@@ -261,7 +258,7 @@ def make_A(p: int, q: int, t: int, l: int) -> MatchedPair:
     sigma(a^i b^j, g^m, g^n) = omega^(j*l*carry(m,n)) where carry(m,n) =
     floor((m+n)/q) and omega is a primitive q-th root of unity; tau = 1.
     """
-    if not (_is_prime(p) and _is_prime(q)) or p == q or q == 2 or p == 2:
+    if not (is_prime(p) and is_prime(q)) or p == q or q == 2 or p == 2:
         raise ParameterError("p, q must be distinct odd primes")
     if (p - 1) % q:
         raise ParameterError("family A requires p = 1 (mod q)")
@@ -289,7 +286,7 @@ def make_B(p: int, q: int, m: int, lam: int) -> MatchedPair:
     zeta^(1 + r + ... + r^(n-1)), r = m^(lam+1); sigma = 1.  The left action
     is a <| g^-i = a^(m^i), b <| g^-i = b^(m^(lam*i)).
     """
-    if not (_is_prime(p) and _is_prime(q)) or p == q or q == 2 or p == 2:
+    if not (is_prime(p) and is_prime(q)) or p == q or q == 2 or p == 2:
         raise ParameterError("p, q must be distinct odd primes")
     if (q - 1) % p:
         raise ParameterError("family B requires q = 1 (mod p)")

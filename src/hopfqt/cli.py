@@ -16,7 +16,7 @@ import time
 from importlib import resources
 
 from .exactfield import CycloNumber
-from .grouptool import ParameterError, build_group, lambda_set
+from .grouptool import ParameterError, build_group, is_prime, lambda_set
 from .hopfcore import (
     FormatError,
     antipode_diagnostics,
@@ -309,7 +309,7 @@ def cmd_reproduce(args) -> int:
     t0 = time.monotonic()
     p, q = args.p, args.q
     for x in (p, q):
-        if x < 3 or any(x % d == 0 for d in range(2, int(x**0.5) + 1)):
+        if x < 3 or not is_prime(x):
             raise ParameterError("p and q must be odd primes")
     if p == q:
         raise ParameterError("p and q must be distinct")

@@ -90,9 +90,6 @@ class FiniteGroup:
     def label(self, i):
         return self.labels[i]
 
-    def element_by_label(self, name):
-        return self.labels.index(name)
-
     def word(self, letters):
         """Product of named generators, e.g. word("a", "b", ("a", -1))."""
         out = 0
@@ -106,10 +103,6 @@ class FiniteGroup:
 
     def is_abelian(self):
         return bool(np.array_equal(self.table, self.table.T))
-
-    def center(self):
-        t = self.table
-        return [i for i in range(self.order) if np.array_equal(t[i], t[:, i])]
 
     def conjugacy_classes(self):
         # conj[g, x] = g x g^-1
@@ -242,9 +235,11 @@ def semidirect_pq(p, q, t):
                    (("b", "a", ("b", -1)), (("a", t % p),))])
 
 
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
 def _check_primes(p, q):
-    def is_prime(n):
-        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
     if not (is_prime(p) and is_prime(q)):
         raise ParameterError("p and q must be prime")
     if p == q:
@@ -737,7 +732,7 @@ def lambda_set(p: int):
     """A subset of {1..p-2} of size (p-1)/2 whose pairwise products of
     distinct members are never 1 mod p: greedy scan, skipping any value whose
     inverse was already taken."""
-    if p < 3 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 3 or not is_prime(p):
         raise ParameterError("p must be an odd prime")
     out = []
     taken = set()

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -31,6 +30,7 @@ from .grouptool import (
     ParameterError,
     abelian_decomposition,
     conjugation_map,
+    cyclic_group,
     enumerate_bicharacters,
     idempotents,
     largest_abelian_normal,
@@ -119,14 +119,6 @@ def _hexagon_sides(H, R, op):
         for u, v, cc in H.comult[j]:
             _acc(lhs, (i, v, u) if op else (i, u, v), c * cc)
     return lhs, _join(H.mult, R, R, True)
-
-
-def _delta_tensor(H, h, op=False):
-    out = {}
-    for j, k, c in H.comult[h]:
-        key = (k, j) if op else (j, k)
-        _acc(out, key, c)
-    return out
 
 
 def _inverse(x, mul, unit, dim):
@@ -272,7 +264,8 @@ class IdemSupport:
         idx, exp, owner = [], [], []
         for t, vec in enumerate(self.vectors):
             for i, c in vec.items():
-                r = c.lift(N).as_root()
+                # a coefficient outside Q(zeta_N) takes the generic path
+                r = None if N % c.conductor else c.lift(N).as_root()
                 if r is None:
                     return None
                 if scale is None:
@@ -415,8 +408,17 @@ def verify_qt(H: HopfAlgebra, R: TensorSquareElement, mode: str = "full") -> Rep
 
 def _intertwines(H, entries, h):
     """Delta-op(b_h) R = R Delta(b_h)."""
-    return (t2_mul(H, _delta_tensor(H, h, op=True), entries)
-            == t2_mul(H, entries, _delta_tensor(H, h, op=False)))
+    delta = {}
+    for j, k, c in H.comult[h]:
+        _acc(delta, (j, k), c)
+    lhs, rhs = _intertwiner_sides(H, entries, delta)
+    return lhs == rhs
+
+
+def _intertwiner_sides(H, entries, delta):
+    """(Delta-op(h) R, R Delta(h)) for the coproduct tensor delta = Delta(h)."""
+    flip = {(k, j): c for (j, k), c in delta.items()}
+    return t2_mul(H, flip, entries), t2_mul(H, entries, delta)
 
 
 def _first_diff(a, b):
@@ -456,8 +458,8 @@ def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
     if rows:
         P, which = np.unique(np.array([conj_perms[h] for h in rows]), axis=0,
                              return_inverse=True)
-        ok = ((W[P[:, :, None], P[:, None, :]] - W) % L == 0).all(axis=(1, 2))
-        holds = dict(zip(rows, ok[which.reshape(-1)]))
+        ok = [_invariant_under(W, perm, L) for perm in P]
+        holds = {h: ok[k] for h, k in zip(rows, which.reshape(-1))}
     entries = None
     for h in range(len(conj_perms)):
         if h not in holds:
@@ -467,6 +469,13 @@ def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
         if not holds[h]:
             rep.fail("intertwiner", (h,))
     return rep
+
+
+def _invariant_under(W, perm, L):
+    """W[perm, perm] = W mod L: the bicharacter with exponent matrix W is
+    invariant under the permutation perm of its support indices."""
+    perm = np.asarray(perm)
+    return bool(((W[perm[:, None], perm] - W) % L == 0).all())
 
 
 def r_entries_from_support(sup: IdemSupport, W, L) -> dict:
@@ -550,20 +559,17 @@ def _closed_form_element(G: FiniteGroup, name):
     return G.generators[name]
 
 
-def closed_form_survivors(G: FiniteGroup, ws, K: AbelianDecomposition,
-                          sub=None):
+def closed_form_survivors(G: FiniteGroup, ws, K: AbelianDecomposition):
     """Bicharacters passing the printed generator conditions of the family,
     with conjugation images computed from actual idempotent conjugation."""
     conds_for_family = _CLOSED_FORM.get(G.family_tag)
     if conds_for_family is None:
         raise ParameterError(f"no closed-form conditions for {G.family_tag!r}")
     gen_names, pair_words = conds_for_family
-    from .grouptool import Subgroup
-    sub = sub or Subgroup(G, K.ids, K)
     pos = {x: i for i, x in enumerate(K.elements)}
     rows, cols = [], []
     for gname in gen_names:
-        perm = conjugation_map(G, G.generators[gname], sub)
+        perm = conjugation_map(G, G.generators[gname], K)
         for (xw, yw) in pair_words:
             ix = pos[_closed_form_element(G, xw)]
             iy = pos[_closed_form_element(G, yw)]
@@ -614,20 +620,19 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
     gen_perms = [conj[g] for g in sorted(set(G.generators.values()))]
     if None in gen_perms:
         raise AssertionError("a generator does not permute the idempotents of K")
-    gen_ix = [np.ix_(p, p) for p in gen_perms]
 
     X, A, L = _bichar_forms(ws, K)
     pairs, invariant = [], set()
     for w, Aw in zip(ws, A):
         W = (X @ Aw @ X.T) % L
-        if not all(((W[ix] - W) % L == 0).all() for ix in gen_ix):
+        if not all(_invariant_under(W, perm, L) for perm in gen_perms):
             continue
         invariant.add(w.key())
         if not verify_qt_certified(sup, W, L, conj_perms=conj).passed:
             raise AssertionError(
                 "conjugation-invariant bicharacter failed verify_qt_certified")
         pairs.append((w, TensorSquareElement(H, {}, support=sup)))
-    closed = ws if abelian else closed_form_survivors(G, ws, K, sub)
+    closed = ws if abelian else closed_form_survivors(G, ws, K)
     return QTEnumeration(pairs, invariant_keys=invariant,
                          closed_form_keys={w.key() for w in closed})
 
@@ -646,13 +651,14 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
 
     Filters the q^4 bicharacters on G by the four generator conditions,
     cross-checks against the independent intertwiner test Delta-op(g) R =
-    R Delta(g) computed from actual structure constants for every candidate,
-    asserts the two sets coincide, and verifies every survivor with
-    verify_qt_certified on the basis idempotents e_r # 1.
+    R Delta(g) of ``_qt_B_oracle``, read off the host's product and
+    coproduct exponent tables for every candidate, asserts the two sets
+    coincide, and verifies every survivor with verify_qt_certified on the
+    basis idempotents e_r # 1.
     """
     mp = make_B(p, q, m, lam)
     H = build_bismash(mp)
-    G, F = mp.G, mp.F
+    G = mp.G
     dec = abelian_decomposition(G, range(G.order))
     ws = enumerate_bicharacters(dec)
     a, b = G.generators["a"], G.generators["b"]
@@ -694,74 +700,47 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
 
 
 def _qt_B_oracle(H, dec, ws):
-    """Keys of bicharacters w whose R satisfies Delta-op(g) R = R Delta(g),
-    with both sides computed by real structure-constant joins.
+    """Keys of the bicharacters w whose R = sum w(r,s) E_r (x) E_s, with
+    E_r = e_r # 1, satisfies Delta-op(g) R = R Delta(g) at the generator
+    1 # g of F, both sides computed from the host's exponent tables.
 
-    The join structure is independent of w, so it is templated once: each
-    nonzero output coordinate carries a fixed root exponent plus one w-slot.
+    Each leg of each Delta(g) term meets exactly one E_r, so each side has
+    one term per Delta(g) term: a fixed coordinate and root exponent, and
+    one w-slot.  These are built once; each w is then one integer compare.
     """
     N = H.conductor
     mt, me = H.mono_tables()
-    g_embedded = H.embed_f(1)
-    dg = g_embedded.comult_apply()          # Delta(g), real comult
-    idem_ids = {H.gf_index(r, 0): ri for ri, r in enumerate(dec.elements)}
+    rows, lefts, rights, dexp = H.comult_tables()
+    idem = np.array([H.gf_index(r, 0) for r in dec.elements])
+    sel = np.isin(rows, [H.gf_index(r, 1) for r in dec.elements])
+    T1, T2, TE = lefts[sel], rights[sel], dexp[sel]
 
-    # LHS: Delta-op(g) * R; the join hits exactly one idempotent column in
-    # each mult row, so each output coordinate carries one w-slot
-    dg_op = {(k, j): c for (j, k), c in dg.items()}
-    lcoords, lfix, lw1, lw2 = [], [], [], []
-    for (i, j), c in dg_op.items():
-        ks = [k for k in H.mult[i] if k in idem_ids]
-        ls = [l for l in H.mult[j] if l in idem_ids]
-        assert len(ks) == 1 and len(ls) == 1
-        k, l = ks[0], ls[0]
-        lcoords.append((int(mt[i, k]), int(mt[j, l])))
-        lfix.append(c.lift(N).as_root()[0] + me[i, k] + me[j, l])
-        lw1.append(idem_ids[k])
-        lw2.append(idem_ids[l])
-    lfix = np.array(lfix, dtype=np.int64)
-    lw1 = np.array(lw1, dtype=np.int64)
-    lw2 = np.array(lw2, dtype=np.int64)
+    def meet(hits):
+        # the one idempotent each row of hits meets
+        assert (hits.sum(axis=1) == 1).all()
+        return hits.argmax(axis=1)
 
-    # RHS: R * Delta(g); per R entry ((c,0),(d,0)) the unique compatible
-    # Delta(g) term is joined through the mult rows
-    rcoords, rfix, rw1, rw2 = [], [], [], []
-    dg_first = {}
-    for (i, j), c in dg.items():
-        dg_first.setdefault(i, {})[j] = c
-    for ci_elem in dec.elements:
-        for di_elem in dec.elements:
-            i = H.gf_index(ci_elem, 0)
-            j = H.gf_index(di_elem, 0)
-            ks = [k for k in H.mult[i] if k in dg_first]
-            assert len(ks) == 1
-            k = ks[0]
-            sub = dg_first[k]
-            ls = [l for l in H.mult[j] if l in sub]
-            assert len(ls) == 1
-            l = ls[0]
-            rcoords.append((int(mt[i, k]), int(mt[j, l])))
-            rfix.append(sub[l].lift(N).as_root()[0] + me[i, k] + me[j, l])
-            rw1.append(idem_ids[i])
-            rw2.append(idem_ids[j])
-    rfix = np.array(rfix, dtype=np.int64)
-    rw1 = np.array(rw1, dtype=np.int64)
-    rw2 = np.array(rw2, dtype=np.int64)
-
-    assert len(set(lcoords)) == len(lcoords) and len(set(rcoords)) == len(rcoords)
-    order_l = {c: i for i, c in enumerate(lcoords)}
-    align = np.array([order_l[c] for c in rcoords], dtype=np.int64)
-    assert set(lcoords) == set(rcoords)
+    # Delta-op(g) R: (b_T2 (x) b_T1)(E_k (x) E_l)
+    k, l = meet(mt[np.ix_(T2, idem)] >= 0), meet(mt[np.ix_(T1, idem)] >= 0)
+    lkey = mt[T2, idem[k]].astype(np.int64) * H.dim + mt[T1, idem[l]]
+    lfix = TE + me[T2, idem[k]] + me[T1, idem[l]]
+    # R Delta(g): (E_i (x) E_j)(b_T1 (x) b_T2)
+    i, j = meet(mt[np.ix_(idem, T1)].T >= 0), meet(mt[np.ix_(idem, T2)].T >= 0)
+    rkey = mt[idem[i], T1].astype(np.int64) * H.dim + mt[idem[j], T2]
+    rfix = TE + me[idem[i], T1] + me[idem[j], T2]
+    # both sides have pairwise distinct coordinates, and the same ones
+    lo, ro = np.argsort(lkey), np.argsort(rkey)
+    assert np.array_equal(lkey[lo], rkey[ro]) and (np.diff(lkey[lo]) > 0).all()
 
     X, A, L = _bichar_forms(ws, dec)
     # compare at the common conductor lcm(N, L)
-    M = N * L // math.gcd(N, L)
+    M = math.lcm(N, L)
+    fix = (lfix[lo] - rfix[ro]) * (M // N)
+    k, l, i, j = k[lo], l[lo], i[ro], j[ro]
     keys = set()
     for w, Aw in zip(ws, A):
         W = (X @ Aw @ X.T) % L
-        le = (lfix * (M // N) + W[lw1, lw2] * (M // L)) % M
-        re = (rfix * (M // N) + W[rw1, rw2] * (M // L)) % M
-        if np.array_equal(le[align], re):
+        if (((W[k, l] - W[i, j]) * (M // L) + fix) % M == 0).all():
             keys.add(w.key())
     return keys
 
@@ -853,21 +832,21 @@ def braiding_A_search(p, q, t, l) -> list[BraidingForm]:
     a = G.generators["a"]
     sub_ids = G.subgroup_closure([a])
     dec = abelian_decomposition(G, sub_ids)
-    from .grouptool import Subgroup
-    perm = conjugation_map(G, G.generators["b"], Subgroup(G, sub_ids, dec))
-    nontrivial_invariant = []
-    for w in enumerate_bicharacters(dec):
-        W, L = _bichar_index_matrix(w, dec)
-        pa = np.asarray(perm)
-        if ((W[np.ix_(pa, pa)] - W) % L == 0).all() and not w.is_trivial():
-            nontrivial_invariant.append(w)
-    if nontrivial_invariant:
+    perm = conjugation_map(G, G.generators["b"], dec)
+    ws = enumerate_bicharacters(dec)
+    X, A, L = _bichar_forms(ws, dec)
+    if any(_invariant_under((X @ Aw @ X.T) % L, perm, L) and not w.is_trivial()
+           for w, Aw in zip(ws, A)):
         raise AssertionError("restriction premise fails: nontrivial invariant "
                              "bicharacter on the abelian normal subgroup")
 
     results = []
     lam_candidates = [zeta(q * q, e) for e in range(q * q)]
+    # g and g^(q+1) for the axiom-1 chain below; neither depends on a candidate
     g_embedded = H.embed_f(1)
+    g_q1 = g_embedded
+    for _ in range(q):
+        g_q1 = g_q1 * g_embedded
     for g0 in range(G.order):
         # necessary instance: the commutation axiom with b = e_k forces
         # h <| g = g0 h g0^-1 (and dually for g1); check on the action table
@@ -880,12 +859,9 @@ def braiding_A_search(p, q, t, l) -> list[BraidingForm]:
             for lam in lam_candidates:
                 form = BraidingForm(H, _delta_form_values(H, mp, g0, g1, lam),
                                     params=(g0, g1, lam))
-                # necessary instance: pairing the q-th power of the embedded
-                # group-like against it (axiom-1 chain)
-                gq = g_embedded
-                for _ in range(q - 1):
-                    gq = gq * g_embedded
-                lhs = form.pair_elements(gq * g_embedded, g_embedded)
+                # necessary instance: pairing the (q+1)-th power of the
+                # embedded group-like against it (axiom-1 chain)
+                lhs = form.pair_elements(g_q1, g_embedded)
                 chain = form.pair_elements(g_embedded, g_embedded) ** (q + 1)
                 if lhs != chain:
                     continue
@@ -942,81 +918,60 @@ class NoQTReport:
 def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
     """The two no-go branches for the dual of the tau-twisted family.
 
-    lam != 0: every bicharacter-supported R on the group-like span fails the
-    intertwiner identity at the embedded generator a.
+    lam != 0: the group-like span is k[Z_p]; its primitive idempotents, the
+    grouptool idempotents of Z_p pushed through the powers of a group-like
+    generator, are certified as an IdemSupport, and for every bicharacter w
+    on Z_p the R = sum w(r,s) E_r (x) E_s fails the intertwiner identity at
+    the embedded generator a.
     lam == 0: the intertwiner identity is solved as an exact linear system on
     the (pq)^2-dimensional group-like tensor support; every solution has
     first-leg support only on the identity idempotent and is annihilated by
     e_(g^1) (x) e_(g^0), hence is a zero divisor.
+    Both branches test the identity at a through ``_intertwiner_sides``.
     """
     mp = make_B(p, q, m, lam)
     dmp = dualize_trivial_action(mp)
     report = NoQTReport(lam, "nonzero" if lam else "zero")
-
     if lam != 0:
         gl = group_likes_bismash(dmp)
         if len(gl) != p:
             raise AssertionError(f"expected {p} group-likes, found {len(gl)}")
         H = gl.host
-        Gp, Fp = dmp.G, dmp.F       # Z_p and Z_q x Z_q
-        N = H.conductor
-        a = Fp.generators["a"]
-        a_emb = H.embed_f(a)
-        da = a_emb.comult_apply()
-        da_op = {(k, j): c for (j, k), c in da.items()}
-        # primitive idempotents of the group-like span k[Gamma], Gamma = Z_p
-        gen_idx = next(i for i, o in enumerate(gl.orders) if o == p)
+    else:
+        H = build_bismash(dmp)
+    Fp = dmp.F                      # Z_q x Z_q
+    N = H.conductor
+    da = H.embed_f(Fp.generators["a"]).comult_apply()
+
+    if lam != 0:
+        K = abelian_decomposition(cyclic_group(p), range(p))
+        gen = next(i for i, o in enumerate(gl.orders) if o == p)
         powers = [gl.identity]
-        cur = powers[0]
         for _ in range(p - 1):
-            cur = gl.table[cur][gen_idx]
-            powers.append(cur)
-        inv_p = CycloNumber.from_rational(Fraction(1, p))
-        idem = []
-        for i in range(p):
+            powers.append(gl.table[powers[-1]][gen])
+        vectors = []
+        for idem in idempotents(K):
             vec = {}
-            for k2, gidx in enumerate(powers):
-                c = inv_p * zeta(math.lcm(p, N), -i * k2 * (math.lcm(p, N) // p))
-                for bidx, cb in gl.elements[gidx].coeffs.items():
-                    _acc(vec, bidx, c * cb)
-            idem.append(vec)
-        # all bicharacters on Z_p
-        for e in range(p):
-            entries = {}
-            L = math.lcm(p, N)
-            for r in range(p):
-                for s in range(p):
-                    c = zeta(L, e * r * s * (L // p))
-                    for i1, c1 in idem[r].items():
-                        for j1, c2 in idem[s].items():
-                            _acc(entries, (i1, j1), c * c1 * c2)
-            lhs = t2_mul(H, da_op, entries)
-            rhs = t2_mul(H, entries, da)
+            for x, c in idem.items():
+                for i, ci in gl.elements[powers[x]].coeffs.items():
+                    _acc(vec, i, c * ci)
+            vectors.append(vec)
+        sup = IdemSupport(H, vectors, _k_index_table(K)).certify()
+        for e, w in enumerate(enumerate_bicharacters(K)):
+            W, L = _bichar_index_matrix(w, K)
+            lhs, rhs = _intertwiner_sides(H, r_entries_from_support(sup, W, L), da)
             report.candidates_checked += 1
             if lhs == rhs:
                 report.checks.fail(_HOLDS, e)
         return report
 
     # lam == 0: linear system on the group-like tensor support
-    H = build_bismash(dmp)
-    Gp, Fp = dmp.G, dmp.F
-    N = H.conductor
-    a = Fp.generators["a"]
-    a_emb = H.embed_f(a)
-    da = a_emb.comult_apply()
-    da_op = {(k, j): c for (j, k), c in da.items()}
     b = Fp.generators["b"]
-    support = []
-    for i in range(p):
-        for k in range(q):
-            support.append(H.gf_index(i, Fp.power(b, k)))
+    support = [H.gf_index(i, Fp.power(b, k)) for i in range(p) for k in range(q)]
     pairs = [(u, v) for u in support for v in support]
-    col_of = {uv: c for c, uv in enumerate(pairs)}
     rows = {}
-    for cidx, (u, v) in enumerate(pairs):
-        unk = {(u, v): CycloNumber.one(N)}
-        lhs = t2_mul(H, da_op, unk)
-        rhs = t2_mul(H, unk, da)
+    for cidx, uv in enumerate(pairs):
+        lhs, rhs = _intertwiner_sides(H, {uv: CycloNumber.one(N)}, da)
         for key, val in rhs.items():
             _acc(lhs, key, -val)
         for key, val in lhs.items():

@@ -60,6 +60,19 @@ def test_parameter_error_exit_code():
     run_cli("reproduce", "--p", "4", "--q", "3", expect=2)
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("reproduce --p 9 --q 3", "p and q must be odd primes"),
+    ("reproduce --p 2 --q 3", "p and q must be odd primes"),
+    ("construct --family A --p 9 --q 3 --t 2", "p, q must be distinct odd primes"),
+    ("construct --family B --p 3 --q 9 --m 2 --lam 0",
+     "p, q must be distinct odd primes"),
+    ("construct --family beta3 --p 9 --q 5 --m 2", "p and q must be prime"),
+], ids=["reproduce-9", "reproduce-2", "A-9", "B-9", "beta3-9"])
+def test_prime_checks_keep_messages(argv, message, capsys):
+    run_cli(*argv.split(), expect=2)
+    assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
 def test_malformed_dump_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a dump\n")

@@ -18,6 +18,7 @@ from hopfqt.grouptool import (
     cyclic_group,
     enumerate_bicharacters,
     idempotents,
+    is_prime,
     lambda_set,
     largest_abelian_normal,
     semidirect_pq,
@@ -411,6 +412,14 @@ def test_lambda_set_examples():
     assert lambda_set(5) == [1, 2]
     assert lambda_set(3) == [1]
     assert lambda_set(7) == [1, 2, 3]
+
+
+def test_is_prime_and_lambda_set_rejections():
+    assert [n for n in range(-3, 40) if is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    for p in (1, 2, 9, 15):
+        with pytest.raises(ParameterError, match="p must be an odd prime"):
+            lambda_set(p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 19])

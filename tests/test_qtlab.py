@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -20,8 +21,10 @@ from hopfqt.grouptool import (
     semidirect_pq,
 )
 from hopfqt import qtlab
-from hopfqt.hopfcore import AlgebraElement, Report, _acc, dual_hopf, group_algebra
-from hopfqt.bismash import build_bismash, make_A, make_B
+from hopfqt.hopfcore import (AlgebraElement, Report, _acc, dual_hopf, group_algebra,
+                             group_likes_bismash)
+from hopfqt.bismash import (BismashHopf, build_bismash, dualize_trivial_action,
+                            make_A, make_B)
 from hopfqt.qtlab import (
     BraidingForm,
     IdemSupport,
@@ -42,11 +45,14 @@ from hopfqt.qtlab import (
     verify_coqt,
     verify_qt,
     verify_qt_certified,
+    _bichar_forms,
     _bichar_index_matrix,
     _delta_form_values,
     _intertwines,
+    _intertwiner_sides,
     _inverse,
     _k_index_table,
+    _qt_B_oracle,
 )
 
 
@@ -520,6 +526,140 @@ def test_qt_B_counts_and_oracle():
     assert not any(w.is_trivial() for w, _ in res1)
 
 
+def reference_qt_B_oracle(H, dec, ws):
+    """_qt_B_oracle through Python loops over the mult rows: both sides of
+    Delta-op(g) R = R Delta(g), templated once per host from the Delta(g)
+    terms and the idempotent columns each mult row meets."""
+    N = H.conductor
+    mt, me = H.mono_tables()
+    g_embedded = H.embed_f(1)
+    dg = g_embedded.comult_apply()          # Delta(g), real comult
+    idem_ids = {H.gf_index(r, 0): ri for ri, r in enumerate(dec.elements)}
+
+    # LHS: Delta-op(g) * R; the join hits exactly one idempotent column in
+    # each mult row, so each output coordinate carries one w-slot
+    dg_op = {(k, j): c for (j, k), c in dg.items()}
+    lcoords, lfix, lw1, lw2 = [], [], [], []
+    for (i, j), c in dg_op.items():
+        ks = [k for k in H.mult[i] if k in idem_ids]
+        ls = [l for l in H.mult[j] if l in idem_ids]
+        assert len(ks) == 1 and len(ls) == 1
+        k, l = ks[0], ls[0]
+        lcoords.append((int(mt[i, k]), int(mt[j, l])))
+        lfix.append(c.lift(N).as_root()[0] + me[i, k] + me[j, l])
+        lw1.append(idem_ids[k])
+        lw2.append(idem_ids[l])
+    lfix = np.array(lfix, dtype=np.int64)
+    lw1 = np.array(lw1, dtype=np.int64)
+    lw2 = np.array(lw2, dtype=np.int64)
+
+    # RHS: R * Delta(g); per R entry ((c,0),(d,0)) the unique compatible
+    # Delta(g) term is joined through the mult rows
+    rcoords, rfix, rw1, rw2 = [], [], [], []
+    dg_first = {}
+    for (i, j), c in dg.items():
+        dg_first.setdefault(i, {})[j] = c
+    for ci_elem in dec.elements:
+        for di_elem in dec.elements:
+            i = H.gf_index(ci_elem, 0)
+            j = H.gf_index(di_elem, 0)
+            ks = [k for k in H.mult[i] if k in dg_first]
+            assert len(ks) == 1
+            k = ks[0]
+            sub = dg_first[k]
+            ls = [l for l in H.mult[j] if l in sub]
+            assert len(ls) == 1
+            l = ls[0]
+            rcoords.append((int(mt[i, k]), int(mt[j, l])))
+            rfix.append(sub[l].lift(N).as_root()[0] + me[i, k] + me[j, l])
+            rw1.append(idem_ids[i])
+            rw2.append(idem_ids[j])
+    rfix = np.array(rfix, dtype=np.int64)
+    rw1 = np.array(rw1, dtype=np.int64)
+    rw2 = np.array(rw2, dtype=np.int64)
+
+    assert len(set(lcoords)) == len(lcoords) and len(set(rcoords)) == len(rcoords)
+    order_l = {c: i for i, c in enumerate(lcoords)}
+    align = np.array([order_l[c] for c in rcoords], dtype=np.int64)
+    assert set(lcoords) == set(rcoords)
+
+    X, A, L = _bichar_forms(ws, dec)
+    # compare at the common conductor lcm(N, L)
+    M = N * L // math.gcd(N, L)
+    keys = set()
+    for w, Aw in zip(ws, A):
+        W = (X @ Aw @ X.T) % L
+        le = (lfix * (M // N) + W[lw1, lw2] * (M // L)) % M
+        re = (rfix * (M // N) + W[rw1, rw2] * (M // L)) % M
+        if np.array_equal(le[align], re):
+            keys.add(w.key())
+    return keys
+
+
+def _oracle_keys_or_assertion(oracle, H, dec, ws):
+    try:
+        return oracle(H, dec, ws)
+    except AssertionError:
+        return AssertionError
+
+
+def _B_oracle_inputs(lam):
+    H = build_bismash(make_B(3, 7, 2, lam))
+    dec = abelian_decomposition(H.mp.G, range(H.mp.G.order))
+    return H, dec, enumerate_bicharacters(dec)
+
+
+@pytest.mark.parametrize("lam", [0, 1])
+def test_qt_B_oracle_matches_reference(lam):
+    H, dec, ws = _B_oracle_inputs(lam)
+    keys = _qt_B_oracle(H, dec, ws)
+    assert keys == reference_qt_B_oracle(H, dec, ws)
+    assert len(keys) == (7 if lam == 0 else 1)
+
+
+def _bismash_with(H, mult=None, comult=None):
+    """A copy of the bismash host H with its mult or comult rows replaced."""
+    return BismashHopf(H.mp, H.dim, H.conductor, mult or H.mult,
+                       comult or H.comult, H.unit, H.counit, H.antipode, H.labels)
+
+
+def test_qt_B_oracle_matches_reference_on_mutants():
+    """zeta-scaled MUL and CMUL constants of B(3,7,1) at entries both sides
+    of the oracle read: Delta(g) terms, and products of a Delta(g) leg with
+    an idempotent e_r # 1 on either side."""
+    H, dec, ws = _B_oracle_inputs(1)
+    z = zeta(H.conductor)
+    rng = random.Random(3)
+    idem = [H.gf_index(r, 0) for r in dec.elements]
+    dg_rows = [H.gf_index(r, 1) for r in dec.elements]
+    legs = sorted({x for i in dg_rows for j, k, _ in H.comult[i] for x in (j, k)})
+    sites = [(i, rng.choice([j for j in idem if j in H.mult[i]]))
+             for i in rng.sample(legs, 3)]
+    sites += [(i, rng.choice([j for j in legs if j in H.mult[i]]))
+              for i in rng.sample(idem, 3)]
+    mutants = []
+    for i, j in sites:
+        k = H.mult[i][j][0][0]
+        mutants.append(_bismash_with(
+            H, mult=H.with_scaled_mult_entry(i, j, k, z).mult))
+    for i in rng.sample(dg_rows, 3):
+        comult = list(H.comult)
+        terms = list(comult[i])
+        t = rng.randrange(len(terms))
+        j, k, c = terms[t]
+        terms[t] = (j, k, c * z)
+        comult[i] = tuple(terms)
+        mutants.append(_bismash_with(H, comult=comult))
+    keys = _qt_B_oracle(H, dec, ws)
+    changed = 0
+    for Hm in mutants:
+        got = _oracle_keys_or_assertion(_qt_B_oracle, Hm, dec, ws)
+        assert got == _oracle_keys_or_assertion(reference_qt_B_oracle, Hm, dec, ws)
+        changed += got != keys
+    # the mutants are seen: some of them change the oracle's key set
+    assert changed > 0
+
+
 @pytest.mark.parametrize("lam", [0, 1])
 def test_qt_B_survivors_pass_exhaustive_verifier(lam):
     res = qt_B_enumerate(3, 7, 2, lam)
@@ -853,6 +993,109 @@ def test_no_qt_on_B_duals():
     assert rep0.nullspace_dim == 49
     assert rep0.support_condition_holds and rep0.annihilator_holds
     assert rep0.no_qt_on_support
+
+
+@pytest.mark.parametrize("lam, branch, candidates, nullspace_dim",
+                         [(0, "zero", 169, 169), (1, "nonzero", 3, None)])
+def test_no_qt_on_B_duals_at_3_13(lam, branch, candidates, nullspace_dim):
+    rep = no_qt_B_dual(3, 13, 3, lam)
+    assert rep.branch == branch
+    assert rep.candidates_checked == candidates
+    assert rep.nullspace_dim == nullspace_dim
+    assert rep.all_fail and rep.support_condition_holds and rep.annihilator_holds
+    assert rep.no_qt_on_support
+
+
+def reference_B_dual_candidates(gl, p):
+    """The lam != 0 candidates of no_qt_B_dual built by hand: the primitive
+    idempotents of the group-like span k[Z_p] and R = sum zeta_p^(e r s)
+    E_r (x) E_s for e = 0..p-1."""
+    N = gl.host.conductor
+    L = math.lcm(p, N)
+    gen_idx = next(i for i, o in enumerate(gl.orders) if o == p)
+    powers = [gl.identity]
+    for _ in range(p - 1):
+        powers.append(gl.table[powers[-1]][gen_idx])
+    inv_p = CycloNumber.from_rational(Fraction(1, p))
+    idem = []
+    for i in range(p):
+        vec = {}
+        for k2, gidx in enumerate(powers):
+            c = inv_p * zeta(L, -i * k2 * (L // p))
+            for bidx, cb in gl.elements[gidx].coeffs.items():
+                _acc(vec, bidx, c * cb)
+        idem.append(vec)
+    out = []
+    for e in range(p):
+        entries = {}
+        for r in range(p):
+            for s in range(p):
+                c = zeta(L, e * r * s * (L // p))
+                for i1, c1 in idem[r].items():
+                    for j1, c2 in idem[s].items():
+                        _acc(entries, (i1, j1), c * c1 * c2)
+        out.append(entries)
+    return out
+
+
+def _spy_no_qt_B_dual(monkeypatch, p, q, m, lam):
+    """no_qt_B_dual's report, every (R, delta) it passes to
+    _intertwiner_sides, and every support it builds an R on."""
+    sides, supports = [], []
+    real_sides, real_entries = qtlab._intertwiner_sides, qtlab.r_entries_from_support
+
+    def spy_sides(H, entries, delta):
+        sides.append((entries, delta))
+        return real_sides(H, entries, delta)
+
+    def spy_entries(sup, W, L):
+        supports.append(sup)
+        return real_entries(sup, W, L)
+
+    monkeypatch.setattr(qtlab, "_intertwiner_sides", spy_sides)
+    monkeypatch.setattr(qtlab, "r_entries_from_support", spy_entries)
+    rep = no_qt_B_dual(p, q, m, lam)
+    monkeypatch.undo()
+    return rep, sides, supports
+
+
+def test_no_qt_B_dual_candidates_are_not_vacuous(monkeypatch):
+    """The lam != 0 candidates equal reference_B_dual_candidates; each one
+    satisfies the intertwiner identity at Delta(1) = 1 (x) 1 and fails it
+    at Delta(1 # a), so the check that rejects them can also accept."""
+    rep, sides, supports = _spy_no_qt_B_dual(monkeypatch, 3, 7, 2, 1)
+    assert rep.candidates_checked == 3 and rep.no_qt_on_support
+    gl = group_likes_bismash(dualize_trivial_action(make_B(3, 7, 2, 1)))
+    H = supports[0].host
+    da = H.embed_f(H.mp.F.generators["a"]).comult_apply()
+    assert [R for R, _ in sides] == reference_B_dual_candidates(gl, 3)
+    for R, delta in sides:
+        assert delta == da and R
+        lhs, rhs = _intertwiner_sides(H, R, unit_tensor(H))
+        assert lhs == rhs == R
+        lhs, rhs = _intertwiner_sides(H, R, delta)
+        assert lhs != rhs
+
+
+def test_certify_group_like_idempotents_of_B_dual(monkeypatch):
+    """The group-like idempotents of B(3,7,1)* have coefficients in
+    Q(zeta_21) on a host of conductor 7: the certificate takes the generic
+    path and conj_perms gives no rows; a broken copy of the support raises
+    the certificate's own error."""
+    _, _, supports = _spy_no_qt_B_dual(monkeypatch, 3, 7, 2, 1)
+    sup = supports[0]
+    H, vectors, kmul = sup.host, sup.vectors, sup.kmul
+    assert sup.certified
+    fresh = IdemSupport(H, vectors, kmul)
+    assert fresh._mono_arrays() is None
+    assert fresh.certify().certified
+    assert fresh.conj_perms() == [None] * H.dim
+    z3 = zeta(3)
+    scaled = [vectors[0], {i: z3 * c for i, c in vectors[1].items()}, vectors[2]]
+    with pytest.raises(ValueError, match="orthogonal idempotents"):
+        IdemSupport(H, scaled, kmul).certify()
+    with pytest.raises(ValueError, match="not a group"):
+        IdemSupport(H, vectors, np.zeros_like(kmul)).certify()
 
 
 # ---------------------------------------------------------------------------
