@@ -35,6 +35,7 @@ from .bismash import (
 )
 from .qtlab import (
     BraidingForm,
+    CertifiedR,
     TensorSquareElement,
     braiding_A0_construct,
     braiding_A_search,
@@ -43,7 +44,6 @@ from .qtlab import (
     no_qt_B_dual,
     qt_B_enumerate,
     qt_group_algebra_enumerate,
-    r_from_bicharacter,
     verify_coqt,
     verify_qt,
 )

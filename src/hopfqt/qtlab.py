@@ -5,27 +5,28 @@ candidate spaces (bicharacters, or the (g0, g1, lambda) parameter grid for
 braiding forms) and return only candidates that pass their verifier.  Every
 R-matrix the enumerations find, on the group algebras and on the
 tau-twisted family, is R = sum w(s,t) E_s (x) E_t for a bicharacter w and a
-certified family of orthogonal idempotents E_t; ``verify_qt_certified``
-checks it through integer exponent identities, and the certificates
-themselves are established by actual products of structure constants, once
-per host algebra.  ``verify_qt`` checks every identity on all basis tuples
-and is the exhaustive oracle for that path.  It is also the braiding
-verifier: a braiding form on H is checked as the R-matrix it defines on the
-dual Hopf algebra (``verify_coqt``).
+certified family of orthogonal idempotents E_t, and both enumerators return
+it as a ``CertifiedR``: the support, the integer exponent matrix W of w and
+its conductor, with the ``CycloNumber`` entries built only when read.
+``verify_qt_certified`` checks such an R through integer exponent
+identities, and ``hopf_images`` reads its image dimensions off W; the
+certificates themselves are established by actual products of structure
+constants, once per host algebra.  ``verify_qt`` checks every identity on
+all basis tuples and is the exhaustive oracle for that path.  It is also
+the braiding verifier: a braiding form on H is checked as the R-matrix it
+defines on the dual Hopf algebra (``verify_coqt``).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .exactfield import CycloNumber, RowSpace, SparseMatrix, nullspace, zeta
 from .grouptool import (
     AbelianDecomposition,
-    Bicharacter,
     FiniteGroup,
     ParameterError,
     abelian_decomposition,
@@ -47,10 +48,9 @@ from .bismash import MatchedPair, build_bismash, dualize_trivial_action, make_A,
 class TensorSquareElement:
     """Sparse element of H (x) H: entries (i, j) -> CycloNumber."""
 
-    def __init__(self, host: HopfAlgebra, entries, support=None):
+    def __init__(self, host: HopfAlgebra, entries):
         self.host = host
         self.entries = {k: v for k, v in entries.items() if v}
-        self.support = support  # optional IdemSupport certificate
 
     def __eq__(self, other):
         return self.host is other.host and self.entries == other.entries
@@ -376,10 +376,11 @@ def _group_like(H, i):
 # verify_qt
 
 
-def verify_qt(H: HopfAlgebra, R: TensorSquareElement, mode: str = "full") -> Report:
+def verify_qt(H: HopfAlgebra, R, mode: str = "full") -> Report:
     """Exact verification: invertibility of R, both coproduct identities
     (Delta (x) id)R = R13 R23 and (id (x) Delta)R = R13 R12, and the
-    intertwiner identity Delta-op(h) R = R Delta(h) for every basis h."""
+    intertwiner identity Delta-op(h) R = R Delta(h) for every basis h.
+    R is a TensorSquareElement or a CertifiedR; only R.entries is read."""
     rep = Report()
     fast = mode == "fast"
     entries = R.entries
@@ -428,54 +429,24 @@ def _first_diff(a, b):
     return ()
 
 
-def verify_qt_certified(sup: IdemSupport, w_elem: np.ndarray, L: int,
-                        conj_perms) -> Report:
-    """verify_qt for R = sum w(s,t) E_s (x) E_t on a certified support;
-    the verifier both enumerations run on their survivors.
+class CertifiedR:
+    """R = sum w(s,t) E_s (x) E_t on the IdemSupport sup, held as the
+    integer exponent matrix W of w on support indices mod the conductor L.
+    ``entries``, the sparse tensor in H (x) H that verify_qt reads, is built
+    by r_entries_from_support on first use and then kept."""
 
-    w_elem is the integer exponent matrix of w on support indices mod L.
-    Orthogonality, completeness and Delta(E_t) = sum_(t1 t2 = t) E_t1 (x) E_t2
-    are certified, so the coproduct identities are exact integer exponent
-    identities and R is always invertible, with inverse w -> -w.  conj_perms
-    is sup.conj_perms().  At a row perm the intertwiner is W[perm, perm] = W
-    mod L, tested once per distinct permutation (a group algebra has few: one
-    per coset of the centralizer of K); its None rows are checked on the
-    generic R.  Failures are reported in ascending basis order.
-    """
-    sup.certify()
-    rep = Report()
-    kmul = sup.kmul
-    W = np.asarray(w_elem, dtype=np.int64)
-    # hexagons
-    if not ((W[kmul] - W[:, None, :] - W[None, :, :]) % L == 0).all():
-        rep.fail("coproduct identity (left)", ("first-slot multiplicativity",))
-    WT = W.T.copy()
-    if not ((WT[kmul] - WT[:, None, :] - WT[None, :, :]) % L == 0).all():
-        rep.fail("coproduct identity (right)", ("second-slot multiplicativity",))
-    # intertwiner over all basis elements of the host
-    rows = [h for h, perm in enumerate(conj_perms) if perm is not None]
-    holds = {}
-    if rows:
-        P, which = np.unique(np.array([conj_perms[h] for h in rows]), axis=0,
-                             return_inverse=True)
-        ok = [_invariant_under(W, perm, L) for perm in P]
-        holds = {h: ok[k] for h, k in zip(rows, which.reshape(-1))}
-    entries = None
-    for h in range(len(conj_perms)):
-        if h not in holds:
-            if entries is None:
-                entries = r_entries_from_support(sup, W, L)
-            holds[h] = _intertwines(sup.host, entries, h)
-        if not holds[h]:
-            rep.fail("intertwiner", (h,))
-    return rep
+    def __init__(self, sup: IdemSupport, W, L: int):
+        self.sup = sup
+        self.host = sup.host
+        self.W = np.asarray(W, dtype=np.int64)
+        self.L = L
 
+    @cached_property
+    def entries(self) -> dict:
+        return r_entries_from_support(self.sup, self.W, self.L)
 
-def _invariant_under(W, perm, L):
-    """W[perm, perm] = W mod L: the bicharacter with exponent matrix W is
-    invariant under the permutation perm of its support indices."""
-    perm = np.asarray(perm)
-    return bool(((W[perm[:, None], perm] - W) % L == 0).all())
+    def __repr__(self):
+        return f"<CertifiedR m={self.sup.m} L={self.L}>"
 
 
 def r_entries_from_support(sup: IdemSupport, W, L) -> dict:
@@ -489,17 +460,58 @@ def r_entries_from_support(sup: IdemSupport, W, L) -> dict:
     return entries
 
 
+def _multiplicative(W, kmul, L):
+    """W[kmul[s, g], t] = W[s, t] + W[g, t] mod L for all s, g, t: each
+    column s -> W[s, t] is a character of the support group."""
+    return bool(((W[kmul] - W[:, None, :] - W[None, :, :]) % L == 0).all())
+
+
+def verify_qt_certified(R: CertifiedR, conj_perms) -> Report:
+    """verify_qt for R = sum w(s,t) E_s (x) E_t on a certified support;
+    the verifier both enumerations run on their survivors.
+
+    Orthogonality, completeness and Delta(E_t) = sum_(t1 t2 = t) E_t1 (x) E_t2
+    of R.sup are certified, so the coproduct identities are multiplicativity
+    of R.W in each slot mod R.L, and R is always invertible, with inverse
+    w -> -w.  conj_perms is R.sup.conj_perms().  At a row perm the
+    intertwiner is W[perm, perm] = W mod L, tested once per distinct
+    permutation (a group algebra has few: one per coset of the centralizer
+    of K); its None rows are checked on R.entries, so the generic R is built
+    at most once and stays on R.  Failures are reported in ascending basis
+    order.
+    """
+    sup = R.sup.certify()
+    rep = Report()
+    W, L = R.W, R.L
+    if not _multiplicative(W, sup.kmul, L):
+        rep.fail("coproduct identity (left)", ("first-slot multiplicativity",))
+    if not _multiplicative(W.T.copy(), sup.kmul, L):
+        rep.fail("coproduct identity (right)", ("second-slot multiplicativity",))
+    # intertwiner over all basis elements of the host
+    rows = [h for h, perm in enumerate(conj_perms) if perm is not None]
+    holds = {}
+    if rows:
+        P, which = np.unique(np.array([conj_perms[h] for h in rows]), axis=0,
+                             return_inverse=True)
+        ok = [_invariant_under(W, perm, L) for perm in P]
+        holds = {h: ok[k] for h, k in zip(rows, which.reshape(-1))}
+    for h in range(len(conj_perms)):
+        if h not in holds:
+            holds[h] = _intertwines(R.host, R.entries, h)
+        if not holds[h]:
+            rep.fail("intertwiner", (h,))
+    return rep
+
+
+def _invariant_under(W, perm, L):
+    """W[perm, perm] = W mod L: the bicharacter with exponent matrix W is
+    invariant under the permutation perm of its support indices."""
+    perm = np.asarray(perm)
+    return bool(((W[perm[:, None], perm] - W) % L == 0).all())
+
+
 # ---------------------------------------------------------------------------
-# R from a bicharacter on a subgroup of a group algebra
-
-
-def r_from_bicharacter(H: HopfAlgebra, K: AbelianDecomposition,
-                       w: Bicharacter) -> TensorSquareElement:
-    """R = sum w(k, k') e_k (x) e_k' with e_k the orthogonal idempotents of
-    k[K] inside the group algebra H."""
-    sup = IdemSupport(H, idempotents(K), _k_index_table(K))
-    W, L = _bichar_index_matrix(w, K)
-    return TensorSquareElement(H, r_entries_from_support(sup, W, L), support=sup)
+# bicharacters on a subgroup as exponent matrices
 
 
 def _k_index_table(K: AbelianDecomposition):
@@ -522,12 +534,6 @@ def _bichar_forms(ws, K: AbelianDecomposition):
     O = np.gcd.outer(o, o)
     E = np.array([w.exps for w in ws], dtype=np.int64).reshape(len(ws), r, r)
     return X, (E % O) * (L // O), L
-
-
-def _bichar_index_matrix(w: Bicharacter, K: AbelianDecomposition):
-    """Exponent matrix of w on K.elements indices, mod w.conductor."""
-    X, A, L = _bichar_forms([w], K)
-    return (X @ A[0] @ X.T) % L, L
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +590,7 @@ def closed_form_survivors(G: FiniteGroup, ws, K: AbelianDecomposition):
 
 
 class QTEnumeration(list):
-    """list of (Bicharacter, TensorSquareElement); each key set of the
+    """list of (Bicharacter, CertifiedR); each key set of the
     independent checks is an attribute (``invariant_keys`` and
     ``closed_form_keys`` for group algebras, ``filter_keys`` and
     ``oracle_keys`` for the tau-twisted family).  Every listed pair passed
@@ -628,10 +634,11 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
         if not all(_invariant_under(W, perm, L) for perm in gen_perms):
             continue
         invariant.add(w.key())
-        if not verify_qt_certified(sup, W, L, conj_perms=conj).passed:
+        R = CertifiedR(sup, W, L)
+        if not verify_qt_certified(R, conj).passed:
             raise AssertionError(
                 "conjugation-invariant bicharacter failed verify_qt_certified")
-        pairs.append((w, TensorSquareElement(H, {}, support=sup)))
+        pairs.append((w, R))
     closed = ws if abelian else closed_form_survivors(G, ws, K)
     return QTEnumeration(pairs, invariant_keys=invariant,
                          closed_form_keys={w.key() for w in closed})
@@ -686,15 +693,15 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
     sup = IdemSupport(H, vectors, _k_index_table(dec)).certify()
 
     conj = sup.conj_perms()
+    X, A, L = _bichar_forms(ws, dec)
     pairs = []
-    for w in ws:
+    for w, Aw in zip(ws, A):
         if w.key() not in filter_keys:
             continue
-        W, L = _bichar_index_matrix(w, dec)
-        rep = verify_qt_certified(sup, W, L, conj_perms=conj)
+        R = CertifiedR(sup, (X @ Aw @ X.T) % L, L)
+        rep = verify_qt_certified(R, conj)
         if not rep.passed:
             raise AssertionError(f"survivor failed verification: {rep!r}")
-        R = TensorSquareElement(H, r_entries_from_support(sup, W, L), support=sup)
         pairs.append((w, R))
     return QTEnumeration(pairs, filter_keys=filter_keys, oracle_keys=oracle_keys)
 
@@ -957,9 +964,10 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
                     _acc(vec, i, c * ci)
             vectors.append(vec)
         sup = IdemSupport(H, vectors, _k_index_table(K)).certify()
-        for e, w in enumerate(enumerate_bicharacters(K)):
-            W, L = _bichar_index_matrix(w, K)
-            lhs, rhs = _intertwiner_sides(H, r_entries_from_support(sup, W, L), da)
+        X, A, L = _bichar_forms(enumerate_bicharacters(K), K)
+        for e, Aw in enumerate(A):
+            R = CertifiedR(sup, (X @ Aw @ X.T) % L, L)
+            lhs, rhs = _intertwiner_sides(H, R.entries, da)
             report.candidates_checked += 1
             if lhs == rhs:
                 report.checks.fail(_HOLDS, e)
@@ -1005,63 +1013,33 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
 # images of the R-matrix maps
 
 
-def hopf_images(H: HopfAlgebra, R: TensorSquareElement):
-    """(dim H_l, dim H_r, dim of the unital subalgebra generated by both)."""
-    rows, cols = {}, {}
-    for (i, j), c in R.entries.items():
-        rows.setdefault(i, {})[j] = c
-        cols.setdefault(j, {})[i] = c
-    rs_l = RowSpace()
-    for i, vec in sorted(rows.items()):
-        rs_l.add(vec)
-    rs_r = RowSpace()
-    for j, vec in sorted(cols.items()):
-        rs_r.add(vec)
+def hopf_images(R: CertifiedR):
+    """(dim H_l, dim H_r, dim of the unital subalgebra they generate) for
+    the CertifiedR R = sum w(s,t) E_s (x) E_t, read off its exponent matrix.
 
-    span = RowSpace()
-    reps = []
-
-    def try_add(vec):
-        if span.add(dict(vec)):
-            reps.append(AlgebraElement(H, dict(vec)))
-            return True
-        return False
-
-    try_add(dict(H.unit))
-    for i, vec in sorted(rows.items()):
-        try_add(vec)
-    for j, vec in sorted(cols.items()):
-        try_add(vec)
-    grew = True
-    while grew:
-        grew = False
-        current = list(reps)
-        for x in current:
-            for y in current:
-                z = x * y
-                if z.coeffs and try_add(z.coeffs):
-                    grew = True
-    return rs_l.dim, rs_r.dim, span.dim
-
-
-# ---------------------------------------------------------------------------
-# JSON export
-
-
-def _cyclo_json(c: CycloNumber):
-    den, nums = c.serial()
-    return {"num": nums, "den": den}
-
-
-def r_matrix_json(H: HopfAlgebra, R: TensorSquareElement, host_desc: str) -> str:
-    entries = [{"i": i, "j": j, **_cyclo_json(c)}
-               for (i, j), c in sorted(R.entries.items())]
-    return json.dumps({"host": host_desc, "conductor": H.conductor,
-                       "entries": entries}, indent=1, sort_keys=True)
-
-
-def braiding_json(form: BraidingForm, host_desc: str) -> str:
-    entries = [{"i": i, "j": j, **_cyclo_json(c)}
-               for (i, j), c in sorted(form.values.items())]
-    return json.dumps({"host": host_desc, "conductor": form.host.conductor,
-                       "entries": entries}, indent=1, sort_keys=True)
+    H_l is spanned by the sum_s w(s,t) E_s, one for each column t of W, and
+    H_r by the sum_t w(s,t) E_t, one for each row s.  Once both slots of W
+    are multiplicative each of these vectors is a character of the support
+    group, written in orthogonal idempotents that sum to 1; products of such
+    elements add their exponent vectors, and distinct characters are
+    linearly independent.  So dim H_l and dim H_r are the numbers of
+    distinct columns and rows of W mod L, and the generated subalgebra has
+    the order of the subgroup of (Z_L)^m that the columns and rows generate.
+    Raises ValueError when W is not multiplicative in both slots.
+    """
+    sup = R.sup.certify()
+    W, L = R.W % R.L, R.L
+    if not (_multiplicative(W, sup.kmul, L) and _multiplicative(W.T, sup.kmul, L)):
+        raise ValueError("exponent matrix is not a bicharacter on the support")
+    cols, rows = np.unique(W.T, axis=0), np.unique(W, axis=0)
+    # span + <g> is the union of the cosets span + k g, k below the order of
+    # g modulo span
+    span = np.zeros((1, sup.m), dtype=np.int64)
+    for g in np.concatenate([cols, rows]):
+        seen = {x.tobytes() for x in span}
+        cosets, c = [span], g
+        while c.tobytes() not in seen:
+            cosets.append((span + c) % L)
+            c = (c + g) % L
+        span = np.concatenate(cosets)
+    return len(cols), len(rows), len(span)

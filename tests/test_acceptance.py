@@ -34,6 +34,7 @@ from hopfqt.bismash import (
 )
 from hopfqt.qtlab import (
     BraidingForm,
+    CertifiedR,
     braiding_A0_construct,
     braiding_A_search,
     no_qt_B_dual,
@@ -41,12 +42,12 @@ from hopfqt.qtlab import (
     qt_group_algebra_enumerate,
     verify_coqt,
     verify_qt_certified,
-    _bichar_index_matrix,
 )
 
 import numpy as np
 
 from test_hopfcore import comult_mutant, zeta_scaled
+from test_qtlab import index_matrix
 
 
 def report(num, title, detail):
@@ -369,7 +370,7 @@ def test_criterion_06_A_nogo():
                                       Subgroup(G, dec.ids, dec)))
     invariant = []
     for w in enumerate_bicharacters(dec):
-        W, L = _bichar_index_matrix(w, dec)
+        W, L = index_matrix(w, dec)
         if ((W[np.ix_(perm, perm)] - W) % L == 0).all():
             invariant.append(w)
     assert len(invariant) == 1 and invariant[0].is_trivial()
@@ -498,14 +499,14 @@ def test_criterion_10_mutation_sensitivity():
     r_matrices = 0
     for fam, params in (("gamma3", dict(p=7, q=3, m=2)), ("beta7", dict(p=3, q=5))):
         res = qt_group_algebra_enumerate(build_group(fam, **params))
-        sup = res[0][1].support
+        sup = res[0][1].sup
         conj = sup.conj_perms()
         for _ in range(4):
             w, _ = rng.choice(res)
-            W, L = _bichar_index_matrix(w, w.domain)
+            W, L = index_matrix(w, w.domain)
             s, t = rng.randrange(sup.m), rng.randrange(sup.m)
             W[s, t] = (W[s, t] + 1 + rng.randrange(L - 1)) % L
-            assert not verify_qt_certified(sup, W, L, conj_perms=conj).passed, \
+            assert not verify_qt_certified(CertifiedR(sup, W, L), conj).passed, \
                 (fam, s, t)
             r_matrices += 1
     assert total >= 28 and braidings == 9 and coproducts == 8 and r_matrices == 8

@@ -1,6 +1,7 @@
 import math
 from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -293,34 +294,50 @@ def test_idempotents_cyclic3_formula():
             assert vec[x] == third * zeta(3, ki * j)
 
 
-def _alg_mul(G, u, v):
-    out = {}
-    for x, cx in u.items():
-        for y, cy in v.items():
-            z = G.mul(x, y)
-            c = cx * cy
-            out[z] = out.get(z, CycloNumber.zero()) + c
-    return {k: v for k, v in out.items() if v}
+def _root_exponents(basis, order, N):
+    """(E, scale) with basis[t][x] = scale * zeta_N^E[t, x] for every t and
+    every group element x; fails on a coefficient of any other shape."""
+    E = np.zeros((len(basis), order), dtype=np.int64)
+    scales = set()
+    for t, vec in enumerate(basis):
+        assert sorted(vec) == list(range(order)), t
+        for x, c in vec.items():
+            r = c.lift(N).as_root()
+            assert r is not None, (t, x, c)
+            E[t, x], scale = r
+            scales.add(scale)
+    assert len(scales) == 1, scales
+    return E, scales.pop()
 
 
 @pytest.mark.parametrize("orders", [[3], [5], [3, 3], [7, 7]])
 def test_idempotents_orthogonal_complete(orders):
+    # every product u_i u_j in k[G], exactly: its coefficient at z is
+    # scale^2 sum_x zeta^(E[i, x] + E[j, x^-1 z]), so count the exponents
+    # for each (j, z) and map the counts to the power basis of Q(zeta_N)
     G = abelian_group(orders)
     K = _full_decomposition(G)
-    basis = idempotents(K)
-    total = {}
-    for vec in basis:
-        for x, c in vec.items():
-            total[x] = total.get(x, CycloNumber.zero()) + c
-    assert total[0].is_one()
-    assert all(c.is_zero() for x, c in total.items() if x != 0)
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
-            prod = _alg_mul(G, u, v)
-            if i == j:
-                assert prod == {x: c for x, c in u.items() if c}
-            else:
-                assert prod == {}
+    n, N = G.order, math.lcm(*orders)
+    E, scale = _root_exponents(idempotents(K), n, N)
+    rootmat = np.array([zeta(N, k).serial()[1] for k in range(N)], dtype=np.int64)
+    num, den = scale.numerator, scale.denominator
+    table = np.array([[G.mul(x, y) for y in range(n)] for x in range(n)])
+    # y_of[x, z] is the y with x y = z
+    y_of = np.argsort(table, axis=1)
+    # completeness: sum_t scale zeta^E[t, x] is 1 at x = 0 and 0 elsewhere
+    counts = np.stack([np.bincount(E[:, x] % N, minlength=N) for x in range(n)])
+    one = np.zeros((n, rootmat.shape[1]), dtype=np.int64)
+    one[0] = zeta(N, 0).serial()[1]
+    assert np.array_equal(num * (counts @ rootmat), den * one)
+    keys = (np.arange(n * n) * N).reshape(n, 1, n)       # (j, ., z)
+    for i in range(n):
+        exps = (E[i][None, :, None] + E[:, y_of]) % N    # (j, x, z)
+        counts = np.bincount((keys + exps).reshape(-1), minlength=n * n * N)
+        prod = counts.reshape(n, n, N) @ rootmat         # (j, z, phi(N))
+        # u_i u_j = delta_ij u_i: scale^2 prod = delta_ij scale zeta^E[i]
+        expect = np.zeros_like(prod)
+        expect[i] = rootmat[E[i] % N]
+        assert np.array_equal(num * prod, den * expect), i
 
 
 def test_conjugation_map_semidirect():
