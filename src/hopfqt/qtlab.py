@@ -9,9 +9,12 @@ certified family of orthogonal idempotents E_t, and both enumerators return
 it as a ``CertifiedR``: the support, the integer exponent matrix W of w and
 its conductor, with the ``CycloNumber`` entries built only when read.
 ``verify_qt_certified`` checks such an R through integer exponent
-identities, and ``hopf_images`` reads its image dimensions off W; the
-certificates themselves are established by actual products of structure
-constants, once per host algebra.  ``verify_qt`` checks every identity on
+identities: the coproduct identities on W, the intertwiner on the
+support's conjugation permutations or, on the tau-twisted host, its
+intertwiner table, with sparse products only where these cannot accept.
+``hopf_images`` reads its image dimensions off W.  The certificates and
+tables themselves are established by actual products of structure
+constants, once per support.  ``verify_qt`` checks every identity on
 all basis tuples and is the exhaustive oracle for that path.  It is also
 the braiding verifier: a braiding form on H is checked as the R-matrix it
 defines on the dual Hopf algebra (``verify_coqt``).
@@ -365,6 +368,68 @@ class IdemSupport:
             out.append(None if None in perm else perm)
         return out
 
+    @cached_property
+    def intertwiner_table(self):
+        """Delta-op(b_h) R = R Delta(b_h) at every basis row h, for every
+        R = sum w(k,l) E_k (x) E_l on this support, as integer arrays
+        (rows, coords, k, l, i, j, fix) with one entry per Delta(b_h) term,
+        sorted by row and coordinate; None where the premises below fail.
+
+        Premises: every E_k is c_k b_(s_k), all c_k with one rational part,
+        and every leg of every Delta(b_h) term meets exactly one E_k on each
+        side.  Then each side has one term per Delta(b_h) term: the left
+        (b_T2 E_k) (x) (b_T1 E_l) with w-slot (k, l), the right
+        (E_i b_T1) (x) (E_j b_T2) with w-slot (i, j).  Where, third premise,
+        the coordinates of each row are pairwise distinct and the same on
+        both sides, the identity at b_h is w(k,l) - w(i,j) + fix = 0 at each
+        entry of row h, in exponents of zeta (fix in units of zeta_N)."""
+        H = self.host
+        N, n = H.conductor, H.dim
+        if any(len(vec) != 1 for vec in self.vectors):
+            return None
+        tables, ctables = H.mono_tables(), H.comult_tables()
+        if tables is None or ctables is None:
+            return None
+        s = np.array([i for vec in self.vectors for i in vec], dtype=np.int64)
+        roots = [None if N % c.conductor else c.lift(N).as_root()
+                 for vec in self.vectors for c in vec.values()]
+        if None in roots or len({r[1] for r in roots}) != 1 or \
+                len(set(s.tolist())) != self.m:
+            return None
+        e = np.array([r[0] for r in roots], dtype=np.int64)
+        (mt, me), (rows, lefts, rights, dexp) = tables, ctables
+
+        def meets(hits):
+            # per basis element: the one idempotent it meets, else -1
+            return np.where(hits.sum(axis=1) == 1, hits.argmax(axis=1), -1)
+
+        after, before = meets(mt[:, s] >= 0), meets(mt[s, :].T >= 0)
+        k, l, i, j = after[rights], after[lefts], before[lefts], before[rights]
+        if (np.concatenate([k, l, i, j]) < 0).any():
+            return None
+        lkey = (rows * n + mt[rights, s[k]]) * n + mt[lefts, s[l]]
+        rkey = (rows * n + mt[s[i], lefts]) * n + mt[s[j], rights]
+        lo, ro = np.argsort(lkey), np.argsort(rkey)
+        if not (np.array_equal(lkey[lo], rkey[ro])
+                and (np.diff(lkey[lo]) > 0).all()):
+            return None
+        fix = (me[rights, s[k]] + me[lefts, s[l]] + e[k] + e[l])[lo] \
+            - (me[s[i], lefts] + me[s[j], rights] + e[i] + e[j])[ro]
+        return (rows[lo], lkey[lo] % (n * n), k[lo], l[lo], i[ro], j[ro],
+                (fix + dexp[lo] - dexp[ro]) % N)
+
+    def intertwiner_rejects(self, W, L):
+        """Boolean array over the host basis, True at the rows h where the
+        table shows Delta-op(b_h) R != R Delta(b_h) for the R with exponent
+        matrix W mod L; None without a table."""
+        if self.intertwiner_table is None:
+            return None
+        rows, _, k, l, i, j, fix = self.intertwiner_table
+        N = self.host.conductor
+        M = math.lcm(N, L)
+        bad = ((W[k, l] - W[i, j]) * (M // L) + fix * (M // N)) % M != 0
+        return np.bincount(rows[bad], minlength=self.host.dim) > 0
+
 
 def _group_like(H, i):
     """Delta(b_i) = b_i (x) b_i."""
@@ -462,8 +527,13 @@ def r_entries_from_support(sup: IdemSupport, W, L) -> dict:
 
 def _multiplicative(W, kmul, L):
     """W[kmul[s, g], t] = W[s, t] + W[g, t] mod L for all s, g, t: each
-    column s -> W[s, t] is a character of the support group."""
-    return bool(((W[kmul] - W[:, None, :] - W[None, :, :]) % L == 0).all())
+    column s -> W[s, t] is a character of the support group.  In place, so
+    that one m^3 array is held at a time."""
+    D = W[kmul]
+    D -= W[:, None, :]
+    D -= W[None, :, :]
+    D %= L
+    return not D.any()
 
 
 def verify_qt_certified(R: CertifiedR, conj_perms) -> Report:
@@ -476,9 +546,12 @@ def verify_qt_certified(R: CertifiedR, conj_perms) -> Report:
     w -> -w.  conj_perms is R.sup.conj_perms().  At a row perm the
     intertwiner is W[perm, perm] = W mod L, tested once per distinct
     permutation (a group algebra has few: one per coset of the centralizer
-    of K); its None rows are checked on R.entries, so the generic R is built
-    at most once and stays on R.  Failures are reported in ascending basis
-    order.
+    of K).  Its None rows (every row of the tau-twisted host, whose basis
+    elements are not group-like) are read from R.sup.intertwiner_table,
+    where the identity is an exact exponent identity of W at each row; the
+    table only accepts.  A row it rejects, and every row when there is no
+    table, is checked on R.entries, so the generic R is built at most once
+    and stays on R.  Failures are reported in ascending basis order.
     """
     sup = R.sup.certify()
     rep = Report()
@@ -495,9 +568,11 @@ def verify_qt_certified(R: CertifiedR, conj_perms) -> Report:
                              return_inverse=True)
         ok = [_invariant_under(W, perm, L) for perm in P]
         holds = {h: ok[k] for h, k in zip(rows, which.reshape(-1))}
+    rejects = sup.intertwiner_rejects(W, L)
     for h in range(len(conj_perms)):
         if h not in holds:
-            holds[h] = _intertwines(R.host, R.entries, h)
+            holds[h] = (rejects is not None and not rejects[h]) or \
+                _intertwines(R.host, R.entries, h)
         if not holds[h]:
             rep.fail("intertwiner", (h,))
     return rep
@@ -658,10 +733,11 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
 
     Filters the q^4 bicharacters on G by the four generator conditions,
     cross-checks against the independent intertwiner test Delta-op(g) R =
-    R Delta(g) of ``_qt_B_oracle``, read off the host's product and
-    coproduct exponent tables for every candidate, asserts the two sets
-    coincide, and verifies every survivor with verify_qt_certified on the
-    basis idempotents e_r # 1.
+    R Delta(g) of ``_qt_B_oracle``, read off the intertwiner table of the
+    basis idempotents e_r # 1 for every candidate, asserts the two sets
+    coincide, and verifies every survivor with verify_qt_certified on that
+    support, whose intertwiner rows the same table decides: no survivor's
+    CycloNumber entries are built until they are read.
     """
     mp = make_B(p, q, m, lam)
     H = build_bismash(mp)
@@ -682,16 +758,13 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
 
     filter_keys = {w.key() for w in ws if cond(w)}
 
-    oracle_keys = _qt_B_oracle(H, dec, ws)
+    sup = _e_r_support(H, dec)
+    oracle_keys = _qt_B_oracle(H, dec, ws, sup)
     if filter_keys != oracle_keys:
         raise AssertionError("generator-condition filter disagrees with the "
                              "direct intertwiner oracle")
 
-    # basis idempotents e_r # 1 as the certified support
-    vectors = [{H.gf_index(r, 0): CycloNumber.one(H.conductor)}
-               for r in dec.elements]
-    sup = IdemSupport(H, vectors, _k_index_table(dec)).certify()
-
+    sup.certify()
     conj = sup.conj_perms()
     X, A, L = _bichar_forms(ws, dec)
     pairs = []
@@ -706,50 +779,56 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
     return QTEnumeration(pairs, filter_keys=filter_keys, oracle_keys=oracle_keys)
 
 
-def _qt_B_oracle(H, dec, ws):
+def _e_r_support(H, dec):
+    """The basis idempotents E_r = e_r # 1, r in dec.elements, uncertified."""
+    one = CycloNumber.one(H.conductor)
+    return IdemSupport(H, [{H.gf_index(r, 0): one} for r in dec.elements],
+                       _k_index_table(dec))
+
+
+# conditions per block of the _qt_B_oracle sieve; its first block holds
+# 2,401 x 32 int64 exponents at (3,7), 64 raised the peak memory of a run
+_SIEVE_BLOCK = 32
+
+
+def _qt_B_oracle(H, dec, ws, sup=None):
     """Keys of the bicharacters w whose R = sum w(r,s) E_r (x) E_s, with
     E_r = e_r # 1, satisfies Delta-op(g) R = R Delta(g) at the generator
-    1 # g of F, both sides computed from the host's exponent tables.
+    1 # g = sum_r e_r # g of F, read off the rows e_r # g of the intertwiner
+    table of the support (``_e_r_support`` unless sup is given).
 
-    Each leg of each Delta(g) term meets exactly one E_r, so each side has
-    one term per Delta(g) term: a fixed coordinate and root exponent, and
-    one w-slot.  These are built once; each w is then one integer compare.
+    The rows have pairwise disjoint coordinates, so the identity at 1 # g
+    holds exactly when it holds at every row e_r # g.  Each condition of
+    those rows is linear in the generator-pair form A_w of w, since
+    W = X A_w X^T; all bicharacters go through the conditions a block at a
+    time, and each one is dropped at its first failing block.  Raises
+    AssertionError when the host does not have the table, or the rows share
+    a coordinate.
     """
-    N = H.conductor
-    mt, me = H.mono_tables()
-    rows, lefts, rights, dexp = H.comult_tables()
-    idem = np.array([H.gf_index(r, 0) for r in dec.elements])
+    if sup is None:
+        sup = _e_r_support(H, dec)
+    table = sup.intertwiner_table
+    if table is None:
+        raise AssertionError("the intertwiner table premises fail on this host")
+    rows, coords, k, l, i, j, fix = table
     sel = np.isin(rows, [H.gf_index(r, 1) for r in dec.elements])
-    T1, T2, TE = lefts[sel], rights[sel], dexp[sel]
-
-    def meet(hits):
-        # the one idempotent each row of hits meets
-        assert (hits.sum(axis=1) == 1).all()
-        return hits.argmax(axis=1)
-
-    # Delta-op(g) R: (b_T2 (x) b_T1)(E_k (x) E_l)
-    k, l = meet(mt[np.ix_(T2, idem)] >= 0), meet(mt[np.ix_(T1, idem)] >= 0)
-    lkey = mt[T2, idem[k]].astype(np.int64) * H.dim + mt[T1, idem[l]]
-    lfix = TE + me[T2, idem[k]] + me[T1, idem[l]]
-    # R Delta(g): (E_i (x) E_j)(b_T1 (x) b_T2)
-    i, j = meet(mt[np.ix_(idem, T1)].T >= 0), meet(mt[np.ix_(idem, T2)].T >= 0)
-    rkey = mt[idem[i], T1].astype(np.int64) * H.dim + mt[idem[j], T2]
-    rfix = TE + me[idem[i], T1] + me[idem[j], T2]
-    # both sides have pairwise distinct coordinates, and the same ones
-    lo, ro = np.argsort(lkey), np.argsort(rkey)
-    assert np.array_equal(lkey[lo], rkey[ro]) and (np.diff(lkey[lo]) > 0).all()
-
+    if not (np.diff(np.sort(coords[sel])) > 0).all():
+        raise AssertionError("the rows e_r # g share a coordinate")
     X, A, L = _bichar_forms(ws, dec)
     # compare at the common conductor lcm(N, L)
-    M = math.lcm(N, L)
-    fix = (lfix[lo] - rfix[ro]) * (M // N)
-    k, l, i, j = k[lo], l[lo], i[ro], j[ro]
-    keys = set()
-    for w, Aw in zip(ws, A):
-        W = (X @ Aw @ X.T) % L
-        if (((W[k, l] - W[i, j]) * (M // L) + fix) % M == 0).all():
-            keys.add(w.key())
-    return keys
+    M = math.lcm(H.conductor, L)
+    P = (X[k[sel], :, None] * X[l[sel], None, :]
+         - X[i[sel], :, None] * X[j[sel], None, :]).reshape(sel.sum(), -1)
+    P, F = P.T * (M // L), fix[sel] * (M // H.conductor)
+    A = A.reshape(len(ws), -1)
+    alive = np.arange(len(ws))
+    for c in range(0, len(F), _SIEVE_BLOCK):
+        block = slice(c, c + _SIEVE_BLOCK)
+        V = A[alive] @ P[:, block]
+        V += F[block]
+        V %= M
+        alive = alive[~V.any(axis=1)]
+    return {ws[a].key() for a in alive}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -605,6 +609,47 @@ def reference_qt_B_oracle(H, dec, ws):
     return keys
 
 
+def loop_qt_B_oracle(H, dec, ws):
+    """_qt_B_oracle with the rows e_r # g templated on their own and one
+    integer compare per bicharacter: the oracle for its blocked sieve."""
+    N = H.conductor
+    mt, me = H.mono_tables()
+    rows, lefts, rights, dexp = H.comult_tables()
+    idem = np.array([H.gf_index(r, 0) for r in dec.elements])
+    sel = np.isin(rows, [H.gf_index(r, 1) for r in dec.elements])
+    T1, T2, TE = lefts[sel], rights[sel], dexp[sel]
+
+    def meet(hits):
+        # the one idempotent each row of hits meets
+        if not (hits.sum(axis=1) == 1).all():
+            raise AssertionError("a leg does not meet exactly one idempotent")
+        return hits.argmax(axis=1)
+
+    # Delta-op(g) R: (b_T2 (x) b_T1)(E_k (x) E_l)
+    k, l = meet(mt[np.ix_(T2, idem)] >= 0), meet(mt[np.ix_(T1, idem)] >= 0)
+    lkey = mt[T2, idem[k]].astype(np.int64) * H.dim + mt[T1, idem[l]]
+    lfix = TE + me[T2, idem[k]] + me[T1, idem[l]]
+    # R Delta(g): (E_i (x) E_j)(b_T1 (x) b_T2)
+    i, j = meet(mt[np.ix_(idem, T1)].T >= 0), meet(mt[np.ix_(idem, T2)].T >= 0)
+    rkey = mt[idem[i], T1].astype(np.int64) * H.dim + mt[idem[j], T2]
+    rfix = TE + me[idem[i], T1] + me[idem[j], T2]
+    # both sides have pairwise distinct coordinates, and the same ones
+    lo, ro = np.argsort(lkey), np.argsort(rkey)
+    if not (np.array_equal(lkey[lo], rkey[ro]) and (np.diff(lkey[lo]) > 0).all()):
+        raise AssertionError("the two sides do not share distinct coordinates")
+
+    X, A, L = _bichar_forms(ws, dec)
+    M = math.lcm(N, L)
+    fix = (lfix[lo] - rfix[ro]) * (M // N)
+    k, l, i, j = k[lo], l[lo], i[ro], j[ro]
+    keys = set()
+    for w, Aw in zip(ws, A):
+        W = (X @ Aw @ X.T) % L
+        if (((W[k, l] - W[i, j]) * (M // L) + fix) % M == 0).all():
+            keys.add(w.key())
+    return keys
+
+
 def _oracle_keys_or_assertion(oracle, H, dec, ws):
     try:
         return oracle(H, dec, ws)
@@ -669,6 +714,87 @@ def test_qt_B_oracle_matches_reference_on_mutants():
     assert changed > 0
 
 
+def B_oracle_mutants(H, dec):
+    """The host mutants of test_qt_B_oracle_matches_reference_on_mutants,
+    from the same seed."""
+    z = zeta(H.conductor)
+    rng = random.Random(3)
+    idem = [H.gf_index(r, 0) for r in dec.elements]
+    dg_rows = [H.gf_index(r, 1) for r in dec.elements]
+    legs = sorted({x for i in dg_rows for j, k, _ in H.comult[i] for x in (j, k)})
+    sites = [(i, rng.choice([j for j in idem if j in H.mult[i]]))
+             for i in rng.sample(legs, 3)]
+    sites += [(i, rng.choice([j for j in legs if j in H.mult[i]]))
+              for i in rng.sample(idem, 3)]
+    mutants = []
+    for i, j in sites:
+        k = H.mult[i][j][0][0]
+        mutants.append(_bismash_with(
+            H, mult=H.with_scaled_mult_entry(i, j, k, z).mult))
+    for i in rng.sample(dg_rows, 3):
+        comult = list(H.comult)
+        terms = list(comult[i])
+        t = rng.randrange(len(terms))
+        j, k, c = terms[t]
+        terms[t] = (j, k, c * z)
+        comult[i] = tuple(terms)
+        mutants.append(_bismash_with(H, comult=comult))
+    return mutants
+
+
+@pytest.mark.parametrize("lam", [0, 1])
+def test_qt_B_oracle_sieve_matches_loop(lam):
+    H, dec, ws = _B_oracle_inputs(lam)
+    assert _qt_B_oracle(H, dec, ws) == loop_qt_B_oracle(H, dec, ws)
+    if lam == 0:
+        return
+    for Hm in B_oracle_mutants(H, dec):
+        assert _oracle_keys_or_assertion(_qt_B_oracle, Hm, dec, ws) == \
+            _oracle_keys_or_assertion(loop_qt_B_oracle, Hm, dec, ws)
+
+
+ORACLE_UNDER_O = """
+from hopfqt.bismash import BismashHopf, build_bismash, make_B
+from hopfqt.exactfield import zeta
+from hopfqt.grouptool import abelian_decomposition, enumerate_bicharacters
+from hopfqt.qtlab import _qt_B_oracle
+
+H = build_bismash(make_B(3, 7, 2, 1))
+dec = abelian_decomposition(H.mp.G, range(H.mp.G.order))
+ws = enumerate_bicharacters(dec)
+idem = {H.gf_index(r, 0) for r in dec.elements}
+# a leg of Delta(e_0 # g) times an idempotent e_r # 1
+i = H.comult[H.gf_index(0, 1)][0][1]
+j = min(x for x in H.mult[i] if x in idem)
+(k, c), = H.mult[i][j]
+scaled, dropped = [dict(row) for row in H.mult], [dict(row) for row in H.mult]
+scaled[i][j] = ((k, c * zeta(H.conductor)),)
+del dropped[i][j]
+for mult in (H.mult, scaled, dropped):
+    Hm = BismashHopf(H.mp, H.dim, H.conductor, mult, H.comult, H.unit,
+                     H.counit, H.antipode, H.labels)
+    try:
+        print(sorted(map(repr, _qt_B_oracle(Hm, dec, ws))))
+    except AssertionError as exc:
+        print("AssertionError:", exc)
+"""
+
+
+def test_qt_B_oracle_premises_hold_under_optimize():
+    """The oracle's premise checks are not assert statements: under python -O
+    a zeta-scaled product of a Delta(g) leg with an idempotent gives the same
+    key set, and the same product set to zero, so that the leg meets no
+    idempotent, raises the same AssertionError."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qtlab.__file__).parents[1]))
+    runs = [subprocess.run([sys.executable, *flags, "-c", ORACLE_UNDER_O],
+                           env=env, capture_output=True, text=True, check=True)
+            for flags in ([], ["-O"])]
+    plain, scaled, dropped = runs[0].stdout.splitlines()
+    assert runs[1].stdout == runs[0].stdout
+    assert plain.startswith("[") and scaled.startswith("[")
+    assert dropped.startswith("AssertionError")
+
+
 def explicit_B_entries(H, w):
     """R = sum w(s,t) (e_s # 1) (x) (e_t # 1), entry by entry."""
     elements = w.domain.elements
@@ -685,21 +811,32 @@ def test_qt_B_survivors_pass_exhaustive_verifier(lam):
         assert verify_qt(H, R).passed
 
 
-def test_qt_B_builds_each_survivor_once(monkeypatch):
-    """The generic intertwiner of verify_qt_certified builds each survivor's
-    entries once, and the returned R holds those entries."""
-    calls = []
-    real = qtlab.r_entries_from_support
+def test_qt_B_enumerate_builds_no_generic_R(monkeypatch):
+    """The intertwiner table decides every row for the survivors: the
+    enumeration makes no _intertwines call and builds no generic R; each R
+    builds its entries once, on first read, and they are the explicit
+    tensor."""
+    generic, built = [], []
+    real_intertwines, real_entries = qtlab._intertwines, qtlab.r_entries_from_support
 
-    def spy(sup, W, L):
-        calls.append(np.array(W))
-        return real(sup, W, L)
+    def spy_intertwines(H, entries, h):
+        generic.append(h)
+        return real_intertwines(H, entries, h)
 
-    monkeypatch.setattr(qtlab, "r_entries_from_support", spy)
-    (w, R), = qt_B_enumerate(3, 7, 2, 1)
-    assert len(calls) == 1 and np.array_equal(calls[0], R.W)
-    assert R.entries == explicit_B_entries(R.host, w)
-    assert len(calls) == 1
+    def spy_entries(sup, W, L):
+        built.append(np.array(W))
+        return real_entries(sup, W, L)
+
+    monkeypatch.setattr(qtlab, "_intertwines", spy_intertwines)
+    monkeypatch.setattr(qtlab, "r_entries_from_support", spy_entries)
+    for lam, count in ((0, 7), (1, 1)):
+        built.clear()
+        res = qt_B_enumerate(3, 7, 2, lam)
+        assert len(res) == count and generic == [] and built == []
+        for n, (w, R) in enumerate(res, 1):
+            assert R.entries == explicit_B_entries(R.host, w)
+            assert R.entries is R.entries
+            assert len(built) == n and np.array_equal(built[-1], R.W)
 
 
 LEFT, RIGHT, INTERTWINER = ("coproduct identity (left)",
@@ -731,6 +868,96 @@ def test_qt_B_certified_matches_exhaustive_on_mutants():
         assert not full.passed and not cert.passed
         assert set(full.failures) == set(cert.failures) == failed
         assert full.failures.get(INTERTWINER) == cert.failures.get(INTERTWINER)
+
+
+def assert_table_matches_generic(sup, W, L, exhaustive=False):
+    """verify_qt_certified through the intertwiner table against the
+    reference with every row generic, witness by witness, and optionally
+    against verify_qt (the same failed identities and intertwiner
+    witnesses)."""
+    H = sup.host
+    R = CertifiedR(sup, W % L, L)
+    cert = verify_qt_certified(R, sup.conj_perms())
+    ref = reference_verify_qt_certified(sup, W % L, L, [None] * H.dim)
+    assert cert.failures == ref.failures
+    # the table is exact: it rejects the failing rows and no others
+    rejects = sup.intertwiner_rejects(W % L, L)
+    assert np.flatnonzero(rejects).tolist() == \
+        [h for h, in ref.failures.get(INTERTWINER, [])]
+    if exhaustive:
+        full = verify_qt(H, R)
+        assert set(full.failures) == set(cert.failures)
+        assert full.failures.get(INTERTWINER) == cert.failures.get(INTERTWINER)
+    return cert.failures
+
+
+@pytest.mark.parametrize("lam", [0, 1])
+def test_qt_B_intertwiner_table_matches_generic(lam):
+    res = qt_B_enumerate(3, 7, 2, lam)
+    sup = res[0][1].sup
+    assert sup.intertwiner_table is not None
+    for w, R in res:
+        assert assert_table_matches_generic(sup, R.W, R.L) == {}
+    w, R = next((w, R) for w, R in res if not w.is_trivial())
+    W, L = R.W, R.L
+    shifted, shifted_at_unit = W.copy(), W.copy()
+    shifted[3, 5] += 1
+    shifted_at_unit[0, 0] += 2
+    noise = np.random.default_rng(lam).integers(0, L, size=W.shape)
+    for Wm in (shifted, shifted_at_unit, noise, 2 * W):
+        assert_table_matches_generic(sup, Wm, L)
+    assert INTERTWINER in assert_table_matches_generic(sup, W.T, L, exhaustive=True)
+    keys = {w.key() for w, _ in res}
+    rejected = [w for w in enumerate_bicharacters(w.domain) if w.key() not in keys]
+    for n, w in enumerate(rejected[::len(rejected) // 2][:3]):
+        failed = assert_table_matches_generic(sup, *index_matrix(w, w.domain),
+                                              exhaustive=n == 0)
+        assert list(failed) == [INTERTWINER]
+
+
+def test_qt_B_intertwiner_table_on_host_mutants():
+    """zeta-scaled MUL entries (a leg of Delta(e_r # g^2) times an
+    idempotent) and CMUL entries on rows e_r # g^2 of B(3,7,1): the support
+    stays certified, the table rejects rows the host no longer satisfies,
+    and the generic rerun there gives the reference's verdict."""
+    (w, R), = qt_B_enumerate(3, 7, 2, 1)
+    H, sup = R.host, R.sup
+    z = zeta(H.conductor)
+    rng = random.Random(5)
+    idem = [H.gf_index(r, 0) for r in w.domain.elements]
+    g2_rows = [H.gf_index(r, 2) for r in w.domain.elements]
+    mutants = []
+    for i in rng.sample(g2_rows, 2):
+        j = rng.choice([j for j in idem if j in H.mult[i]])
+        mutants.append(H.with_scaled_mult_entry(i, j, H.mult[i][j][0][0], z).mult)
+    mutants = [_bismash_with(H, mult=mult) for mult in mutants]
+    for i in rng.sample(g2_rows, 2):
+        comult = list(H.comult)
+        terms = list(comult[i])
+        t = rng.randrange(len(terms))
+        j, k, c = terms[t]
+        terms[t] = (j, k, c * z)
+        comult[i] = tuple(terms)
+        mutants.append(_bismash_with(H, comult=comult))
+    for Hm in mutants:
+        sup_m = IdemSupport(Hm, sup.vectors, sup.kmul)
+        assert sup_m.intertwiner_table is not None
+        failed = assert_table_matches_generic(sup_m, R.W, R.L)
+        assert list(failed) == [INTERTWINER]
+
+
+def test_intertwiner_table_absent_on_unreadable_supports(monkeypatch):
+    # idempotents that are sums of basis elements: beta7(3,5) in its group
+    # algebra, and the group-like idempotents of B(3,7,1)*
+    assert IdemSupport(*group_support("beta7", p=3, q=5)).intertwiner_table is None
+    _, _, supports = _spy_no_qt_B_dual(monkeypatch, 3, 7, 2, 1)
+    assert supports[0].intertwiner_table is None
+    # single basis elements that every leg of Z3 meets twice, although each
+    # row has one coordinate on each side, and the same one
+    H = group_algebra(cyclic_group(3), conductor=3)
+    one = CycloNumber.one(3)
+    twice = IdemSupport(H, [{0: one}, {1: one}], [[0, 1], [1, 0]])
+    assert twice.intertwiner_table is None
 
 
 def test_qt_B_members_have_small_left_image():
