@@ -2,9 +2,10 @@
 quasitriangular structures, and reproduce the full classification summary at
 a chosen pair of odd primes.
 
-Exit codes: 0 success, 1 a check failed (verify: an axiom fails; reproduce: a
-claim fails), 2 parameter error, 3 I/O or format error.  Reports are
-deterministic given the same configuration, except for the elapsed_ms field.
+Exit codes: 0 success, 1 a check failed (verify: an axiom fails; classify-qt:
+a cross-check fails, "oracle_equivalent": false; reproduce: a claim fails),
+2 parameter error, 3 I/O or format error.  Reports are deterministic given
+the same configuration, except for the elapsed_ms field.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def cmd_classify_qt(args) -> int:
     }
     validate_json(doc, load_schema("report.schema.json"))
     _emit(doc, args)
-    return 0
+    return 0 if equiv else 1
 
 
 def _abelian_bicharacter_count(orders):

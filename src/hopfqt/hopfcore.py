@@ -2,15 +2,14 @@
 
 All structure data lives over one cyclotomic conductor.  Verification is
 exact on every basis tuple.  When every structure constant is a single root of
-unity (true for group algebras, bismash products and their duals) the
-associativity sweep runs on integer exponent tables via numpy, and so do
-coassociativity and the law that Delta is an algebra map, as far as the
-tables can accept them: an index is accepted when both sides are sums over
-pairwise-distinct tensor keys with equal root exponents.  Every index the
-tables cannot accept, the other axioms, and every sweep on a host without
-tables, run a sparse join over the rows of the structure constants (mult,
-comult, antipode, unit) in exact CycloNumber arithmetic, with no
-AlgebraElement built per basis tuple.
+unity (true for group algebras, bismash products and their duals), three
+sweeps start on integer exponent tables via numpy: associativity,
+coassociativity and the law that Delta is an algebra map.  The tables only
+accept: an index is accepted when both sides are sums over pairwise-distinct
+keys with equal root exponents.  Every index the tables cannot accept, the
+other axioms, and every sweep on a host without tables, run a sparse join
+over the rows of the structure constants (mult, comult, antipode, unit) in
+exact CycloNumber arithmetic, with no AlgebraElement built per basis tuple.
 """
 
 from __future__ import annotations
@@ -349,54 +348,55 @@ def verify_hopf_axioms(H: HopfAlgebra, mode: str = "full") -> Report:
 
 def _check_assoc(H, rep, fast):
     rep.note("associativity")
-    n, N = H.dim, H.conductor
-    tables = H.mono_tables()
-    if tables is not None:
-        mt, me = tables
-        cols = np.arange(n)
-        bad = []
-        for i in range(n):
-            ti = mt[i]          # (n,) target of b_i b_j
-            ei = me[i]
-            lhs_t = np.where(ti[:, None] >= 0, mt[ti.clip(0)][:, cols], -1)
-            lhs_e = ei[:, None] + me[ti.clip(0)]
-            rhs_t = np.where(mt >= 0, mt[i][mt.clip(0)], -1)
-            rhs_e = me + me[i][mt.clip(0)]
-            t_ok = lhs_t == rhs_t
-            e_ok = (lhs_e - rhs_e) % N == 0
-            good = t_ok & (e_ok | (lhs_t < 0))
-            if not good.all():
-                js, ks = np.nonzero(~good)
-                bad.extend((i, int(j), int(k)) for j, k in zip(js, ks))
-                if fast:
-                    break
-        for w in bad:
-            rep.fail("associativity", w)
-            if fast:
-                return
-        return
     # (b_i b_j) b_k and b_i (b_j b_k), joined over the rows of mult
     mult = H.mult
+    for i, j, k in _assoc_suspects(H):
+        lhs, rhs = {}, {}
+        for t, c in mult[i].get(j, ()):
+            for u, d in mult[t].get(k, ()):
+                _acc(lhs, u, c * d)
+        for t, c in mult[j].get(k, ()):
+            for u, d in mult[i].get(t, ()):
+                _acc(rhs, u, d * c)
+        if lhs != rhs:
+            rep.fail("associativity", (i, j, k))
+            if fast:
+                return
+
+
+def _assoc_suspects(H):
+    """(i, j, k) in ascending order whose associativity the exponent tables
+    cannot accept.  A host without tables leaves every triple with b_i b_j
+    or b_j b_k nonzero; both sides of the others are zero."""
+    n, N = H.dim, H.conductor
+    tables = H.mono_tables()
+    if tables is None:
+        nz = [sorted(j for j, terms in row.items() if terms) for row in H.mult]
+        for i, j in itertools.product(range(n), repeat=2):
+            for k in range(n) if H.mult[i].get(j) else nz[j]:
+                yield i, j, k
+        return
+    mt, me = tables
+    nzm = mt >= 0
+    # reach[i]: the number of (j, k) with b_i (b_j b_k) nonzero
+    reach = nzm.astype(np.int64) @ np.bincount(mt[nzm], minlength=n)
     for i in range(n):
-        row_i = mult[i]
-        for j in range(n):
-            ij = [(mult[t], c) for t, c in row_i.get(j, ())]
-            row_j = mult[j]
-            for k in range(n):
-                jk = row_j.get(k)
-                if not (ij or jk):
-                    continue  # both sides are zero
-                lhs, rhs = {}, {}
-                for row_t, c in ij:
-                    for u, d in row_t.get(k, ()):
-                        _acc(lhs, u, c * d)
-                for t, c in jk or ():
-                    for u, d in row_i.get(t, ()):
-                        _acc(rhs, u, d * c)
-                if lhs != rhs:
-                    rep.fail("associativity", (i, j, k))
-                    if fast:
-                        return
+        # b_i b_j = zeta^me[i, j] b_mt[i, j] is nonzero at the j in js, where
+        # both sides are compared at every k (-1 marks a zero product)
+        js = np.flatnonzero(nzm[i])
+        t, s = mt[i, js], mt[js]
+        lt, rt = mt[t], np.where(s >= 0, mt[i, s], -1)
+        ok = (me[i, js, None] + me[t] - me[js] - me[i, s]) % N == 0
+        bad = np.flatnonzero((lt != rt) | ((lt >= 0) & ~ok))
+        jk = js[bad // n] * n + bad % n
+        # at the other j the left side is zero, and so is every right side
+        # when the nonzero b_i (b_j b_k) all matched above
+        if np.count_nonzero((lt >= 0) & (lt == rt) & ok) != reach[i]:
+            zs = np.flatnonzero(~nzm[i])
+            s = mt[zs]
+            z = np.flatnonzero((s >= 0) & (mt[i, s] >= 0))
+            jk = np.sort(np.concatenate((jk, zs[z // n] * n + z % n)))
+        yield from ((i, *divmod(x, n)) for x in jk.tolist())
 
 
 def _check_unit_laws(H, rep, fast):

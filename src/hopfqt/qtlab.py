@@ -189,20 +189,16 @@ class IdemSupport:
         H = self.host
         m = self.m
         arrays = self._mono_arrays()
-        # orthogonality and idempotency
-        fast = None if arrays is None else \
+        # orthogonality and idempotency: the first failing (s, t), if any
+        bad = None if arrays is None else \
             self._certify_orthogonality_numpy(*arrays)
-        if fast is None:
+        if bad is None:
             els = self.elements()
-            for s in range(m):
-                for t in range(m):
-                    prod = els[s] * els[t]
-                    expect = els[s].coeffs if s == t else {}
-                    if prod.coeffs != expect:
-                        raise ValueError(
-                            f"support not orthogonal idempotents at ({s},{t})")
-        elif fast is False:
-            raise ValueError("support not orthogonal idempotents")
+            bad = next(((s, t) for s in range(m) for t in range(m)
+                        if (els[s] * els[t]).coeffs
+                        != (els[s].coeffs if s == t else {})), ())
+        if bad:
+            raise ValueError("support not orthogonal idempotents at ({},{})".format(*bad))
         # completeness
         total = H.zero()
         for e in self.elements():
@@ -224,6 +220,8 @@ class IdemSupport:
         return self
 
     def _certify_orthogonality_numpy(self, S, pos, E, scale, rootmat):
+        """The first failing (s, t), rows s ascending, () when every product
+        E_s E_t holds, None when the tables cannot decide."""
         H = self.host
         tables = H.mono_tables()
         if tables is None:
@@ -251,8 +249,9 @@ class IdemSupport:
             expect = np.zeros_like(vecs)
             expect[s] = rootmat[E[s] % N]
             if not np.array_equal(num * vecs, den * expect):
-                return False
-        return True
+                bad = (num * vecs != den * expect).any(axis=(1, 2))
+                return s, int(bad.argmax())
+        return ()
 
     def _mono_arrays(self):
         """(S, pos, E, scale, rootmat) when every idempotent is
@@ -648,20 +647,30 @@ def closed_form_survivors(G: FiniteGroup, ws, K: AbelianDecomposition):
         raise ParameterError(f"no closed-form conditions for {G.family_tag!r}")
     gen_names, pair_words = conds_for_family
     pos = {x: i for i, x in enumerate(K.elements)}
-    rows, cols = [], []
+    conds = []
     for gname in gen_names:
         perm = conjugation_map(G, G.generators[gname], K)
         for (xw, yw) in pair_words:
             ix = pos[_closed_form_element(G, xw)]
             iy = pos[_closed_form_element(G, yw)]
             # w(phi(x), phi(y)) = w(x, y)
-            rows += [perm[ix], ix]
-            cols += [perm[iy], iy]
-    # the condition entries X[a] A_w X[b]^T of every w at once
-    X, A, L = _bichar_forms(ws, K)
-    V = np.einsum("ci,wij,cj->wc", X[rows], A, X[cols])
-    keep = ((V[:, 0::2] - V[:, 1::2]) % L == 0).all(axis=1)
+            conds.append(((perm[ix], perm[iy]), (ix, iy), 0))
+    keep = _printed_conditions(_bichar_forms(ws, K), conds)
     return [w for w, k in zip(ws, keep) if k]
+
+
+def _printed_conditions(forms, conds, N=1):
+    """Mask of the bicharacters w of forms = _bichar_forms(ws, K) meeting
+    every printed condition ((x, y), (u, v), e), on indices of K.elements:
+    w(x, y) = w(u, v) zeta_N^e.  The condition entries X[x] A_w X[y]^T of
+    every w are computed at once and compared at the conductor lcm(L, N)."""
+    X, A, L = forms
+    M = math.lcm(L, N)
+    rows = [r for (x, _), (u, _), _ in conds for r in (x, u)]
+    cols = [c for (_, y), (_, v), _ in conds for c in (y, v)]
+    shift = np.array([e for _, _, e in conds], dtype=np.int64) * (M // N)
+    V = np.einsum("ci,wij,cj->wc", X[rows], A, X[cols]) * (M // L)
+    return ((V[:, 0::2] - V[:, 1::2] - shift) % M == 0).all(axis=1)
 
 
 class QTEnumeration(list):
@@ -741,22 +750,10 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
     """
     mp = make_B(p, q, m, lam)
     H = build_bismash(mp)
-    G = mp.G
-    dec = abelian_decomposition(G, range(G.order))
+    dec = abelian_decomposition(mp.G, range(mp.G.order))
     ws = enumerate_bicharacters(dec)
-    a, b = G.generators["a"], G.generators["b"]
-    g1 = 1  # generator of F = Z_p
-
-    am = G.power(a, m)
-    bml = G.power(b, pow(m, lam, q))
-
-    def cond(w):
-        return (w.value(a, a) == w.value(am, am)
-                and w.value(a, b) == w.value(am, bml) * eta(mp, am, bml, g1)
-                and w.value(b, a) == w.value(bml, am) * eta(mp, bml, am, g1)
-                and w.value(b, b) == w.value(bml, bml))
-
-    filter_keys = {w.key() for w in ws if cond(w)}
+    X, A, L = forms = _bichar_forms(ws, dec)
+    filter_keys = _B_condition_keys(mp, m, lam, ws, dec, forms)
 
     sup = _e_r_support(H, dec)
     oracle_keys = _qt_B_oracle(H, dec, ws, sup)
@@ -766,7 +763,6 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
 
     sup.certify()
     conj = sup.conj_perms()
-    X, A, L = _bichar_forms(ws, dec)
     pairs = []
     for w, Aw in zip(ws, A):
         if w.key() not in filter_keys:
@@ -777,6 +773,22 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
             raise AssertionError(f"survivor failed verification: {rep!r}")
         pairs.append((w, R))
     return QTEnumeration(pairs, filter_keys=filter_keys, oracle_keys=oracle_keys)
+
+
+def _B_condition_keys(mp, m, lam, ws, dec, forms):
+    """Keys of the bicharacters w in ws, with forms = _bichar_forms(ws, dec),
+    meeting the four printed generator conditions of the tau-twisted family
+    on mp: w(x, y) = w(x', y') eta(x', y', g) for x, y in {a, b}, where
+    a' = a^m, b' = b^(m^lam) and g generates F (eta(h, h, g) = 1)."""
+    G = mp.G
+    a, b = G.generators["a"], G.generators["b"]
+    image = {a: G.power(a, m), b: G.power(b, m ** lam)}
+    pos = {x: i for i, x in enumerate(dec.elements)}
+    conds = [((pos[x], pos[y]), (pos[image[x]], pos[image[y]]),
+              int(mp.tau[image[x], image[y], 1] - mp.tau[image[y], image[x], 1]))
+             for x in (a, b) for y in (a, b)]
+    keep = _printed_conditions(forms, conds, mp.conductor)
+    return {w.key() for w, k in zip(ws, keep) if k}
 
 
 def _e_r_support(H, dec):

@@ -202,6 +202,23 @@ def test_classify_bdual_reports_nullspace(tmp_path):
     assert doc["oracle_equivalent"]
 
 
+def test_classify_exit_code_on_failed_cross_check(tmp_path, monkeypatch):
+    # a Bdual candidate that escapes the no-go argument
+    from hopfqt import qtlab
+
+    def escaped(p, q, m, lam):
+        rep = qtlab.NoQTReport(lam, "zero")
+        rep.nullspace_dim = 49
+        rep.checks.fail("escaped candidate", (0,))
+        return rep
+
+    monkeypatch.setattr(qtlab, "no_qt_B_dual", escaped)
+    out = tmp_path / "r.json"
+    run_cli("classify-qt", "--family", "Bdual", "--p", "3", "--q", "7",
+            "--lam", "0", "--out", str(out), expect=1)
+    assert json.loads(out.read_text())["oracle_equivalent"] is False
+
+
 def test_reports_byte_stable(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (out1, out2):

@@ -129,9 +129,19 @@ def zeta_mutant(H, i, j):
     return H.with_scaled_mult_entry(i, j, H.mult[i][j][0][0], zeta(H.conductor))
 
 
+def removed_product(H, i, j):
+    """H with the product b_i b_j set to zero: still monomial, and the
+    tables must find the triples whose left side b_i b_j is now zero."""
+    mult = [dict(row) for row in H.mult]
+    del mult[i][j]
+    return HopfAlgebra(H.dim, H.conductor, mult, H.comult, H.unit, H.counit,
+                       H.antipode, H.labels)
+
+
 def test_generic_assoc_path_matches_numpy_path():
     cases = [
         (zeta_mutant(build_bismash(make_A(7, 3, 2, 1)), 54, 54), 8),
+        (removed_product(build_bismash(make_A(7, 3, 2, 1)), 20, 10), 6),
         (zeta_mutant(group_algebra(build_group("beta7", p=3, q=5), 5), 3, 4), 294),
         (zeta_mutant(build_bismash(dualize_trivial_action(make_B(3, 7, 2, 0))),
                      *BDUAL_SITE), 190),
@@ -148,15 +158,17 @@ def test_generic_assoc_path_matches_numpy_path():
         assert verify_hopf_axioms(G, mode="fast").failures == fast
 
 
-COALGEBRA = {"_coassoc_suspects": "coassociativity",
-             "_delta_mult_suspects": "comultiplication is an algebra map"}
+# the sweeps that start on exponent tables: suspect generator -> condition
+TABLE_SWEEPS = {"_assoc_suspects": "associativity",
+                "_coassoc_suspects": "coassociativity",
+                "_delta_mult_suspects": "comultiplication is an algebra map"}
 
 
 def spy_reruns(monkeypatch):
-    """Record, per coalgebra condition, the indices the exponent tables left
-    to the generic join."""
-    reruns = {cond: [] for cond in COALGEBRA.values()}
-    for name, cond in COALGEBRA.items():
+    """Record, per table sweep, the indices the exponent tables left to the
+    generic join."""
+    reruns = {cond: [] for cond in TABLE_SWEEPS.values()}
+    for name, cond in TABLE_SWEEPS.items():
         def spy(H, real=getattr(hopfcore, name), seen=reruns[cond]):
             for w in real(H):
                 seen.append(w if isinstance(w, tuple) else (w,))
@@ -166,9 +178,10 @@ def spy_reruns(monkeypatch):
 
 
 def reading_row(H, row):
-    """Per coalgebra condition, the indices whose identity reads Delta(b_row)."""
+    """Per table sweep, the indices whose identity reads Delta(b_row)."""
     n, mt = H.dim, H.mono_tables()[0]
-    return {"coassociativity": {(i,) for i in range(n)
+    return {"associativity": set(),
+            "coassociativity": {(i,) for i in range(n)
                                 if i == row or any(row in t[:2] for t in H.comult[i])},
             "comultiplication is an algebra map": {
                 (i, j) for i in range(n) for j in range(n) if row in (i, j, mt[i, j])}}
@@ -208,7 +221,35 @@ def test_coalgebra_tables_match_generic_join(monkeypatch):
                 allowed = witnesses if row is None else reading_row(H, row)[cond]
                 assert witnesses <= set(seen) <= allowed
     for H, _ in mutants[1:]:
-        assert set(COALGEBRA.values()) & set(verify_hopf_axioms(H).failures)
+        assert set(TABLE_SWEEPS.values()) & set(verify_hopf_axioms(H).failures)
+
+
+def test_assoc_tables_leave_only_failing_triples(monkeypatch):
+    """Associativity: the exponent tables accept every triple of a clean
+    host and leave to the sparse join exactly the failing triples of a
+    mutant; a host without tables leaves the triples with b_i b_j or
+    b_j b_k nonzero."""
+    A1 = build_bismash(make_A(7, 3, 2, 1))
+    clean = [A1, group_algebra(build_group("gamma5", p=7, q=3, m=2), 1),
+             build_bismash(dualize_trivial_action(make_B(3, 7, 2, 0)))] + [
+        build_bismash(make_B(3, 7, 2, lam)) for lam in (0, 1)]
+    for H in clean:
+        assert list(hopfcore._assoc_suspects(H)) == []
+    # the removed product leaves b_20 (b_10 b_k) nonzero where b_20 b_10 = 0,
+    # which only the count of row 20 reveals: (20, 10, 19) and (20, 10, 20)
+    for H in (zeta_mutant(A1, 54, 54), removed_product(A1, 20, 10)):
+        for mode in ("fast", "full"):
+            reruns = spy_reruns(monkeypatch)
+            witnesses = verify_hopf_axioms(H, mode=mode).failures["associativity"]
+            monkeypatch.undo()
+            assert reruns["associativity"] == witnesses
+    assert {(20, 10, 19), (20, 10, 20)} <= set(witnesses)
+    doubled = A1.with_scaled_mult_entry(54, 54, 54, 2)
+    assert doubled.mono_tables() is None
+    n, mult = doubled.dim, doubled.mult
+    assert list(hopfcore._assoc_suspects(doubled)) == [
+        (i, j, k) for i in range(n) for j in range(n) for k in range(n)
+        if j in mult[i] or k in mult[j]]
 
 
 def test_tables_accept_only_distinct_keys_with_equal_exponents():

@@ -407,7 +407,31 @@ def test_orthogonality_certificate_matches_products(fam, params):
             with pytest.raises(ValueError, match="not orthogonal"):
                 sup.certify()
         else:
-            assert sup._certify_orthogonality_numpy(*arrays) is expect
+            assert (sup._certify_orthogonality_numpy(*arrays) == ()) is expect
+
+
+def test_orthogonality_failure_has_the_same_witness_on_both_paths(monkeypatch):
+    # E_2 scaled by zeta first fails at (2, 2); one scaled coefficient of
+    # E_2 makes every E_s E_2 nonzero, so row 0 fails first, at (0, 2)
+    H, vectors, kmul = group_support("gamma3", p=7, q=3, m=2)
+    whole = [dict(v) for v in vectors]
+    whole[2] = {x: c * zeta(H.conductor) for x, c in vectors[2].items()}
+    one = [dict(v) for v in vectors]
+    x0 = min(one[2])
+    one[2][x0] = one[2][x0] * zeta(H.conductor)
+    for vecs, witness in ((whole, (2, 2)), (one, (0, 2))):
+        messages = []
+        for generic in (False, True):
+            if generic:
+                monkeypatch.setattr(IdemSupport, "_mono_arrays", lambda self: None)
+            sup = IdemSupport(H, vecs, kmul)
+            assert (sup._mono_arrays() is None) is generic
+            with pytest.raises(ValueError) as err:
+                sup.certify()
+            messages.append(str(err.value))
+        monkeypatch.undo()
+        s, t = witness
+        assert messages == [f"support not orthogonal idempotents at ({s},{t})"] * 2
 
 
 def test_certify_memory_on_beta6():
@@ -526,6 +550,42 @@ def test_eta_is_bicharacter_on_G():
                         eta(mp, x, z, f) * eta(mp, y, z, f)
                     assert eta(mp, x, G.mul(y, z), f) == \
                         eta(mp, x, y, f) * eta(mp, x, z, f)
+
+
+def cyclonumber_B_conditions(mp, m, lam, ws):
+    """Keys of the bicharacters meeting the four printed generator
+    conditions, evaluated on CycloNumber values one bicharacter at a time:
+    the oracle of the integer filter ``_B_condition_keys``."""
+    G = mp.G
+    a, b = G.generators["a"], G.generators["b"]
+    am, bml = G.power(a, m), G.power(b, m ** lam)
+
+    def cond(w):
+        return (w.value(a, a) == w.value(am, am)
+                and w.value(a, b) == w.value(am, bml) * eta(mp, am, bml, 1)
+                and w.value(b, a) == w.value(bml, am) * eta(mp, bml, am, 1)
+                and w.value(b, b) == w.value(bml, bml))
+
+    return {w.key() for w in ws if cond(w)}
+
+
+@pytest.mark.parametrize("lam", [0, 1])
+def test_B_condition_filter_matches_cyclonumber_conditions(lam):
+    m = 2
+    mp = make_B(3, 7, m, lam)
+    G = mp.G
+    dec = abelian_decomposition(G, range(G.order))
+    ws = enumerate_bicharacters(dec)
+    forms = _bichar_forms(ws, dec)
+    a, b = G.generators["a"], G.generators["b"]
+    am, bml = G.power(a, m), G.power(b, m ** lam)
+    # tau scaled where eta(a^m, b^(m^lam)) reads it, and where no condition does
+    pairs = [mp, mp.with_tau_scaled(am, bml, 1, 1), mp.with_tau_scaled(bml, am, 1, 3),
+             mp.with_tau_scaled(a, b, 1, 1)]
+    keys = [qtlab._B_condition_keys(x, m, lam, ws, dec, forms) for x in pairs]
+    assert keys == [cyclonumber_B_conditions(x, m, lam, ws) for x in pairs]
+    assert keys[1] != keys[0] != keys[2] and keys[3] == keys[0]
+    assert keys[0] == qt_B_enumerate(3, 7, m, lam).filter_keys
 
 
 def test_qt_B_counts_and_oracle():
