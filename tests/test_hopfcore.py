@@ -125,7 +125,7 @@ BDUAL_SITE = (37, 29)
 
 def zeta_mutant(H, i, j):
     """H with the first constant of b_i b_j scaled by zeta_N: still
-    monomial, so the numpy associativity check applies."""
+    monomial, so the exponent tables apply."""
     return H.with_scaled_mult_entry(i, j, H.mult[i][j][0][0], zeta(H.conductor))
 
 

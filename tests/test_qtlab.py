@@ -372,11 +372,13 @@ def test_certify_rejects_swapped_kmul_generic():
         IdemSupport(H, vectors, kmul).certify()
 
 
-def orthogonal_by_products(H, vectors):
-    """E_s E_t = delta_(s,t) E_s through AlgebraElement products."""
+def first_failing_product(H, vectors):
+    """The first (s, t), rows s ascending, with E_s E_t != delta_(s,t) E_s
+    through AlgebraElement products; () when every product holds."""
     els = [AlgebraElement(H, v) for v in vectors]
-    return all((els[s] * els[t]).coeffs == (els[s].coeffs if s == t else {})
-               for s in range(len(els)) for t in range(len(els)))
+    return next(((s, t) for s in range(len(els)) for t in range(len(els))
+                 if (els[s] * els[t]).coeffs != (els[s].coeffs if s == t else {})),
+                ())
 
 
 @pytest.mark.parametrize("fam,params", [
@@ -397,7 +399,8 @@ def test_orthogonality_certificate_matches_products(fam, params):
         _acc(summed[1], x, c)
     for vecs, expect in ((vectors, True), (scaled, False), (swapped, True),
                          (summed, False)):
-        assert orthogonal_by_products(H, vecs) is expect
+        bad = first_failing_product(H, vecs)
+        assert (bad == ()) is expect
         sup = IdemSupport(H, vecs, kmul)
         arrays = sup._mono_arrays()
         if vecs is summed:
@@ -407,7 +410,9 @@ def test_orthogonality_certificate_matches_products(fam, params):
             with pytest.raises(ValueError, match="not orthogonal"):
                 sup.certify()
         else:
-            assert (sup._certify_orthogonality_numpy(*arrays) == ()) is expect
+            # the numpy check decides: () on a good support, else the
+            # first failing (s, t) of the product loop, never None
+            assert sup._certify_orthogonality_numpy(*arrays) == bad
 
 
 def test_orthogonality_failure_has_the_same_witness_on_both_paths(monkeypatch):
@@ -425,7 +430,11 @@ def test_orthogonality_failure_has_the_same_witness_on_both_paths(monkeypatch):
             if generic:
                 monkeypatch.setattr(IdemSupport, "_mono_arrays", lambda self: None)
             sup = IdemSupport(H, vecs, kmul)
-            assert (sup._mono_arrays() is None) is generic
+            arrays = sup._mono_arrays()
+            assert (arrays is None) is generic
+            if not generic:
+                # the numpy check decides and names the witness itself
+                assert sup._certify_orthogonality_numpy(*arrays) == witness
             with pytest.raises(ValueError) as err:
                 sup.certify()
             messages.append(str(err.value))
