@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from importlib import resources
 
 from .exactfield import CycloNumber
-from .grouptool import ParameterError, build_group, is_prime, lambda_set
+from .grouptool import (ParameterError, abelian_decomposition, build_group, is_prime,
+                        lambda_set)
 from .hopfcore import (
     FormatError,
     antipode_diagnostics,
@@ -298,12 +300,7 @@ def cmd_classify_qt(args) -> int:
 
 
 def _abelian_bicharacter_count(orders):
-    import math
-    total = 1
-    for a in orders:
-        for b in orders:
-            total *= math.gcd(a, b)
-    return total
+    return math.prod(math.gcd(a, b) for a in orders for b in orders)
 
 
 def cmd_reproduce(args) -> int:
@@ -358,46 +355,31 @@ def cmd_reproduce(args) -> int:
         add(f"no tau-twisted families: q != 1 (mod p) at (p,q)=({p},{q})", True)
 
     # group algebras; q is the squared prime
-    big, small = (q, p) if q > p else (p, q)
-    fams = []
+    def resolved(fam):
+        return fam, _resolve_family_params(
+            argparse.Namespace(family=fam, p=p, q=q, m=None, n=None))
+
     if q > p:
-        fams.append(("beta1", {}))
-        fams.append(("beta2", {}))
-        m3 = _smallest_order_element(q * q, p)
-        if m3 is not None:
-            fams.append(("beta3", {"m": m3}))
-        else:
+        fams = [resolved("beta1"), resolved("beta2")]
+        try:
+            fams.append(resolved("beta3"))
+        except ParameterError:
             add(f"beta3 does not exist at (p,q)=({p},{q}): no residue of "
                 f"order {p} mod {q * q}", True)
         if (q - 1) % p == 0:
-            m = _smallest_order_element(q, p)
-            fams.append(("beta4", {"m": m}))
-            fams.append(("beta5", {"m": m}))
-            n = next(x for x in range(m + 1, q)
-                     if pow(x, p, q) == 1 and x != 1 and x != m)
-            fams.append(("beta6", {"m": m, "n": n}))
+            fams += map(resolved, ["beta4", "beta5", "beta6"])
         if (q + 1) % p == 0:
-            fams.append(("beta7", {}))
+            fams.append(resolved("beta7"))
     else:
-        fams.append(("gamma1", {}))
-        fams.append(("gamma2", {}))
+        fams = [resolved("gamma1"), resolved("gamma2")]
         if (p - 1) % q == 0:
-            m = _smallest_order_element(p, q)
-            fams.append(("gamma3", {"m": m}))
-            fams.append(("gamma5", {"m": m}))
-            n = next(x for x in range(m + 1, p)
-                     if pow(x, q, p) == 1 and x != 1 and x != m)
-            fams.append(("gamma6", {"m": m, "n": n}))
+            fams += map(resolved, ["gamma3", "gamma5", "gamma6"])
         if (p - 1) % (q * q) == 0:
-            m4 = next(x for x in range(2, p)
-                      if pow(x, q * q, p) == 1 and pow(x, q, p) != 1)
-            fams.append(("gamma4", {"m": m4}))
+            fams.append(resolved("gamma4"))
 
-    for fam, extra in fams:
-        params = {"p": p, "q": q, **extra}
+    for fam, params in fams:
         G = build_group(fam, **params)
         if G.is_abelian():
-            from .grouptool import abelian_decomposition
             K = abelian_decomposition(G, range(G.order))
             count = _abelian_bicharacter_count(K.orders)
             add(f"group algebra {fam}: quasitriangular structures are all "

@@ -638,8 +638,10 @@ def _delta_mult_suspects(H):
 def _check_eps_algebra_map(H, rep, fast):
     rep.note("counit is an algebra map")
     eps = H.counit
-    n = H.dim
-    for i in range(n):
+    # an absent product b_i b_j = 0 requires eps_i eps_j = 0, so it can fail
+    # only where both counit values are nonzero
+    nonzero = [j for j in range(H.dim) if eps[j]]
+    for i in range(H.dim):
         for j, terms in H.mult[i].items():
             val = CycloNumber.zero(H.conductor)
             for k, c in terms:
@@ -648,9 +650,8 @@ def _check_eps_algebra_map(H, rep, fast):
                 rep.fail("counit is an algebra map", (i, j))
                 if fast:
                     return
-        # absent rows are zero products; those require eps_i * eps_j = 0
-        for j in range(n):
-            if j not in H.mult[i] and eps[i] * eps[j]:
+        for j in (nonzero if eps[i] else ()):
+            if j not in H.mult[i]:
                 rep.fail("counit is an algebra map", (i, j))
                 if fast:
                     return

@@ -14,16 +14,19 @@ support's conjugation permutations or, on the tau-twisted host, its
 intertwiner table, with sparse products only where these cannot accept.
 ``hopf_images`` reads its image dimensions off W.  The certificates and
 tables themselves are established by actual products of structure
-constants, once per support.  ``verify_qt`` checks every identity on
-all basis tuples and is the exhaustive oracle for that path.  It is also
-the braiding verifier: a braiding form on H is checked as the R-matrix it
-defines on the dual Hopf algebra (``verify_coqt``).
+constants, once per support, all read off one integer view of the
+idempotents at the conductor M of their coefficients (``IdemSupport.view``).
+``verify_qt`` checks every identity on all basis tuples and is the
+exhaustive oracle for that path.  It is also the braiding verifier: a
+braiding form on H is checked as the R-matrix it defines on the dual Hopf
+algebra (``verify_coqt``).
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +42,8 @@ from .grouptool import (
     idempotents,
     largest_abelian_normal,
 )
-from .hopfcore import (AlgebraElement, HopfAlgebra, Report, _acc, dual_hopf,
-                       group_likes_bismash)
+from .hopfcore import (AlgebraElement, HopfAlgebra, Report, _acc, _comult_rows,
+                       _expand, dual_hopf, group_likes_bismash)
 from .bismash import MatchedPair, build_bismash, dualize_trivial_action, make_A, make_B
 
 
@@ -157,6 +160,53 @@ def _inverse(x, mul, unit, dim):
 # certified idempotent support
 
 
+class ExponentView(NamedTuple):
+    """The idempotents of an IdemSupport as integers.
+
+    Entry a stands for scale * zeta_M^exp[a] b_idx[a], a term of E_owner[a];
+    the entries of E_t are ptr[t]..ptr[t+1]-1, in ascending basis order.  M
+    is the lcm of the host conductor and the conductors of the coefficients.
+    E[t, c] is the exponent of E_t at the basis element S[c] of the sorted
+    support S, and 2M where E_t has no such term.  pos[i] numbers basis
+    element i among the nz that the support, its products and the legs of
+    their coproducts reach, and rootmat[k] is zeta_M^k in the power basis.
+    A sum of roots is counted in width = 4M + 1 bins per key, room for the
+    sum of two exponents of E."""
+
+    owner: np.ndarray
+    idx: np.ndarray
+    exp: np.ndarray
+    ptr: np.ndarray
+    S: np.ndarray
+    E: np.ndarray
+    scale: object
+    M: int
+    pos: np.ndarray
+    nz: int
+    rootmat: np.ndarray
+    width: int
+
+    def unequal(self, n, prods, terms):
+        """Boolean over the keys 0..n-1: True where scale * sum zeta_M^e over
+        the bins key * width + e of prods differs from the same sum over the
+        bins of terms.  Exponents e of 2M and above mark absent terms."""
+        M = self.M
+        # scale^2 sum_prods = scale sum_terms, i.e. num sum_prods = den sum_terms
+        diff = np.bincount(prods, minlength=n * self.width)
+        diff *= self.scale.numerator
+        np.subtract.at(diff, terms, self.scale.denominator)
+        diff = diff.reshape(n, -1)
+        return ((diff[:, :M] + diff[:, M:2 * M]) @ self.rootmat).any(axis=1)
+
+
+def _numbered(space, keys, more):
+    """(met, slot): the ascending keys in range(space) that occur in keys or
+    in more, and slot[k] the number of key k among them."""
+    hit = np.bincount(keys, minlength=space) > 0
+    hit[more] = True
+    return np.flatnonzero(hit), np.cumsum(hit) - 1
+
+
 class IdemSupport:
     """A complete orthogonal idempotent family {E_t} in H indexed by an
     abelian group given as a multiplication table on 0..m-1.
@@ -165,12 +215,14 @@ class IdemSupport:
     orthogonality E_s E_t = delta E_s, completeness sum E_t = 1, and the
     comultiplication factorization Delta(E_t) = sum_{t1 t2 = t} E_t1 (x) E_t2.
     Tensors supported on a certified family can then be verified through
-    integer exponent identities.  Structure constants are read from the
-    host's exponent tables (``mono_tables``) when it has them, else through
-    ``AlgebraElement`` products.  On the tables, orthogonality builds the
-    products E_s E_t one row s at a time, so its memory is linear in the
-    number m of idempotents times the products in the support, not
-    quadratic in m.
+    integer exponent identities.  Every check reads one ``ExponentView`` of
+    the support at conductor M: each coefficient is a rational scale, common
+    to all, times a power of zeta_M, and the structure constants come from
+    the host's exponent tables (``mono_tables``, ``comult_tables``).  Both
+    identities are exact comparisons of sums of roots of unity at M.
+    Orthogonality builds the products E_s E_t one row s at a time, so its
+    memory is linear in the number m of idempotents times the products in
+    the support, not quadratic in m.  A support without a view is refused.
     """
 
     def __init__(self, host, vectors, kmul):
@@ -180,170 +232,137 @@ class IdemSupport:
         self.m = len(vectors)
         self.certified = False
 
-    def elements(self):
-        return [AlgebraElement(self.host, v) for v in self.vectors]
+    @cached_property
+    def view(self):
+        """The ExponentView of the idempotents; None when the host has no
+        exponent tables, a coefficient is no rational multiple of a root of
+        unity, or two coefficients have different rational parts."""
+        H = self.host
+        tables, ctables = H.mono_tables(), H.comult_tables()
+        entries = [(t, i, vec[i]) for t, vec in enumerate(self.vectors)
+                   for i in sorted(vec)]
+        M = math.lcm(H.conductor, *(c.conductor for _, _, c in entries))
+        roots = [c.lift(M).as_root() for _, _, c in entries]
+        if tables is None or ctables is None or not roots or None in roots or \
+                any(r[1] != roots[0][1] for r in roots):
+            return None
+        owner, idx = np.array([e[:2] for e in entries], dtype=np.int64).T
+        exp = np.array([r[0] for r in roots], dtype=np.int64)
+        # the support, then the basis elements its products and the legs of
+        # their coproducts reach
+        hit = np.zeros(H.dim, dtype=bool)
+        hit[idx] = True
+        S = np.flatnonzero(hit)
+        E = np.full((self.m, len(S)), 2 * M)
+        E[owner, np.searchsorted(S, idx)] = exp
+        rows, lefts, rights, _ = ctables
+        legs, prods = hit[rows], tables[0][np.ix_(S, S)]
+        hit[prods[prods >= 0]] = hit[lefts[legs]] = hit[rights[legs]] = True
+        return ExponentView(
+            owner, idx, exp, np.r_[0, np.cumsum(np.bincount(owner, minlength=self.m))],
+            S, E, roots[0][1], M, np.cumsum(hit) - 1, int(hit.sum()),
+            np.array([zeta(M, k).serial()[1] for k in range(M)], dtype=np.int64),
+            4 * M + 1)
 
     def certify(self):
         if self.certified:
             return self
-        H = self.host
-        m = self.m
-        arrays = self._mono_arrays()
-        # orthogonality and idempotency: the first failing (s, t), if any
-        bad = None if arrays is None else \
-            self._certify_orthogonality_numpy(*arrays)
-        if bad is None:
-            els = self.elements()
-            bad = next(((s, t) for s in range(m) for t in range(m)
-                        if (els[s] * els[t]).coeffs
-                        != (els[s].coeffs if s == t else {})), ())
+        if self.view is None:
+            raise ValueError("support has no exponent view on this host")
+        bad = self._first_nonorthogonal()
         if bad:
             raise ValueError("support not orthogonal idempotents at ({},{})".format(*bad))
-        # completeness
-        total = H.zero()
-        for e in self.elements():
-            total = total + e
-        if total.coeffs != H.unit:
+        total = {}
+        for vec in self.vectors:
+            for i, c in vec.items():
+                _acc(total, i, c)
+        if total != self.host.unit:
             raise ValueError("support does not sum to the unit")
-        # comultiplication factorization; kdiv[t1, t] is the t2 with t1 t2 = t
+        # kdiv[t1, t] is the t2 with t1 t2 = t
+        m = self.m
         if not np.array_equal(np.sort(self.kmul, axis=1),
                               np.broadcast_to(np.arange(m), (m, m))):
             raise ValueError("support index table is not a group")
-        kdiv = np.argsort(self.kmul, axis=1)
-        fast = None if arrays is None else \
-            self._certify_comult_numpy(kdiv, *arrays)
-        if fast is None:
-            self._certify_comult_generic(kdiv)
-        elif fast is False:
+        if not self._factors(np.argsort(self.kmul, axis=1)):
             raise ValueError("comultiplication does not factor over the support")
         self.certified = True
         return self
 
-    def _certify_orthogonality_numpy(self, S, pos, E, scale, rootmat):
-        """The first failing (s, t), rows s ascending, () when every product
-        E_s E_t holds, None when the tables cannot decide."""
-        H = self.host
-        tables = H.mono_tables()
-        if tables is None:
-            return None
-        N = H.conductor
-        m = self.m
-        ns = len(S)
-        # products of support basis elements must stay in the support
-        T = tables[0][np.ix_(S, S)]
-        X, Y = np.nonzero(T >= 0)
-        TZ = pos[T[X, Y]]
-        if (TZ < 0).any():
-            return None
-        TE = tables[1][np.ix_(S, S)][X, Y]
-        num, den = scale.numerator, scale.denominator
-        # one row s at a time: the coefficient of e_s e_t at coordinate z is
-        # scale^2 sum over contributing (x, y) of zeta^(E[s,x]+E[t,y]+texp)
-        keys_t = (np.arange(m)[:, None] * ns + TZ[None]) * N
+    def _first_nonorthogonal(self):
+        """The first (s, t), rows s ascending, with E_s E_t != delta E_s;
+        () when every product holds."""
+        v, m, w = self.view, self.m, self.view.width
+        mt, me = self.host.mono_tables()
+        # the products b_x b_y of x = S[c] with each entry y = idx[b] of any
+        # E_t, keyed (owner[b], b_x b_y); the same keys serve every row s,
+        # and a zero product gets key 0 and exponent 2M
+        grid = mt[v.S[:, None], v.idx]
+        nonzero = grid >= 0
+        keys = np.where(nonzero, v.owner * v.nz + v.pos[grid], 0)
+        diag = v.owner * v.nz + v.pos[v.idx]
+        met, slot = _numbered(m * v.nz, keys.ravel(), diag)
+        f = v.M // self.host.conductor
+        prods = slot[keys] * w + np.where(
+            nonzero, (v.exp + me[v.S[:, None], v.idx] * f) % v.M, 2 * v.M)
+        diag = slot[diag] * w + v.exp
         for s in range(m):
-            exps = (E[s, X][None] + E[:, Y] + TE[None]) % N
-            counts = np.bincount((keys_t + exps).reshape(-1),
-                                 minlength=m * ns * N)
-            vecs = (counts.reshape(m * ns, N) @ rootmat).reshape(m, ns, -1)
-            # expected: num/den * delta_(s,t) * e_s, i.e. den * vecs == E-vector
-            expect = np.zeros_like(vecs)
-            expect[s] = rootmat[E[s] % N]
-            if not np.array_equal(num * vecs, den * expect):
-                bad = (num * vecs != den * expect).any(axis=(1, 2))
-                return s, int(bad.argmax())
+            bad = v.unequal(len(met), (prods + v.E[s, :, None]).ravel(),
+                            diag[v.ptr[s]:v.ptr[s + 1]])
+            if bad.any():
+                return s, int(met[bad.argmax()]) // v.nz
         return ()
 
-    def _mono_arrays(self):
-        """(S, pos, E, scale, rootmat) when every idempotent is
-        scale * sum_x zeta^E[t, x] b_x over one common support; else None.
-
-        S holds the sorted basis indices of the support, pos[i] is the column
-        of E for basis index i (-1 off the support), and rootmat[k] is zeta^k
-        in the power basis."""
-        H = self.host
-        N = H.conductor
-        scale = None
-        idx, exp, owner = [], [], []
-        for t, vec in enumerate(self.vectors):
-            for i, c in vec.items():
-                # a coefficient outside Q(zeta_N) takes the generic path
-                r = None if N % c.conductor else c.lift(N).as_root()
-                if r is None:
-                    return None
-                if scale is None:
-                    scale = r[1]
-                elif r[1] != scale:
-                    return None
-                owner.append(t)
-                idx.append(i)
-                exp.append(r[0])
-        S = np.array(sorted(set(idx)), dtype=np.int64)
-        pos = np.full(H.dim, -1, dtype=np.int64)
-        pos[S] = np.arange(len(S))
-        if len(idx) != self.m * len(S):
-            return None  # non-uniform support; generic path
-        E = np.zeros((self.m, len(S)), dtype=np.int64)
-        E[owner, pos[idx]] = exp
-        rootmat = np.array([zeta(N, k).serial()[1] for k in range(N)],
-                           dtype=np.int64)
-        return S, pos, E, scale, rootmat
-
-    def _certify_comult_numpy(self, kdiv, S, pos, E, scale, rootmat):
-        H = self.host
-        N = H.conductor
-        # Delta on the support must be diagonal -- otherwise fall back to the
-        # generic path.
-        if not all(_group_like(H, i) for i in S):
-            return None
-        m = self.m
-        ns = len(S)
-        num, den = scale.numerator, scale.denominator
+    def _factors(self, kdiv):
+        """Delta(E_t) = sum_(t1 t2 = t) E_t1 (x) E_t2 for every t, with
+        kdiv[t1, t] the t2, keyed by the positions of the two legs."""
+        v, m, nz, w = self.view, self.m, self.view.nz, self.view.width
+        _, lefts, rights, dexp = tables = self.host.comult_tables()
+        ccnt, cptr = _comult_rows(tables, self.host.dim)
+        f = v.M // self.host.conductor
+        # P[t, j], E[t, j]: position and exponent of the j-th entry of E_t,
+        # padded with exponent 2M
+        j = np.arange(len(v.idx)) - v.ptr[v.owner]
+        P = np.zeros((m, j.max() + 1), dtype=np.int64)
+        E = np.full(P.shape, 2 * v.M)
+        P[v.owner, j], E[v.owner, j] = v.pos[v.idx], v.exp
+        left = P[:, :, None] * nz
         for t in range(m):
-            # RHS coefficient at (x, y): scale^2 sum_t1 zeta^(E[t1,x]+E[t2,y])
-            exps = (E[:, :, None] + E[kdiv[:, t]][:, None, :]) % N  # (m, ns, ns)
-            keys = np.arange(ns * ns) * N + exps.reshape(m, -1)
-            counts = np.bincount(keys.reshape(-1), minlength=ns * ns * N)
-            vec_rhs = counts.reshape(-1, N) @ rootmat  # (ns*ns, phi)
-            # LHS: scale * zeta^(E[t,x]) at diagonal (x, x)
-            vec_lhs = np.zeros_like(vec_rhs)
-            vec_lhs[np.arange(ns) * (ns + 1)] = rootmat[E[t] % N]
-            # compare scale^2 * rhs == scale * lhs  =>  num*rhs == den*lhs
-            if not np.array_equal(num * vec_rhs, den * vec_lhs):
+            # Delta(E_t): the terms of Delta(b_x) for each entry x of E_t
+            a = np.arange(v.ptr[t], v.ptr[t + 1])
+            x, c = _expand(cptr[v.idx[a]], ccnt[v.idx[a]])
+            lkey = v.pos[lefts[c]] * nz + v.pos[rights[c]]
+            # every product of an entry of E_t1 and one of E_t2, t1 t2 = t
+            t2 = kdiv[:, t]
+            pkey = left + P[t2, None, :]
+            met, slot = _numbered(nz * nz, pkey.ravel(), lkey)
+            slot *= w
+            prods = slot[pkey]
+            prods += E[:, :, None] + E[t2, None, :]
+            if v.unequal(len(met), prods.ravel(),
+                         slot[lkey] + v.exp[a[x]] + dexp[c] * f).any():
                 return False
         return True
-
-    def _certify_comult_generic(self, kdiv):
-        els = self.elements()
-        m = self.m
-        for t in range(m):
-            lhs = els[t].comult_apply()
-            rhs = {}
-            for t1 in range(m):
-                for i, ci in self.vectors[t1].items():
-                    for j, cj in self.vectors[kdiv[t1, t]].items():
-                        _acc(rhs, (i, j), ci * cj)
-            if lhs != rhs:
-                raise ValueError("comultiplication does not factor over the support")
 
     def conj_perms(self):
         """For each basis element h of the host: the permutation t -> t' with
         h E_t h^-1 = E_t' when h is group-like with a scaled basis inverse,
-        read off the exponent tables; None rows mark elements where this
-        shape fails (all rows when the host has no tables, the support is not
-        monomial or the unit is not one basis element)."""
+        read off the exponent view; None rows mark elements where this shape
+        fails (all rows when the support has no view or the unit is not one
+        basis element)."""
         H = self.host
         N = H.conductor
-        tables = H.mono_tables()
-        arrays = self._mono_arrays()
+        v = self.view
         root = None
         if len(H.unit) == 1:
             (u, cu), = H.unit.items()
             root = cu.lift(N).as_root()
-        if tables is None or arrays is None or root is None or root[1] != 1:
+        if v is None or root is None or root[1] != 1:
             return [None] * H.dim
-        mt, me = tables
-        S, pos, E, _, _ = arrays
-        row_of = {row.tobytes(): t for t, row in enumerate(E % N)}
+        mt, me = H.mono_tables()
+        M, S, E = v.M, v.S, v.E
+        col = np.full(H.dim, -1)
+        col[S] = np.arange(len(S))
+        row_of = {row.tobytes(): t for t, row in enumerate(E)}
         out = []
         for h in range(H.dim):
             # h^-1 = zeta^(e_u - me[h, j]) b_j for the unique j with b_h b_j ~ b_u
@@ -354,15 +373,16 @@ class IdemSupport:
             j = js[0]
             hx = mt[h, S]
             y = mt[hx, j]
-            cols = pos[y]
+            cols = col[y]
             if (mt[j, h] != u or (me[j, h] - me[h, j]) % N or (hx < 0).any()
                     or (y < 0).any() or (cols < 0).any()
                     or len(np.unique(cols)) != len(S)):
                 out.append(None)
                 continue
             # b_h b_x h^-1 = zeta^(me[h,x] + me[hx,j] + e_u - me[h,j]) b_y
+            shift = (me[h, S] + me[hx, j] + root[0] - me[h, j]) * (M // N)
             conj = np.empty_like(E)
-            conj[:, cols] = (E + me[h, S] + me[hx, j] + root[0] - me[h, j]) % N
+            conj[:, cols] = np.where(E < M, (E + shift) % M, E)
             perm = [row_of.get(row.tobytes()) for row in conj]
             out.append(None if None in perm else perm)
         return out
@@ -374,29 +394,22 @@ class IdemSupport:
         (rows, coords, k, l, i, j, fix) with one entry per Delta(b_h) term,
         sorted by row and coordinate; None where the premises below fail.
 
-        Premises: every E_k is c_k b_(s_k), all c_k with one rational part,
+        Premises: the support has an exponent view, every E_k is c_k b_(s_k),
         and every leg of every Delta(b_h) term meets exactly one E_k on each
         side.  Then each side has one term per Delta(b_h) term: the left
         (b_T2 E_k) (x) (b_T1 E_l) with w-slot (k, l), the right
         (E_i b_T1) (x) (E_j b_T2) with w-slot (i, j).  Where, third premise,
         the coordinates of each row are pairwise distinct and the same on
         both sides, the identity at b_h is w(k,l) - w(i,j) + fix = 0 at each
-        entry of row h, in exponents of zeta (fix in units of zeta_N)."""
+        entry of row h, in exponents of zeta (fix in units of zeta_M, M the
+        conductor of the view)."""
         H = self.host
         N, n = H.conductor, H.dim
-        if any(len(vec) != 1 for vec in self.vectors):
+        v = self.view
+        if v is None or (np.diff(v.ptr) != 1).any() or len(v.S) != self.m:
             return None
-        tables, ctables = H.mono_tables(), H.comult_tables()
-        if tables is None or ctables is None:
-            return None
-        s = np.array([i for vec in self.vectors for i in vec], dtype=np.int64)
-        roots = [None if N % c.conductor else c.lift(N).as_root()
-                 for vec in self.vectors for c in vec.values()]
-        if None in roots or len({r[1] for r in roots}) != 1 or \
-                len(set(s.tolist())) != self.m:
-            return None
-        e = np.array([r[0] for r in roots], dtype=np.int64)
-        (mt, me), (rows, lefts, rights, dexp) = tables, ctables
+        s, e, f = v.idx, v.exp, v.M // N
+        (mt, me), (rows, lefts, rights, dexp) = H.mono_tables(), H.comult_tables()
 
         def meets(hits):
             # per basis element: the one idempotent it meets, else -1
@@ -412,10 +425,10 @@ class IdemSupport:
         if not (np.array_equal(lkey[lo], rkey[ro])
                 and (np.diff(lkey[lo]) > 0).all()):
             return None
-        fix = (me[rights, s[k]] + me[lefts, s[l]] + e[k] + e[l])[lo] \
-            - (me[s[i], lefts] + me[s[j], rights] + e[i] + e[j])[ro]
+        fix = ((me[rights, s[k]] + me[lefts, s[l]] + dexp) * f + e[k] + e[l])[lo] \
+            - ((me[s[i], lefts] + me[s[j], rights] + dexp) * f + e[i] + e[j])[ro]
         return (rows[lo], lkey[lo] % (n * n), k[lo], l[lo], i[ro], j[ro],
-                (fix + dexp[lo] - dexp[ro]) % N)
+                fix % v.M)
 
     def intertwiner_rejects(self, W, L):
         """Boolean array over the host basis, True at the rows h where the
@@ -424,9 +437,8 @@ class IdemSupport:
         if self.intertwiner_table is None:
             return None
         rows, _, k, l, i, j, fix = self.intertwiner_table
-        N = self.host.conductor
-        M = math.lcm(N, L)
-        bad = ((W[k, l] - W[i, j]) * (M // L) + fix * (M // N)) % M != 0
+        M = math.lcm(self.view.M, L)
+        bad = ((W[k, l] - W[i, j]) * (M // L) + fix * (M // self.view.M)) % M != 0
         return np.bincount(rows[bad], minlength=self.host.dim) > 0
 
 
@@ -827,11 +839,11 @@ def _qt_B_oracle(H, dec, ws, sup=None):
     if not (np.diff(np.sort(coords[sel])) > 0).all():
         raise AssertionError("the rows e_r # g share a coordinate")
     X, A, L = _bichar_forms(ws, dec)
-    # compare at the common conductor lcm(N, L)
-    M = math.lcm(H.conductor, L)
+    # compare at the common conductor of the table and the bicharacters
+    M = math.lcm(sup.view.M, L)
     P = (X[k[sel], :, None] * X[l[sel], None, :]
          - X[i[sel], :, None] * X[j[sel], None, :]).reshape(sel.sum(), -1)
-    P, F = P.T * (M // L), fix[sel] * (M // H.conductor)
+    P, F = P.T * (M // L), fix[sel] * (M // sup.view.M)
     A = A.reshape(len(ws), -1)
     alive = np.arange(len(ws))
     for c in range(0, len(F), _SIEVE_BLOCK):

@@ -388,6 +388,61 @@ def test_unit_and_antipode_joins_match_product_reference():
                 assert rep.failures == reference_failures(bad, mode, ("unit", "antipode"))
 
 
+def _reference_eps_algebra_map(H, fast):
+    """The counit law with eps_i eps_j multiplied for every pair absent from
+    mult[i], after the pairs mult[i] lists: the oracle for the check that
+    multiplies only pairs whose counit values are both nonzero."""
+    rep = Report()
+    eps = H.counit
+    for i in range(H.dim):
+        for j, terms in H.mult[i].items():
+            val = CycloNumber.zero(H.conductor)
+            for k, c in terms:
+                val = val + c * eps[k]
+            if val != eps[i] * eps[j]:
+                rep.fail("counit is an algebra map", (i, j))
+                if fast:
+                    return rep.failures
+        for j in range(H.dim):
+            if j not in H.mult[i] and eps[i] * eps[j]:
+                rep.fail("counit is an algebra map", (i, j))
+                if fast:
+                    return rep.failures
+    return rep.failures
+
+
+def test_eps_algebra_map_matches_pair_loop():
+    """On clean hosts, on removed products (with both counit values nonzero
+    and not), and on loaded dumps with a mutated EPS line: the same
+    witnesses in the same order, in both modes."""
+    A1 = build_bismash(make_A(7, 3, 2, 1))
+    B1 = build_bismash(make_B(3, 7, 2, 1))
+    C3 = group_algebra(cyclic_group(3), 3)
+    counit = [i for i in range(A1.dim) if A1.counit[i]]
+    text = dump_structure(C3)
+    eps_zeta = load_structure(text.replace("EPS 0 1 1 0\n", "EPS 0 1 0 1\n"))
+    # one more EPS line: a basis element of counit 0 now has counit 1
+    k = next(i for i in range(A1.dim) if not A1.counit[i])
+    lines = dump_structure(A1).splitlines(keepends=True)
+    last = max(n for n, line in enumerate(lines) if line.startswith("EPS"))
+    lines.insert(last + 1, f"EPS {k} 1 1 0\n")
+    eps_added = load_structure("".join(lines))
+    hosts = [A1, B1, C3, removed_product(A1, 20, 10),
+             removed_product(A1, counit[1], counit[2]),
+             removed_product(B1, *next((i, j) for i in range(B1.dim) if B1.counit[i]
+                                       for j in B1.mult[i] if B1.counit[j])),
+             eps_zeta, eps_added]
+    failing = 0
+    for H in hosts:
+        for fast in (False, True):
+            rep = Report()
+            hopfcore._check_eps_algebra_map(H, rep, fast)
+            assert rep.failures == _reference_eps_algebra_map(H, fast)
+        failing += bool(rep.failures)
+    # the clean hosts and one removed product pass, every other host fails
+    assert failing == len(hosts) - 4
+
+
 # ---------------------------------------------------------------------------
 # antipode diagnostics
 

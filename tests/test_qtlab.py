@@ -25,8 +25,8 @@ from hopfqt.grouptool import (
     semidirect_pq,
 )
 from hopfqt import qtlab
-from hopfqt.hopfcore import (AlgebraElement, Report, _acc, dual_hopf, group_algebra,
-                             group_likes_bismash)
+from hopfqt.hopfcore import (AlgebraElement, HopfAlgebra, Report, _acc, dual_hopf,
+                             group_algebra, group_likes_bismash)
 from hopfqt.bismash import (BismashHopf, build_bismash, dualize_trivial_action,
                             make_A, make_B)
 from hopfqt.qtlab import (
@@ -343,35 +343,6 @@ def test_conj_perms_match_products_on_mutants(site):
         assert rows[h] == expect[h], h
 
 
-def test_certify_rejects_broken_support_numpy():
-    H, vectors, kmul = group_support("gamma3", p=7, q=3, m=2)
-    IdemSupport(H, vectors, kmul).certify()
-    bad = [dict(v) for v in vectors]
-    x = next(iter(bad[1]))
-    bad[1][x] = bad[1][x] * zeta(H.conductor)
-    kmul = np.array(kmul)
-    non_group = np.where(kmul == 1, 0, kmul)
-    for vecs, km in ((bad, kmul), (vectors, non_group),
-                     (vectors, kmul[np.roll(np.arange(len(kmul)), 1)])):
-        with pytest.raises(ValueError):
-            IdemSupport(H, vecs, km).certify()
-
-
-def test_certify_rejects_swapped_kmul_generic():
-    # the basis idempotents e_r # 1 of B are not group-like, so their
-    # comultiplication is checked through AlgebraElement products
-    mp = make_B(3, 7, 2, 1)
-    H = build_bismash(mp)
-    dec = abelian_decomposition(mp.G, range(mp.G.order))
-    vectors = [{H.gf_index(r, 0): CycloNumber.one(H.conductor)}
-               for r in dec.elements]
-    kmul = np.array(_k_index_table(dec))
-    IdemSupport(H, vectors, kmul).certify()
-    kmul[0, [0, 1]] = kmul[0, [1, 0]]
-    with pytest.raises(ValueError):
-        IdemSupport(H, vectors, kmul).certify()
-
-
 def first_failing_product(H, vectors):
     """The first (s, t), rows s ascending, with E_s E_t != delta_(s,t) E_s
     through AlgebraElement products; () when every product holds."""
@@ -379,6 +350,118 @@ def first_failing_product(H, vectors):
     return next(((s, t) for s in range(len(els)) for t in range(len(els))
                  if (els[s] * els[t]).coeffs != (els[s].coeffs if s == t else {})),
                 ())
+
+
+def generic_certify(sup, bad=None):
+    """The message IdemSupport.certify raises on sup, found through
+    AlgebraElement products and coproducts expanded term by term, or None
+    when the support certifies: the oracle for the exponent-view
+    certificate, with its checks in the same order.  bad is the
+    first_failing_product of the support, when the caller has it."""
+    H, m, vectors = sup.host, sup.m, sup.vectors
+    if bad is None:
+        bad = first_failing_product(H, vectors)
+    if bad:
+        return "support not orthogonal idempotents at ({},{})".format(*bad)
+    total = H.zero()
+    for v in vectors:
+        total = total + AlgebraElement(H, v)
+    if total.coeffs != H.unit:
+        return "support does not sum to the unit"
+    if any(sorted(row) != list(range(m)) for row in sup.kmul.tolist()):
+        return "support index table is not a group"
+    kdiv = np.argsort(sup.kmul, axis=1)
+    for t in range(m):
+        rhs = {}
+        for t1 in range(m):
+            for i, ci in vectors[t1].items():
+                for j, cj in vectors[kdiv[t1, t]].items():
+                    _acc(rhs, (i, j), ci * cj)
+        if AlgebraElement(H, vectors[t]).comult_apply() != rhs:
+            return "comultiplication does not factor over the support"
+    return None
+
+
+def certify_message(sup):
+    """The message certify() raises on sup, None when it certifies."""
+    try:
+        sup.certify()
+    except ValueError as exc:
+        return str(exc)
+    assert sup.certified
+    return None
+
+
+def assert_certify_matches_generic(sup, expect):
+    """certify() on sup raises the message the generic oracle gives; expect
+    is a fragment of it, or None for a support that certifies."""
+    message = certify_message(sup)
+    assert message == generic_certify(sup)
+    assert message is None if expect is None else expect in message
+
+
+def test_certify_rejects_broken_support_numpy():
+    # the clean support is compared with the oracle in
+    # test_orthogonality_certificate_matches_products
+    H, vectors, kmul = group_support("gamma3", p=7, q=3, m=2)
+    IdemSupport(H, vectors, kmul).certify()
+    bad = [dict(v) for v in vectors]
+    x = next(iter(bad[1]))
+    bad[1][x] = bad[1][x] * zeta(H.conductor)
+    kmul = np.array(kmul)
+    non_group = np.where(kmul == 1, 0, kmul)
+    for vecs, km, expect in ((bad, kmul, "orthogonal"),
+                             (vectors, non_group, "not a group"),
+                             (vectors, kmul[np.roll(np.arange(len(kmul)), 1)],
+                              "does not factor")):
+        assert_certify_matches_generic(IdemSupport(H, vecs, km), expect)
+
+
+def e_r_support():
+    """(H, vectors, kmul) of the basis idempotents e_r # 1 of B(3,7,2,1), as
+    qt_B_enumerate certifies them."""
+    mp = make_B(3, 7, 2, 1)
+    sup = qtlab._e_r_support(build_bismash(mp),
+                             abelian_decomposition(mp.G, range(mp.G.order)))
+    return sup.host, sup.vectors, sup.kmul.copy()
+
+
+def test_certify_rejects_swapped_kmul_on_e_r_support():
+    # the basis idempotents e_r # 1 of B are not group-like: their
+    # coproducts have one term for each pair (r1, r2) with r1 r2 = r
+    H, vectors, kmul = e_r_support()
+    assert IdemSupport(H, vectors, kmul).view.M == H.conductor
+    assert_certify_matches_generic(IdemSupport(H, vectors, kmul), None)
+    kmul[0, [0, 1]] = kmul[0, [1, 0]]
+    assert_certify_matches_generic(IdemSupport(H, vectors, kmul), "does not factor")
+
+
+def with_scaled_comult_term(H, i, k, factor):
+    """A copy of H whose coproduct terms (j, k) of Delta(b_i) are multiplied
+    by factor."""
+    comult = list(H.comult)
+    comult[i] = tuple((j, kk, c * factor if kk == k else c)
+                      for j, kk, c in comult[i])
+    return HopfAlgebra(H.dim, H.conductor, H.mult, comult, H.unit, H.counit,
+                       H.antipode, H.labels)
+
+
+def test_certify_rejects_zeta_scaled_coproduct_terms():
+    """A zeta-scaled term of Delta(e_r # 1) on B(3,7,2,1), and of Delta(g)
+    for a group-like g of K on gamma3(7,3): the hosts keep their exponent
+    tables, and certify() rejects the factorization, as the generic oracle
+    does."""
+    H, vectors, kmul = e_r_support()
+    i, = vectors[3]
+    _, k, _ = H.comult[i][1]
+    Hm = with_scaled_comult_term(H, i, k, zeta(H.conductor))
+    G, gvectors, gkmul = group_support("gamma3", p=7, q=3, m=2)
+    g = max(gvectors[0])
+    Gm = with_scaled_comult_term(G, g, g, zeta(G.conductor))
+    for host, vecs, km in ((Hm, vectors, kmul), (Gm, gvectors, gkmul)):
+        sup = IdemSupport(host, vecs, km)
+        assert sup.view is not None
+        assert_certify_matches_generic(sup, "does not factor")
 
 
 @pytest.mark.parametrize("fam,params", [
@@ -402,20 +485,20 @@ def test_orthogonality_certificate_matches_products(fam, params):
         bad = first_failing_product(H, vecs)
         assert (bad == ()) is expect
         sup = IdemSupport(H, vecs, kmul)
-        arrays = sup._mono_arrays()
         if vecs is summed:
             # E_1 + E_2 has coefficients that are no scaled roots of unity:
-            # certify() takes the generic loop
-            assert arrays is None
-            with pytest.raises(ValueError, match="not orthogonal"):
+            # the support has no view, and certify() refuses it
+            assert sup.view is None
+            with pytest.raises(ValueError, match="no exponent view"):
                 sup.certify()
         else:
-            # the numpy check decides: () on a good support, else the
-            # first failing (s, t) of the product loop, never None
-            assert sup._certify_orthogonality_numpy(*arrays) == bad
+            # the view decides: () on a good support, else the first
+            # failing (s, t) of the product loop
+            assert sup._first_nonorthogonal() == bad
+            assert certify_message(sup) == generic_certify(sup, bad)
 
 
-def test_orthogonality_failure_has_the_same_witness_on_both_paths(monkeypatch):
+def test_orthogonality_failure_has_the_same_witness_on_both_paths():
     # E_2 scaled by zeta first fails at (2, 2); one scaled coefficient of
     # E_2 makes every E_s E_2 nonzero, so row 0 fails first, at (0, 2)
     H, vectors, kmul = group_support("gamma3", p=7, q=3, m=2)
@@ -425,22 +508,11 @@ def test_orthogonality_failure_has_the_same_witness_on_both_paths(monkeypatch):
     x0 = min(one[2])
     one[2][x0] = one[2][x0] * zeta(H.conductor)
     for vecs, witness in ((whole, (2, 2)), (one, (0, 2))):
-        messages = []
-        for generic in (False, True):
-            if generic:
-                monkeypatch.setattr(IdemSupport, "_mono_arrays", lambda self: None)
-            sup = IdemSupport(H, vecs, kmul)
-            arrays = sup._mono_arrays()
-            assert (arrays is None) is generic
-            if not generic:
-                # the numpy check decides and names the witness itself
-                assert sup._certify_orthogonality_numpy(*arrays) == witness
-            with pytest.raises(ValueError) as err:
-                sup.certify()
-            messages.append(str(err.value))
-        monkeypatch.undo()
+        sup = IdemSupport(H, vecs, kmul)
+        assert sup._first_nonorthogonal() == witness
         s, t = witness
-        assert messages == [f"support not orthogonal idempotents at ({s},{t})"] * 2
+        message = f"support not orthogonal idempotents at ({s},{t})"
+        assert certify_message(sup) == generic_certify(sup) == message
 
 
 def test_certify_memory_on_beta6():
@@ -458,6 +530,79 @@ def test_certify_memory_on_beta6():
         tracemalloc.stop()
     assert sup.certified
     assert peak < 20 * 2**20, peak
+
+
+CERTIFY_UNDER_O = """
+import math
+from hopfqt.grouptool import build_group, idempotents, largest_abelian_normal
+from hopfqt.hopfcore import group_algebra
+from hopfqt.qtlab import IdemSupport, _k_index_table
+
+G = build_group("gamma3", p=7, q=3, m=2)
+K = largest_abelian_normal(G).decomposition
+H = group_algebra(G, conductor=math.lcm(1, *K.orders))
+vectors = idempotents(K)
+mixed = [vectors[0], {i: c * 2 for i, c in vectors[1].items()}, *vectors[2:]]
+for vecs in (vectors, mixed):
+    sup = IdemSupport(H, vecs, _k_index_table(K))
+    try:
+        print("certified", sup.certify().view.scale)
+    except ValueError as exc:
+        print("ValueError:", exc, sup.view)
+"""
+
+
+def test_view_premises_hold_under_optimize():
+    """The premise checks of the exponent view are not assert statements:
+    under python -O a support whose coefficients have two rational parts
+    (one idempotent doubled) has no view and certify() still raises."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qtlab.__file__).parents[1]))
+    runs = [subprocess.run([sys.executable, *flags, "-c", CERTIFY_UNDER_O],
+                           env=env, capture_output=True, text=True, check=True)
+            for flags in ([], ["-O"])]
+    assert runs[1].stdout == runs[0].stdout
+    assert runs[0].stdout.splitlines() == [
+        "certified 1/21",
+        "ValueError: support has no exponent view on this host None"]
+
+
+def test_every_certified_support_goes_through_the_view(monkeypatch):
+    """certify() has one path: every support that the group-algebra and
+    tau-twisted enumerations and the B-dual no-go certify has an exponent
+    view, and both certificates read it."""
+    certified, ran = [], []
+    real = {name: getattr(IdemSupport, name)
+            for name in ("certify", "_first_nonorthogonal", "_factors")}
+
+    def spy_certify(self):
+        certified.append(self)
+        return real["certify"](self)
+
+    def spy(name):
+        def check(self, *args):
+            ran.append((name, id(self)))
+            return real[name](self, *args)
+        return check
+
+    monkeypatch.setattr(IdemSupport, "certify", spy_certify)
+    for name in ("_first_nonorthogonal", "_factors"):
+        monkeypatch.setattr(IdemSupport, name, spy(name))
+    for fam, params in (("beta6", dict(p=3, q=7, m=2, n=4)),
+                        ("beta7", dict(p=3, q=5)),
+                        ("gamma4", dict(p=19, q=3, m=4))):
+        qt_group_algebra_enumerate(build_group(fam, **params))
+    for lam in (0, 1):
+        qt_B_enumerate(3, 7, 2, lam)
+    no_qt_B_dual(3, 7, 2, 1)
+    monkeypatch.undo()
+    sups = list({id(sup): sup for sup in certified}.values())
+    assert [(sup.host.dim, sup.m, sup.view.M) for sup in sups] == [
+        (147, 49, 7), (75, 25, 5), (171, 19, 19), (147, 49, 7), (147, 49, 7),
+        (147, 3, 21)]
+    for sup in sups:
+        assert sup.certified
+        assert [name for name, i in ran if i == id(sup)] == [
+            "_first_nonorthogonal", "_factors"]
 
 
 def reference_index_matrix(w, K):
@@ -1017,9 +1162,12 @@ def test_qt_B_intertwiner_table_on_host_mutants():
 
 def test_intertwiner_table_absent_on_unreadable_supports(monkeypatch):
     # idempotents that are sums of basis elements: beta7(3,5) in its group
-    # algebra, and the group-like idempotents of B(3,7,1)*
+    # algebra; and the group-like idempotents of B(3,7,1)*, single basis
+    # elements whose rows have distinct coordinates, but not the same ones
+    # on both sides
     assert IdemSupport(*group_support("beta7", p=3, q=5)).intertwiner_table is None
     _, _, supports = _spy_no_qt_B_dual(monkeypatch, 3, 7, 2, 1)
+    assert supports[0].view is not None
     assert supports[0].intertwiner_table is None
     # single basis elements that every leg of Z3 meets twice, although each
     # row has one coordinate on each side, and the same one
@@ -1404,24 +1552,27 @@ def test_no_qt_B_dual_candidates_are_not_vacuous(monkeypatch):
 
 
 def test_certify_group_like_idempotents_of_B_dual(monkeypatch):
-    """The group-like idempotents of B(3,7,1)* have coefficients in
-    Q(zeta_21) on a host of conductor 7: the certificate takes the generic
-    path and conj_perms gives no rows; a broken copy of the support raises
-    the certificate's own error."""
+    """The group-like idempotents of B(3,7,1)* are three single basis
+    elements with coefficients in Q(zeta_21) on a host of conductor 7: the
+    view is monomial at M = 21, and certify() decides as the generic oracle
+    does.  conj_perms gives no rows, since the unit spans three basis
+    elements; a broken copy of the support raises the certificate's own
+    error."""
     _, _, supports = _spy_no_qt_B_dual(monkeypatch, 3, 7, 2, 1)
     sup = supports[0]
     H, vectors, kmul = sup.host, sup.vectors, sup.kmul
     assert sup.certified
     fresh = IdemSupport(H, vectors, kmul)
-    assert fresh._mono_arrays() is None
-    assert fresh.certify().certified
+    assert [len(v) for v in vectors] == [1, 1, 1]
+    assert (H.conductor, fresh.view.M) == (7, 21)
+    assert_certify_matches_generic(fresh, None)
     assert fresh.conj_perms() == [None] * H.dim
     z3 = zeta(3)
     scaled = [vectors[0], {i: z3 * c for i, c in vectors[1].items()}, vectors[2]]
-    with pytest.raises(ValueError, match="orthogonal idempotents"):
-        IdemSupport(H, scaled, kmul).certify()
-    with pytest.raises(ValueError, match="not a group"):
-        IdemSupport(H, vectors, np.zeros_like(kmul)).certify()
+    assert_certify_matches_generic(IdemSupport(H, scaled, kmul),
+                                   "orthogonal idempotents at (1,1)")
+    assert_certify_matches_generic(IdemSupport(H, vectors, np.zeros_like(kmul)),
+                                   "not a group")
 
 
 # ---------------------------------------------------------------------------
