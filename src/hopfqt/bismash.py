@@ -72,30 +72,25 @@ class MatchedPair:
         return f"<MatchedPair {self.name}: |G|={self.G.order}, |F|={self.F.order}>"
 
 
-def validate_matched_pair(mp: MatchedPair, mode: str = "full") -> Report:
+def validate_matched_pair(mp: MatchedPair) -> Report:
     """Check every matched-pair identity, cocycle identity, normalization and
     the sigma-tau compatibility condition on all argument tuples.
 
     Cocycle identities are exponent identities mod the conductor.  Each
     condition is one numpy table, or one table per value of the first group
-    argument when it has three or four arguments; witnesses are recorded in
-    lexicographic order of the arguments.  mode="fast" stops after the
-    unit block when that fails, otherwise at the first witness.
+    argument when it has three or four arguments; every witness is recorded,
+    in lexicographic order of the arguments.
     """
     rep = Report()
-    fast = mode == "fast"
     N = mp.conductor
     ng, nf = mp.G.order, mp.F.order
     gt, ft = mp.G.table, mp.F.table
     al, ar, sig, tau = mp.act_left, mp.act_right, mp.sigma, mp.tau
 
     def record(condition, bad, *prefix):
-        """Record the witnesses (indices of True in bad, after prefix);
-        True when fast mode stops here."""
-        hits = np.argwhere(bad).tolist()[:1 if fast else None]
-        for idx in hits:
+        """Record the witnesses: the indices of True in bad, after prefix."""
+        for idx in np.argwhere(bad).tolist():
             rep.fail(condition, (*prefix, *idx))
-        return fast and bool(hits)
 
     # unit behaviour of the actions; the two conditions on G (and the two on
     # F) are checked element by element, so their witnesses interleave
@@ -105,44 +100,34 @@ def validate_matched_pair(mp: MatchedPair, mode: str = "full") -> Report:
     unit_f = np.stack([al[0] != 0, ar[0] != np.arange(nf)], axis=1)
     for f, c in np.argwhere(unit_f).tolist():
         rep.fail(("1 <| f = 1", "1 |> f = f")[c], (f,))
-    if fast and rep.failures:
-        return rep
     for g in range(ng):
         # axes (f, f')
-        if record("g |> (f f') = (g |> f)((g <| f) |> f')",
-                  ar[g][ft] != ft[ar[g][:, None], ar[al[g]]], g):
-            return rep
+        record("g |> (f f') = (g |> f)((g <| f) |> f')",
+               ar[g][ft] != ft[ar[g][:, None], ar[al[g]]], g)
     for g in range(ng):
         # axes (g', f)
-        if record("(g g') <| f = (g <| (g' |> f))(g' <| f)",
-                  al[gt[g]] != gt[al[g][ar], al], g):
-            return rep
+        record("(g g') <| f = (g <| (g' |> f))(g' <| f)",
+               al[gt[g]] != gt[al[g][ar], al], g)
 
     # sigma normalization and cocycle identity
-    if (record("sigma(1,f,f') = 1", sig[0] != 0)
-            or record("sigma(g,1,f) = sigma(g,f,1) = 1",
-                      (sig[:, 0] != 0) | (sig[:, :, 0] != 0))):
-        return rep
+    record("sigma(1,f,f') = 1", sig[0] != 0)
+    record("sigma(g,1,f) = sigma(g,f,1) = 1",
+           (sig[:, 0] != 0) | (sig[:, :, 0] != 0))
     for g in range(ng):
         # axes (f, f', f''): sigma(g <| f, f', f'') sigma(g, f, f' f'')
         #                    = sigma(g, f, f') sigma(g, f f', f'')
         s = sig[g]
-        if record("sigma cocycle",
-                  (sig[al[g]] + s[:, ft] - s[:, :, None] - s[ft]) % N != 0, g):
-            return rep
+        record("sigma cocycle",
+               (sig[al[g]] + s[:, ft] - s[:, :, None] - s[ft]) % N != 0, g)
 
     # tau normalization and cocycle identity
-    if (record("tau(g,g',1) = 1", tau[:, :, 0] != 0)
-            or record("tau(g,1,f) = tau(1,g',f) = 1",
-                      (tau[:, 0] != 0) | (tau[0] != 0))):
-        return rep
+    record("tau(g,g',1) = 1", tau[:, :, 0] != 0)
+    record("tau(g,1,f) = tau(1,g',f) = 1", (tau[:, 0] != 0) | (tau[0] != 0))
     for g in range(ng):
         # axes (g', g'', f): tau(g g', g'', f) tau(g, g', g'' |> f)
         #                    = tau(g', g'', f) tau(g, g' g'', f)
         t = tau[g]
-        if record("tau cocycle",
-                  (tau[gt[g]] + t[:, ar] - tau - t[gt]) % N != 0, g):
-            return rep
+        record("tau cocycle", (tau[gt[g]] + t[:, ar] - tau - t[gt]) % N != 0, g)
 
     # compatibility of sigma and tau
     for g in range(ng):
@@ -153,8 +138,7 @@ def validate_matched_pair(mp: MatchedPair, mode: str = "full") -> Report:
         lhs = sig[gt[g]] + t[:, ft]
         rhs = (sig[g][ar[:, :, None], ar[al]] + sig + t[:, :, None]
                + tau[al[g][ar][:, :, None], al[:, :, None], np.arange(nf)])
-        if record("sigma-tau compatibility", (lhs - rhs) % N != 0, g):
-            return rep
+        record("sigma-tau compatibility", (lhs - rhs) % N != 0, g)
     return rep
 
 
@@ -187,7 +171,7 @@ class BismashHopf(HopfAlgebra):
 
 def build_bismash(mp: MatchedPair) -> BismashHopf:
     """The Hopf algebra k^G # kF of a validated matched pair."""
-    rep = validate_matched_pair(mp, mode="fast")
+    rep = validate_matched_pair(mp)
     if not rep.passed:
         cond, wits = next(iter(rep.failures.items()))
         raise ParameterError(f"matched pair invalid: {cond} fails at {wits[0]}")

@@ -184,7 +184,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"cannot read dump: {exc}", file=sys.stderr)
         return 3
-    rep = verify_hopf_axioms(H, mode=args.mode)
+    rep = verify_hopf_axioms(H)
     diag = antipode_diagnostics(H)
     axioms = []
     for name in rep.checked:
@@ -326,7 +326,7 @@ def cmd_reproduce(args) -> int:
         t = _smallest_order_element(p, q)
         for l in range(q):
             H = build_bismash(make_A(p, q, t, l))
-            rep = verify_hopf_axioms(H, mode="fast")
+            rep = verify_hopf_axioms(H)
             diag = antipode_diagnostics(H)
             add(f"sigma-twisted algebra index {l}: all axioms hold, "
                 f"trace(S^2) = dim = {H.dim}",
@@ -342,7 +342,7 @@ def cmd_reproduce(args) -> int:
         lams = [0] + lambda_set(p)
         for lam in lams:
             H = build_bismash(make_B(p, q, m, lam))
-            rep = verify_hopf_axioms(H, mode="fast")
+            rep = verify_hopf_axioms(H)
             diag = antipode_diagnostics(H)
             add(f"tau-twisted algebra index {lam}: all axioms hold, "
                 f"trace(S^2) = dim = {H.dim}",
@@ -457,7 +457,6 @@ def build_parser():
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--mode", choices=("fast", "full"), default="full")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("classify-qt",

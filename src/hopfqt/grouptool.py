@@ -27,7 +27,7 @@ class ParameterError(ValueError):
 
 class FiniteGroup:
     def __init__(self, table, labels=None, generators=None, family_tag=None,
-                 states=None, verify=True):
+                 states=None):
         self.table = np.asarray(table, dtype=np.int32)
         n = self.table.shape[0]
         if self.table.shape != (n, n):
@@ -37,13 +37,9 @@ class FiniteGroup:
         self.generators = dict(generators or {})
         self.family_tag = family_tag
         self.states = states
-        if verify:
-            self._verify_table()
-        self.inverse = np.empty(n, dtype=np.int32)
-        for i in range(n):
-            js = np.nonzero(self.table[i] == 0)[0]
-            assert len(js) == 1, "no unique inverse"
-            self.inverse[i] = js[0]
+        self._verify_table()
+        # a verified table is a group's, so each row holds exactly one 0
+        self.inverse = np.nonzero(self.table == 0)[1].astype(np.int32)
 
     def _verify_table(self):
         t = self.table
@@ -112,7 +108,8 @@ class FiniteGroup:
         for i in range(self.order):
             if seen[i]:
                 continue
-            cl = np.unique(conj[:, i])
+            # the distinct conjugates of i, ascending
+            cl = np.flatnonzero(np.bincount(conj[:, i], minlength=self.order))
             seen[cl] = True
             classes.append(cl.tolist())
         return classes
@@ -412,7 +409,9 @@ def _build_group(family: str, params) -> FiniteGroup:
             raise ParameterError("beta families require q > p")
         m = params.get("m")
         n = params.get("n")
-        if m is None or n is None:
+        if (m is None) != (n is None):
+            raise ParameterError("beta7 takes both m and n, or neither")
+        if m is None:
             m, n = beta7_default_params(p, q)
             params["m"], params["n"] = m, n
         return _beta7(p, q, m, n)

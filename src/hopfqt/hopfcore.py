@@ -328,26 +328,18 @@ class Report:
         return f"<Report {'PASS' if self.passed else 'FAIL'}: {self.summary()}>"
 
 
-def verify_hopf_axioms(H: HopfAlgebra, mode: str = "full") -> Report:
-    """Exact verification of all Hopf axioms on every basis tuple.
-
-    mode="fast" stops at the first failing witness per axiom; "full" collects
-    all witnesses.
-    """
+def verify_hopf_axioms(H: HopfAlgebra) -> Report:
+    """Exact verification of all Hopf axioms on every basis tuple, recording
+    every failing witness of every axiom."""
     rep = Report()
-    fast = mode == "fast"
-    _check_assoc(H, rep, fast)
-    _check_unit_laws(H, rep, fast)
-    _check_coassoc(H, rep, fast)
-    _check_counit_laws(H, rep, fast)
-    _check_delta_algebra_map(H, rep, fast)
-    _check_eps_algebra_map(H, rep, fast)
-    _check_antipode(H, rep, fast)
+    for condition, sweep in _AXIOM_SWEEPS:
+        rep.note(condition)
+        for witness in sweep(H):
+            rep.fail(condition, witness)
     return rep
 
 
-def _check_assoc(H, rep, fast):
-    rep.note("associativity")
+def _check_assoc(H):
     # (b_i b_j) b_k and b_i (b_j b_k), joined over the rows of mult
     mult = H.mult
     for i, j, k in _assoc_suspects(H):
@@ -359,9 +351,7 @@ def _check_assoc(H, rep, fast):
             for u, d in mult[i].get(t, ()):
                 _acc(rhs, u, d * c)
         if lhs != rhs:
-            rep.fail("associativity", (i, j, k))
-            if fast:
-                return
+            yield i, j, k
 
 
 def _assoc_suspects(H):
@@ -399,8 +389,7 @@ def _assoc_suspects(H):
         yield from ((i, *divmod(x, n)) for x in jk.tolist())
 
 
-def _check_unit_laws(H, rep, fast):
-    rep.note("unit")
+def _check_unit_laws(H):
     mult, unit = H.mult, H.unit.items()
     one = CycloNumber.one(H.conductor)
     for i in range(H.dim):
@@ -411,13 +400,10 @@ def _check_unit_laws(H, rep, fast):
             for t, d in mult[i].get(u, ()):
                 _acc(right, t, d * c)
         if left != {i: one} or right != {i: one}:
-            rep.fail("unit", (i,))
-            if fast:
-                return
+            yield (i,)
 
 
-def _check_coassoc(H, rep, fast):
-    rep.note("coassociativity")
+def _check_coassoc(H):
     for i in _coassoc_suspects(H):
         left, right = {}, {}
         for j, k, c in H.comult[i]:
@@ -426,18 +412,13 @@ def _check_coassoc(H, rep, fast):
             for a, b, c2 in H.comult[k]:
                 _acc(right, (j, a, b), c * c2)
         if left != right:
-            rep.fail("coassociativity", (i,))
-            if fast:
-                return
+            yield (i,)
 
 
-def _check_counit_laws(H, rep, fast):
-    rep.note("counit")
+def _check_counit_laws(H):
     eps = H.counit
     if not H.one().counit_apply().is_one():
-        rep.fail("counit", ("counit(unit) != 1",))
-        if fast:
-            return
+        yield ("counit(unit) != 1",)
     for i in range(H.dim):
         left, right = {}, {}
         for j, k, c in H.comult[i]:
@@ -445,13 +426,10 @@ def _check_counit_laws(H, rep, fast):
             _acc(right, j, c * eps[k])
         expect = {i: CycloNumber.one(H.conductor)}
         if left != expect or right != expect:
-            rep.fail("counit", (i,))
-            if fast:
-                return
+            yield (i,)
 
 
-def _check_delta_algebra_map(H, rep, fast):
-    rep.note("comultiplication is an algebra map")
+def _check_delta_algebra_map(H):
     n = H.dim
     one_elt = H.one()
     delta_one = one_elt.comult_apply()
@@ -460,9 +438,7 @@ def _check_delta_algebra_map(H, rep, fast):
         for j, cj in H.unit.items():
             _acc(unit_tensor, (i, j), ci * cj)
     if delta_one != unit_tensor:
-        rep.fail("comultiplication is an algebra map", ("Delta(1) != 1x1",))
-        if fast:
-            return
+        yield ("Delta(1) != 1x1",)
     # index Delta(b_j) by left leg for the join
     cleft = []
     for j in range(n):
@@ -491,9 +467,7 @@ def _check_delta_algebra_map(H, rep, fast):
             for u, v, c in H.comult[k]:
                 _acc(lhs, (u, v), ck * c)
         if lhs != rhs:
-            rep.fail("comultiplication is an algebra map", (i, j))
-            if fast:
-                return
+            yield i, j
 
 
 # Exponent-table acceptance for the two coalgebra sweeps above.  Each side of
@@ -635,8 +609,7 @@ def _delta_mult_suspects(H):
             yield divmod(ij, n)
 
 
-def _check_eps_algebra_map(H, rep, fast):
-    rep.note("counit is an algebra map")
+def _check_eps_algebra_map(H):
     eps = H.counit
     # an absent product b_i b_j = 0 requires eps_i eps_j = 0, so it can fail
     # only where both counit values are nonzero
@@ -647,18 +620,13 @@ def _check_eps_algebra_map(H, rep, fast):
             for k, c in terms:
                 val = val + c * eps[k]
             if val != eps[i] * eps[j]:
-                rep.fail("counit is an algebra map", (i, j))
-                if fast:
-                    return
+                yield i, j
         for j in (nonzero if eps[i] else ()):
             if j not in H.mult[i]:
-                rep.fail("counit is an algebra map", (i, j))
-                if fast:
-                    return
+                yield i, j
 
 
-def _check_antipode(H, rep, fast):
-    rep.note("antipode")
+def _check_antipode(H):
     mult, s = H.mult, H.antipode
     for i in range(H.dim):
         # sum S(b_j) b_k and sum b_j S(b_k) over Delta(b_i), against eps(b_i) 1
@@ -673,9 +641,19 @@ def _check_antipode(H, rep, fast):
         for u, c in H.unit.items():
             _acc(target, u, H.counit[i] * c)
         if left != target or right != target:
-            rep.fail("antipode", (i,))
-            if fast:
-                return
+            yield (i,)
+
+
+# each sweep yields the failing witnesses of its axiom in the order found
+_AXIOM_SWEEPS = (
+    ("associativity", _check_assoc),
+    ("unit", _check_unit_laws),
+    ("coassociativity", _check_coassoc),
+    ("counit", _check_counit_laws),
+    ("comultiplication is an algebra map", _check_delta_algebra_map),
+    ("counit is an algebra map", _check_eps_algebra_map),
+    ("antipode", _check_antipode),
+)
 
 
 # ---------------------------------------------------------------------------

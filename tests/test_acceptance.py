@@ -68,7 +68,7 @@ def test_criterion_01_construction_soundness(families):
     times = {}
     for name, H in families.items():
         t0 = time.monotonic()
-        rep = verify_hopf_axioms(H, mode="full")
+        rep = verify_hopf_axioms(H)
         times[name] = time.monotonic() - t0
         assert rep.passed, f"{name}: {rep.summary()}"
         assert times[name] < 60.0
@@ -453,17 +453,17 @@ def test_criterion_10_mutation_sensitivity():
             if kind == 0:
                 bad = mp.with_sigma_scaled(rng.randrange(ng), rng.randrange(nf),
                                            rng.randrange(nf), 1)
-                assert not validate_matched_pair(bad, mode="fast").passed
+                assert not validate_matched_pair(bad).passed
             elif kind == 1:
                 bad = mp.with_tau_scaled(rng.randrange(ng), rng.randrange(ng),
                                          rng.randrange(nf), 1)
-                assert not validate_matched_pair(bad, mode="fast").passed
+                assert not validate_matched_pair(bad).passed
             else:
                 i = rng.randrange(H.dim)
                 j = rng.choice(sorted(H.mult[i]))
                 k = H.mult[i][j][0][0]
                 badH = H.with_scaled_mult_entry(i, j, k, zeta(N))
-                assert not verify_hopf_axioms(badH, mode="fast").passed
+                assert not verify_hopf_axioms(badH).passed
             total += 1
     # single-entry braiding-form mutants of the A0 forms: one value scaled
     # by zeta_q, or dropped
@@ -479,7 +479,7 @@ def test_criterion_10_mutation_sensitivity():
             else:
                 del values[key]
             bad = BraidingForm(form.host, values)
-            assert not verify_coqt(form.host, bad, mode="fast").passed, key
+            assert not verify_coqt(form.host, bad).passed, key
             braidings += 1
     # single Delta coefficients scaled by zeta_N: the mutants keep their
     # exponent tables, so the coalgebra sweeps run on the tables
@@ -491,7 +491,7 @@ def test_criterion_10_mutation_sensitivity():
             t = rng.randrange(len(H.comult[i]))
             badH = comult_mutant(H, i, t, zeta_scaled(mp.conductor))
             assert badH.comult_tables() is not None
-            assert not verify_hopf_axioms(badH, mode="fast").passed, (i, t)
+            assert not verify_hopf_axioms(badH).passed, (i, t)
             coproducts += 1
     # single entries of an invariant bicharacter's exponent matrix shifted:
     # the R-matrix mutants go through the certified verifier of the

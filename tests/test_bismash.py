@@ -53,7 +53,7 @@ def test_validate_B_family():
 def test_B_top_index_has_no_valid_cocycle():
     # at lam = p-1 the geometric-sum exponent degenerates (base 1) and the
     # tau transport cannot close up around the F-cycle
-    rep = validate_matched_pair(make_B(3, 7, 2, 2), mode="fast")
+    rep = validate_matched_pair(make_B(3, 7, 2, 2))
     assert not rep.passed
     assert failure_profile(validate_matched_pair(make_B(3, 7, 2, 2))) == [
         ("sigma-tau compatibility", 5292, (1, 7, 1, 2))]
@@ -62,7 +62,7 @@ def test_B_top_index_has_no_valid_cocycle():
 def test_validate_mutated_sigma_fails():
     mp = make_A(7, 3, 2, 1)
     bad = mp.with_sigma_scaled(mp.G.generators["b"], 1, 1, 1)
-    assert not validate_matched_pair(bad, mode="fast").passed
+    assert not validate_matched_pair(bad).passed
     assert failure_profile(validate_matched_pair(bad)) == [
         ("sigma cocycle", 4, (1, 1, 1, 2)),
         ("sigma-tau compatibility", 58, (1, 1, 1, 1))]
@@ -71,15 +71,14 @@ def test_validate_mutated_sigma_fails():
 def test_validate_mutated_tau_fails():
     mp = make_B(3, 7, 2, 1)
     bad = mp.with_tau_scaled(mp.G.generators["a"], mp.G.generators["b"], 1, 1)
-    assert not validate_matched_pair(bad, mode="fast").passed
+    assert not validate_matched_pair(bad).passed
     assert failure_profile(validate_matched_pair(bad)) == [
         ("tau cocycle", 190, (1, 7, 1, 1)),
         ("sigma-tau compatibility", 5, (7, 1, 1, 1))]
 
 
 def test_validate_unit_block_order():
-    # the unit block checks its conditions element by element and fast mode
-    # stops after the whole block
+    # the unit block checks its conditions element by element
     mp = trivial_pair([3], [5])
     mp.act_left[1][0] = 2
     mp.act_right[0][1] = 0
@@ -87,7 +86,6 @@ def test_validate_unit_block_order():
     assert failure_profile(validate_matched_pair(mp)) == unit + [
         ("g |> (f f') = (g |> f)((g <| f) |> f')", 10, (0, 1, 1)),
         ("(g g') <| f = (g <| (g' |> f))(g' <| f)", 5, (1, 0, 1))]
-    assert failure_profile(validate_matched_pair(mp, mode="fast")) == unit
 
 
 def test_make_A_parameter_validation():
@@ -334,7 +332,7 @@ def test_mutation_sensitivity_sampled(seed):
             g, g2 = rng.randrange(ng), rng.randrange(ng)
             f = rng.randrange(nf)
             bad = mp.with_tau_scaled(g, g2, f, 1)
-        assert not validate_matched_pair(bad, mode="fast").passed
+        assert not validate_matched_pair(bad).passed
 
 
 def test_mutation_sensitivity_exhaustive():
@@ -342,7 +340,7 @@ def test_mutation_sensitivity_exhaustive():
     mp = make_A(7, 3, 2, 1)
     assert mp.sigma.size + mp.tau.size == 1512
     missed = [("sigma", s) for s in np.ndindex(mp.sigma.shape)
-              if validate_matched_pair(mp.with_sigma_scaled(*s, 1), mode="fast").passed]
+              if validate_matched_pair(mp.with_sigma_scaled(*s, 1)).passed]
     missed += [("tau", s) for s in np.ndindex(mp.tau.shape)
-               if validate_matched_pair(mp.with_tau_scaled(*s, 1), mode="fast").passed]
+               if validate_matched_pair(mp.with_tau_scaled(*s, 1)).passed]
     assert not missed

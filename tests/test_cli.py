@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from hopfqt.bismash import build_bismash, make_A
-from hopfqt.cli import load_schema, main, validate_json
+from hopfqt.cli import build_parser, load_schema, main, validate_json
 from hopfqt.hopfcore import dump_structure
 
 
@@ -58,6 +59,9 @@ def test_parameter_error_exit_code():
     run_cli("construct", "--family", "beta3", "--p", "3", "--q", "5",
             "--m", "2", expect=2)
     run_cli("reproduce", "--p", "4", "--q", "3", expect=2)
+    # beta7 takes both m and n or neither; a lone one is not dropped
+    run_cli("classify-qt", "--family", "beta7", "--p", "3", "--q", "5",
+            "--m", "2", expect=2)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -71,6 +75,30 @@ def test_parameter_error_exit_code():
 def test_prime_checks_keep_messages(argv, message, capsys):
     run_cli(*argv.split(), expect=2)
     assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
+FAMILY_OPTIONS = {"--family", "--p", "--q", "--t", "--m", "--n", "--l", "--lam",
+                  "--lambda", "--out", "--format"}
+
+
+def test_cli_option_set_is_pinned(capsys):
+    """Every long option of every subcommand: a new knob is a change here."""
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in sp._actions for o in a.option_strings
+                      if o.startswith("--") and o != "--help"}
+               for name, sp in sub.choices.items()}
+    assert options == {
+        "construct": FAMILY_OPTIONS,
+        "verify": {"--in", "--out", "--format"},
+        "classify-qt": FAMILY_OPTIONS,
+        "reproduce": {"--p", "--q", "--out", "--format"},
+    }
+    # verify always reports every witness; --mode is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", "any.txt", "--mode", "full"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode full" in capsys.readouterr().err
 
 
 def test_malformed_dump_exit_code(tmp_path):

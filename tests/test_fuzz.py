@@ -116,9 +116,8 @@ SMALL_ALGEBRAS = [
        st.sampled_from(["MUL", "CMUL"]),
        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
        st.one_of(st.none(), st.integers(0, 30),
-                 st.fractions(-3, 3, max_denominator=4)),
-       st.sampled_from(["full", "fast"]))
-def test_generic_join_matches_reference(which, tag, site, factor, mode):
+                 st.fractions(-3, 3, max_denominator=4)))
+def test_generic_join_matches_reference(which, tag, site, factor):
     """Scale one constant of mult or comult by zeta_N^e (an int) or by a
     rational, or drop it (None); the generic join must find the failures of
     the exponent tables, and the product reference's when mult has no
@@ -149,7 +148,6 @@ def test_generic_join_matches_reference(which, tag, site, factor, mode):
         else:
             bad = H.with_scaled_mult_entry(i, j, k, scale)
     generic = generic_copy(bad)
-    assert (verify_hopf_axioms(generic, mode=mode).failures
-            == verify_hopf_axioms(bad, mode=mode).failures)
+    assert verify_hopf_axioms(generic).failures == verify_hopf_axioms(bad).failures
     if bad.mono_tables() is None:
-        assert joined_failures(generic, mode) == reference_failures(bad, mode)
+        assert joined_failures(generic) == reference_failures(bad)

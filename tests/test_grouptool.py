@@ -92,6 +92,9 @@ def test_beta7_rejects_reducible_action():
     # (m, n) = (1, 0) gives the swap action, order 2, reducible
     with pytest.raises(ParameterError):
         build_group("beta7", p=3, q=5, m=1, n=0)
+    # a lone m is refused rather than replaced by the default pair
+    with pytest.raises(ParameterError, match="both m and n"):
+        build_group("beta7", p=3, q=5, m=2)
 
 
 def test_gamma_constructors():

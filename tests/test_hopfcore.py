@@ -1,5 +1,4 @@
 import copy
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hopfqt.bismash import build_bismash, dualize_trivial_action, make_A, make_B
 from hopfqt.hopfcore import (
     FormatError,
     HopfAlgebra,
-    Report,
     _check_antipode,
     _check_unit_laws,
     antipode_diagnostics,
@@ -82,7 +80,7 @@ def test_axioms_fail_on_mutated_structure_constant():
     j, terms = next(iter(H.mult[i].items()))
     k = terms[0][0]
     bad = H.with_scaled_mult_entry(i, j, k, zeta(H.conductor))
-    rep = verify_hopf_axioms(bad, mode="fast")
+    rep = verify_hopf_axioms(bad)
     assert not rep.passed
 
 
@@ -153,9 +151,6 @@ def test_generic_assoc_path_matches_numpy_path():
         full = verify_hopf_axioms(H).failures
         assert len(full["associativity"]) == n_assoc
         assert verify_hopf_axioms(G).failures == full
-        fast = verify_hopf_axioms(H, mode="fast").failures
-        assert fast["associativity"] == full["associativity"][:1]
-        assert verify_hopf_axioms(G, mode="fast").failures == fast
 
 
 # the sweeps that start on exponent tables: suspect generator -> condition
@@ -206,20 +201,16 @@ def test_coalgebra_tables_match_generic_join(monkeypatch):
                (comult_mutant(B1, 142, 8, swapped), 142)]
     for H, row in [(H, None) for H in clean] + mutants:
         assert H.mono_tables() is not None and H.comult_tables() is not None
-        # on a clean host both modes sweep everything: one generic run
-        modes = ("full",) if H in clean else ("full", "fast")
-        generic = {m: verify_hopf_axioms(generic_copy(H), mode=m).failures
-                   for m in modes}
-        assert bool(generic["full"]) == (H not in clean)
-        for mode in ("full", "fast"):
-            reruns = spy_reruns(monkeypatch)
-            failures = verify_hopf_axioms(H, mode=mode).failures
-            monkeypatch.undo()
-            assert failures == generic.get(mode, generic["full"])
-            for cond, seen in reruns.items():
-                witnesses = set(failures.get(cond, []))
-                allowed = witnesses if row is None else reading_row(H, row)[cond]
-                assert witnesses <= set(seen) <= allowed
+        generic = verify_hopf_axioms(generic_copy(H)).failures
+        assert bool(generic) == (H not in clean)
+        reruns = spy_reruns(monkeypatch)
+        failures = verify_hopf_axioms(H).failures
+        monkeypatch.undo()
+        assert failures == generic
+        for cond, seen in reruns.items():
+            witnesses = set(failures.get(cond, []))
+            allowed = witnesses if row is None else reading_row(H, row)[cond]
+            assert witnesses <= set(seen) <= allowed
     for H, _ in mutants[1:]:
         assert set(TABLE_SWEEPS.values()) & set(verify_hopf_axioms(H).failures)
 
@@ -238,11 +229,10 @@ def test_assoc_tables_leave_only_failing_triples(monkeypatch):
     # the removed product leaves b_20 (b_10 b_k) nonzero where b_20 b_10 = 0,
     # which only the count of row 20 reveals: (20, 10, 19) and (20, 10, 20)
     for H in (zeta_mutant(A1, 54, 54), removed_product(A1, 20, 10)):
-        for mode in ("fast", "full"):
-            reruns = spy_reruns(monkeypatch)
-            witnesses = verify_hopf_axioms(H, mode=mode).failures["associativity"]
-            monkeypatch.undo()
-            assert reruns["associativity"] == witnesses
+        reruns = spy_reruns(monkeypatch)
+        witnesses = verify_hopf_axioms(H).failures["associativity"]
+        monkeypatch.undo()
+        assert reruns["associativity"] == witnesses
     assert {(20, 10, 19), (20, 10, 20)} <= set(witnesses)
     doubled = A1.with_scaled_mult_entry(54, 54, 54, 2)
     assert doubled.mono_tables() is None
@@ -278,25 +268,22 @@ def test_coalgebra_generic_rerun_without_tables_or_with_repeated_keys(monkeypatc
     assert zeta(6) + zeta(6, 5) == 1
     split = comult_mutant(D, 4, 2, split_one)
     assert split.comult_tables() is not None
-    for mode in ("full", "fast"):
-        reruns = spy_reruns(monkeypatch)
-        failures = verify_hopf_axioms(doubled, mode=mode).failures
-        monkeypatch.undo()
-        assert failures == verify_hopf_axioms(generic_copy(doubled), mode=mode).failures
-        assert reruns["coassociativity"] == []
-        # every pair up to the first witness in fast mode
-        n = doubled.dim
-        i, j = failures["comultiplication is an algebra map"][0]
-        last = n * n if mode == "full" else i * n + j + 1
-        assert reruns["comultiplication is an algebra map"] == [
-            divmod(x, n) for x in range(last)]
+    reruns = spy_reruns(monkeypatch)
+    failures = verify_hopf_axioms(doubled).failures
+    monkeypatch.undo()
+    assert failures == verify_hopf_axioms(generic_copy(doubled)).failures
+    assert reruns["coassociativity"] == []
+    n = doubled.dim
+    assert failures["comultiplication is an algebra map"]
+    assert reruns["comultiplication is an algebra map"] == [
+        divmod(x, n) for x in range(n * n)]
 
-        reruns = spy_reruns(monkeypatch)
-        assert verify_hopf_axioms(split, mode=mode).passed
-        monkeypatch.undo()
-        # row 4 has the repeated key, and so does every row with 4 as a leg
-        assert reruns["coassociativity"] == sorted(reading_row(D, 4)["coassociativity"])
-        assert reruns["comultiplication is an algebra map"] == [(4, 4)]
+    reruns = spy_reruns(monkeypatch)
+    assert verify_hopf_axioms(split).passed
+    monkeypatch.undo()
+    # row 4 has the repeated key, and so does every row with 4 as a leg
+    assert reruns["coassociativity"] == sorted(reading_row(D, 4)["coassociativity"])
+    assert reruns["comultiplication is an algebra map"] == [(4, 4)]
 
 
 # The product-based sweeps that the sparse joins replaced, kept as the
@@ -342,20 +329,21 @@ REFERENCE_SWEEPS = {"associativity": _reference_assoc, "unit": _reference_unit,
                     "antipode": _reference_antipode}
 
 
-def reference_failures(H, mode="full", conditions=tuple(REFERENCE_SWEEPS)):
-    """Witnesses of the product-based sweeps, as in Report.failures; fast
-    mode keeps the first witness of each condition."""
-    out = {}
-    for condition in conditions:
-        ws = list(islice(REFERENCE_SWEEPS[condition](H), 1 if mode == "fast" else None))
-        if ws:
-            out[condition] = ws
-    return out
+def sweep_failures(sweeps, H):
+    """The witnesses the generator sweeps {condition: sweep} yield on H, as
+    in Report.failures."""
+    out = {c: list(sweep(H)) for c, sweep in sweeps.items()}
+    return {c: ws for c, ws in out.items() if ws}
 
 
-def joined_failures(H, mode="full"):
+def reference_failures(H, conditions=tuple(REFERENCE_SWEEPS)):
+    """Witnesses of the product-based sweeps, as in Report.failures."""
+    return sweep_failures({c: REFERENCE_SWEEPS[c] for c in conditions}, H)
+
+
+def joined_failures(H):
     """verify_hopf_axioms failures of the conditions the reference covers."""
-    return {c: ws for c, ws in verify_hopf_axioms(H, mode=mode).failures.items()
+    return {c: ws for c, ws in verify_hopf_axioms(H).failures.items()
             if c in REFERENCE_SWEEPS}
 
 
@@ -365,9 +353,8 @@ def test_generic_join_matches_product_reference():
         1, 1, 2, CycloNumber.from_rational(2))
     for bad in (A, C4):
         assert bad.mono_tables() is None
-        for mode in ("full", "fast"):
-            assert joined_failures(bad, mode) == reference_failures(bad, mode)
-    assert not verify_hopf_axioms(C4, mode="fast").passed
+        assert joined_failures(bad) == reference_failures(bad)
+    assert not verify_hopf_axioms(C4).passed
     full = joined_failures(A)
     assert len(full["associativity"]) == 8
     assert full["associativity"][0] == (28, 54, 54)
@@ -381,18 +368,15 @@ def test_unit_and_antipode_joins_match_product_reference():
     for i in range(9):
         for j in sorted(H.mult[i]):
             bad = H.with_scaled_mult_entry(i, j, H.mult[i][j][0][0], 2)
-            for mode in ("full", "fast"):
-                rep = Report()
-                _check_unit_laws(bad, rep, mode == "fast")
-                _check_antipode(bad, rep, mode == "fast")
-                assert rep.failures == reference_failures(bad, mode, ("unit", "antipode"))
+            joined = sweep_failures({"unit": _check_unit_laws,
+                                     "antipode": _check_antipode}, bad)
+            assert joined == reference_failures(bad, ("unit", "antipode"))
 
 
-def _reference_eps_algebra_map(H, fast):
+def _reference_eps_algebra_map(H):
     """The counit law with eps_i eps_j multiplied for every pair absent from
     mult[i], after the pairs mult[i] lists: the oracle for the check that
     multiplies only pairs whose counit values are both nonzero."""
-    rep = Report()
     eps = H.counit
     for i in range(H.dim):
         for j, terms in H.mult[i].items():
@@ -400,21 +384,16 @@ def _reference_eps_algebra_map(H, fast):
             for k, c in terms:
                 val = val + c * eps[k]
             if val != eps[i] * eps[j]:
-                rep.fail("counit is an algebra map", (i, j))
-                if fast:
-                    return rep.failures
+                yield (i, j)
         for j in range(H.dim):
             if j not in H.mult[i] and eps[i] * eps[j]:
-                rep.fail("counit is an algebra map", (i, j))
-                if fast:
-                    return rep.failures
-    return rep.failures
+                yield (i, j)
 
 
 def test_eps_algebra_map_matches_pair_loop():
     """On clean hosts, on removed products (with both counit values nonzero
     and not), and on loaded dumps with a mutated EPS line: the same
-    witnesses in the same order, in both modes."""
+    witnesses in the same order."""
     A1 = build_bismash(make_A(7, 3, 2, 1))
     B1 = build_bismash(make_B(3, 7, 2, 1))
     C3 = group_algebra(cyclic_group(3), 3)
@@ -434,11 +413,9 @@ def test_eps_algebra_map_matches_pair_loop():
              eps_zeta, eps_added]
     failing = 0
     for H in hosts:
-        for fast in (False, True):
-            rep = Report()
-            hopfcore._check_eps_algebra_map(H, rep, fast)
-            assert rep.failures == _reference_eps_algebra_map(H, fast)
-        failing += bool(rep.failures)
+        witnesses = list(hopfcore._check_eps_algebra_map(H))
+        assert witnesses == list(_reference_eps_algebra_map(H))
+        failing += bool(witnesses)
     # the clean hosts and one removed product pass, every other host fails
     assert failing == len(hosts) - 4
 

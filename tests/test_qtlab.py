@@ -99,7 +99,7 @@ def test_nontrivial_bicharacter_fails_intertwiner_on_nonabelian():
     K = abelian_decomposition(G, G.subgroup_closure([G.generators["a"]]))
     for w in enumerate_bicharacters(K):
         R = bichar_r(H, K, w)
-        rep = verify_qt(H, R, mode="fast")
+        rep = verify_qt(H, R)
         if w.is_trivial():
             assert rep.passed
         else:
@@ -128,7 +128,7 @@ def test_zero_divisor_detected():
     for i, ci in e0.items():
         for j, cj in e0.items():
             entries[(i, j)] = ci * cj
-    rep = verify_qt(H, TensorSquareElement(H, entries), mode="fast")
+    rep = verify_qt(H, TensorSquareElement(H, entries))
     assert "invertible" in rep.failures
 
 
@@ -564,6 +564,24 @@ def test_view_premises_hold_under_optimize():
     assert runs[0].stdout.splitlines() == [
         "certified 1/21",
         "ValueError: support has no exponent view on this host None"]
+
+
+ENUMERATE_GAMMA5 = """
+import sys
+from hopfqt.grouptool import build_group
+from hopfqt.qtlab import qt_group_algebra_enumerate
+print(len(qt_group_algebra_enumerate(build_group("gamma5", p=7, q=3, m=2))))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_group_enumeration_does_not_import_numpy_ma():
+    """A 1-D np.unique imports numpy.ma on its first call; the conjugacy
+    classes and conj_perms count with bincount instead."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qtlab.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", ENUMERATE_GAMMA5], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == ["3", "False"]
 
 
 def test_every_certified_support_goes_through_the_view(monkeypatch):
@@ -1271,7 +1289,7 @@ def test_coqt_mutated_form_fails():
     bad_values = dict(form.values)
     bad_values[(i, j)] = v * zeta(3, 1)
     bad = BraidingForm(form.host, bad_values)
-    assert not verify_coqt(form.host, bad, mode="fast").passed
+    assert not verify_coqt(form.host, bad).passed
 
 
 # ---------------------------------------------------------------------------
@@ -1410,9 +1428,9 @@ def test_coqt_matches_reference_on_search_candidates(monkeypatch):
     # every candidate braiding_A_search passes its two prefilters at (7,3)
     seen = []
 
-    def recording(H, form, mode="full"):
+    def recording(H, form):
         seen.append(form)
-        return verify_coqt(H, form, mode)
+        return verify_coqt(H, form)
 
     monkeypatch.setattr(qtlab, "verify_coqt", recording)
     found = [f for l in (0, 1, 2) for f in braiding_A_search(7, 3, 2, l)]
