@@ -14,8 +14,10 @@ support's conjugation permutations or, on the tau-twisted host, its
 intertwiner table, with sparse products only where these cannot accept.
 ``hopf_images`` reads its image dimensions off W.  The certificates and
 tables themselves are established by actual products of structure
-constants, once per support, all read off one integer view of the
-idempotents at the conductor M of their coefficients (``IdemSupport.view``).
+constants, or for the characters of a group of basis elements by the
+orthogonality of characters, once per support, all read off one integer
+view of the idempotents at the conductor M of their coefficients
+(``IdemSupport.view``).
 ``verify_qt`` checks every identity on all basis tuples and is the
 exhaustive oracle for that path.  It is also the braiding verifier: a
 braiding form on H is checked as the R-matrix it defines on the dual Hopf
@@ -25,6 +27,7 @@ algebra (``verify_coqt``).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -219,7 +222,9 @@ class IdemSupport:
     the support at conductor M: each coefficient is a rational scale, common
     to all, times a power of zeta_M, and the structure constants come from
     the host's exponent tables (``mono_tables``, ``comult_tables``).  Both
-    identities are exact comparisons of sums of roots of unity at M.
+    identities are exact comparisons of sums of roots of unity at M, unless
+    the idempotents are the characters of a group of basis elements
+    (``_characters``), where integer identities of the view certify them.
     Orthogonality builds the products E_s E_t one row s at a time, so its
     memory is linear in the number m of idempotents times the products in
     the support, not quadratic in m.  A support without a view is refused.
@@ -265,6 +270,13 @@ class IdemSupport:
             4 * M + 1)
 
     def certify(self):
+        """Establish orthogonality, completeness and the factorization of
+        Delta(E_t), and that kmul is a group; raise ValueError naming the
+        first that fails.  Where the ``_characters`` premises hold,
+        orthogonality and completeness follow from the orthogonality of
+        characters and the factorization from an integer identity of the
+        view (see ``_factors``); every identity whose shortcut does not
+        apply is decided by the sums of roots of the view."""
         if self.certified:
             return self
         if self.view is None:
@@ -272,25 +284,69 @@ class IdemSupport:
         bad = self._first_nonorthogonal()
         if bad:
             raise ValueError("support not orthogonal idempotents at ({},{})".format(*bad))
-        total = {}
-        for vec in self.vectors:
-            for i, c in vec.items():
-                _acc(total, i, c)
-        if total != self.host.unit:
-            raise ValueError("support does not sum to the unit")
-        # kdiv[t1, t] is the t2 with t1 t2 = t
-        m = self.m
-        if not np.array_equal(np.sort(self.kmul, axis=1),
-                              np.broadcast_to(np.arange(m), (m, m))):
+        if not self._characters:
+            total = {}
+            for vec in self.vectors:
+                for i, c in vec.items():
+                    _acc(total, i, c)
+            if total != self.host.unit:
+                raise ValueError("support does not sum to the unit")
+        if self.gens is None:
             raise ValueError("support index table is not a group")
+        # kdiv[t1, t] is the t2 with t1 t2 = t
         if not self._factors(np.argsort(self.kmul, axis=1)):
             raise ValueError("comultiplication does not factor over the support")
         self.certified = True
         return self
 
+    @cached_property
+    def gens(self):
+        """``_group_generators`` of kmul: the identity index, then indices
+        that generate the index group; None when kmul is not a group."""
+        return _group_generators(self.kmul)
+
+    @cached_property
+    def _characters(self):
+        """True when the idempotents are E_t = (1/|S|) sum_x chi_t(x) b_x
+        for the |S| distinct characters chi_t of a group S of basis
+        elements.  Then E_s E_t = delta E_s and sum_t E_t = 1 hold exactly
+        by the orthogonality of characters (J.-P. Serre, *Linear
+        representations of finite groups*, 2.3): E_s E_t is
+        (1/|S|^2) sum_z chi_t(z) b_z sum_x (chi_s / chi_t)(x), and the inner
+        sum is 0 for s != t; the sum over all characters of chi(x) is
+        |S| [x = e], and b_e is the unit.
+
+        Premises, each an integer check on the view: the support S is a group
+        under the host product with b_x b_y = b_xy (exponent 0) whose
+        identity is the unit of the host; every E_t has a term at every
+        element of S; each row E[t] is a homomorphism S -> Z_M, checked on
+        generators of S at the view's conductor M (see ``_multiplicative``);
+        the m rows are pairwise distinct mod M, m = |S|, and the scale is
+        1/|S|."""
+        v, H = self.view, self.host
+        if v is None:
+            return False
+        S, n = v.S, len(v.S)
+        if self.m != n or v.scale != Fraction(1, n) or (v.E >= v.M).any():
+            return False
+        mt, me = H.mono_tables()
+        prods = mt[np.ix_(S, S)]
+        col = np.full(H.dim, -1)
+        col[S] = np.arange(n)
+        smul = np.where(prods >= 0, col[prods], -1)
+        gens = _group_generators(smul)
+        if gens is None or (me[np.ix_(S, S)] % H.conductor).any():
+            return False
+        return (H.unit == {int(S[gens[0]]): CycloNumber.one(H.conductor)}
+                and _multiplicative(v.E.T, smul, v.M, gens)
+                and len({row.tobytes() for row in v.E % v.M}) == n)
+
     def _first_nonorthogonal(self):
         """The first (s, t), rows s ascending, with E_s E_t != delta E_s;
-        () when every product holds."""
+        () when every product holds: at once when ``_characters`` holds,
+        else from the sums of roots of the view."""
+        if self._characters:
+            return ()
         v, m, w = self.view, self.m, self.view.width
         mt, me = self.host.mono_tables()
         # the products b_x b_y of x = S[c] with each entry y = idx[b] of any
@@ -314,8 +370,21 @@ class IdemSupport:
 
     def _factors(self, kdiv):
         """Delta(E_t) = sum_(t1 t2 = t) E_t1 (x) E_t2 for every t, with
-        kdiv[t1, t] the t2, keyed by the positions of the two legs."""
+        kdiv[t1, t] the t2, on a support whose index table is a group.
+
+        Accepted at once when ``_characters`` holds, every b_x of S is
+        group-like and E[kmul[t1, t2]] = E[t1] + E[t2] mod M (checked on
+        generators of kmul, see ``_multiplicative``): then chi_t2 is
+        chi_t / chi_t1, the right side is
+        (1/|S|^2) sum_(x, y) chi_t(y) b_x (x) b_y sum_t1 chi_t1(x y^-1), and
+        the inner sum over all characters is |S| [x = y] (Serre, 2.3), which
+        leaves (1/|S|) sum_x chi_t(x) b_x (x) b_x = Delta(E_t).  Otherwise
+        both sides are compared as sums of roots of the view, keyed by the
+        positions of the two legs."""
         v, m, nz, w = self.view, self.m, self.view.nz, self.view.width
+        if self._characters and all(_group_like(self.host, x) for x in v.S) \
+                and _multiplicative(v.E, self.kmul, v.M, self.gens):
+            return True
         _, lefts, rights, dexp = tables = self.host.comult_tables()
         ccnt, cptr = _comult_rows(tables, self.host.dim)
         f = v.M // self.host.conductor
@@ -386,6 +455,25 @@ class IdemSupport:
             perm = [row_of.get(row.tobytes()) for row in conj]
             out.append(None if None in perm else perm)
         return out
+
+    def _distinct_perms(self, conj_perms):
+        """(perms, which): the distinct permutation rows of conj_perms, as an
+        array, and for each basis row h the index of its permutation in
+        perms, -1 for a None row.  Computed once per support and kept while
+        the rows passed in are equal to the last ones."""
+        memo = self.__dict__.get("_distinct_memo")
+        if memo is None or memo[0] != conj_perms:
+            rows = [h for h, perm in enumerate(conj_perms) if perm is not None]
+            perms = np.zeros((0, self.m), dtype=np.int64)
+            which = np.full(len(conj_perms), -1)
+            if rows:
+                perms, inverse = np.unique(np.array([conj_perms[h] for h in rows]),
+                                           axis=0, return_inverse=True)
+                which[rows] = inverse.reshape(-1)
+            memo = ([None if p is None else list(p) for p in conj_perms],
+                    perms, which.tolist())
+            self._distinct_memo = memo
+        return memo[1:]
 
     @cached_property
     def intertwiner_table(self):
@@ -531,13 +619,64 @@ def r_entries_from_support(sup: IdemSupport, W, L) -> dict:
     return entries
 
 
-def _multiplicative(W, kmul, L):
+def _group_generators(table):
+    """[e, g_1, ..., g_r] for a multiplication table on 0..m-1 that is a
+    group: its identity e, then elements that generate it, taken greedily in
+    index order, so that each at least doubles the span and r <= log2 m.
+    None when the table is not a group.
+
+    Checked: the rows and the columns are permutations, there is a two-sided
+    identity (a loop), and Light's associativity test (x g) y = x (g y)
+    holds for all x, y and each listed g, which is r m^2 integer work.  The
+    g that pass the test are closed under products, since
+    (x (g h)) y = ((x g) h) y = (x g)(h y) = x (g (h y)) = x ((g h) y), and
+    the listed g generate the table under products, so the test on them
+    makes the whole table associative (A. H. Clifford and G. B. Preston,
+    *The algebraic theory of semigroups*, Vol. I, 1.2)."""
+    T = np.asarray(table)
+    m = len(T)
+    ar = np.arange(m)
+    if T.shape != (m, m) or not ((np.sort(T, axis=1) == ar).all()
+                                 and (np.sort(T, axis=0) == ar[:, None]).all()):
+        return None
+    ids = np.flatnonzero((T == ar).all(axis=1))
+    if len(ids) != 1 or (T[:, ids[0]] != ar).any():
+        return None
+    gens = [int(ids[0])]
+    span = np.zeros(m, dtype=bool)
+    span[gens] = True
+    for x in range(m):
+        if span[x]:
+            continue
+        gens.append(x)
+        span[x] = True
+        # close the span under products
+        while True:
+            S = np.flatnonzero(span)
+            grown = span.copy()
+            grown[T[np.ix_(S, S)]] = True
+            if (grown == span).all():
+                break
+            span = grown
+    g = np.array(gens)
+    if (T[T[:, g]] != T[:, T[g]]).any():
+        return None
+    return gens
+
+
+def _multiplicative(W, kmul, L, gens):
     """W[kmul[s, g], t] = W[s, t] + W[g, t] mod L for all s, g, t: each
-    column s -> W[s, t] is a character of the support group.  In place, so
-    that one m^3 array is held at a time."""
-    D = W[kmul]
+    column s -> W[s, t] is a character of the group kmul.  Checked for g in
+    gens only, the identity and a generating set of the group
+    (``_group_generators``), which is r m^2 integer work, not m^3.  At
+    g = e it gives W[e] = 0.  By associativity the g for which it holds are
+    closed under products: W[s(gh)] = W[(sg)h] = W[sg] + W[h] = W[s] + W[g]
+    + W[h] = W[s] + W[gh], so by induction on words in the generators it
+    holds for every g of the finite group."""
+    g = np.asarray(gens)
+    D = W[kmul[:, g]]
     D -= W[:, None, :]
-    D -= W[None, :, :]
+    D -= W[g][None, :, :]
     D %= L
     return not D.any()
 
@@ -548,38 +687,37 @@ def verify_qt_certified(R: CertifiedR, conj_perms) -> Report:
 
     Orthogonality, completeness and Delta(E_t) = sum_(t1 t2 = t) E_t1 (x) E_t2
     of R.sup are certified, so the coproduct identities are multiplicativity
-    of R.W in each slot mod R.L, and R is always invertible, with inverse
-    w -> -w.  conj_perms is R.sup.conj_perms().  At a row perm the
-    intertwiner is W[perm, perm] = W mod L, tested once per distinct
-    permutation (a group algebra has few: one per coset of the centralizer
-    of K).  Its None rows (every row of the tau-twisted host, whose basis
-    elements are not group-like) are read from R.sup.intertwiner_table,
-    where the identity is an exact exponent identity of W at each row; the
-    table only accepts.  A row it rejects, and every row when there is no
-    table, is checked on R.entries, so the generic R is built at most once
-    and stays on R.  Failures are reported in ascending basis order.
+    of R.W in each slot mod R.L, checked on generators of the support group
+    (``_multiplicative``), and R is always invertible, with inverse w -> -w.
+    conj_perms is R.sup.conj_perms().  At a row perm the intertwiner is
+    W[perm, perm] = W mod L, tested once per distinct permutation (a group
+    algebra has few: one per coset of the centralizer of K); the distinct
+    permutations are found once per support and conj_perms.  Its None rows
+    (every row of the tau-twisted host, whose basis elements are not
+    group-like) are read from R.sup.intertwiner_table, where the identity is
+    an exact exponent identity of W at each row; the table only accepts.  A
+    row it rejects, and every row when there is no table, is checked on
+    R.entries, so the generic R is built at most once and stays on R.
+    Failures are reported in ascending basis order.
     """
     sup = R.sup.certify()
     rep = Report()
     W, L = R.W, R.L
-    if not _multiplicative(W, sup.kmul, L):
+    if not _multiplicative(W, sup.kmul, L, sup.gens):
         rep.fail("coproduct identity (left)", ("first-slot multiplicativity",))
-    if not _multiplicative(W.T.copy(), sup.kmul, L):
+    if not _multiplicative(W.T, sup.kmul, L, sup.gens):
         rep.fail("coproduct identity (right)", ("second-slot multiplicativity",))
     # intertwiner over all basis elements of the host
-    rows = [h for h, perm in enumerate(conj_perms) if perm is not None]
-    holds = {}
-    if rows:
-        P, which = np.unique(np.array([conj_perms[h] for h in rows]), axis=0,
-                             return_inverse=True)
-        ok = [_invariant_under(W, perm, L) for perm in P]
-        holds = {h: ok[k] for h, k in zip(rows, which.reshape(-1))}
+    perms, which = sup._distinct_perms(conj_perms)
+    ok = [_invariant_under(W, perm, L) for perm in perms]
     rejects = sup.intertwiner_rejects(W, L)
-    for h in range(len(conj_perms)):
-        if h not in holds:
-            holds[h] = (rejects is not None and not rejects[h]) or \
+    for h, k in enumerate(which):
+        if k >= 0:
+            holds = ok[k]
+        else:
+            holds = (rejects is not None and not rejects[h]) or \
                 _intertwines(R.host, R.entries, h)
-        if not holds[h]:
+        if not holds:
             rep.fail("intertwiner", (h,))
     return rep
 
@@ -661,23 +799,73 @@ def closed_form_survivors(G: FiniteGroup, ws, K: AbelianDecomposition):
             ix = pos[_closed_form_element(G, xw)]
             iy = pos[_closed_form_element(G, yw)]
             # w(phi(x), phi(y)) = w(x, y)
-            conds.append(((perm[ix], perm[iy]), (ix, iy), 0))
-    keep = _printed_conditions(_bichar_forms(ws, K), conds)
+            conds.append((perm[ix], perm[iy], ix, iy, 0))
+    keep = _sieve(_bichar_forms(ws, K), np.array(conds), 1)
     return [w for w, k in zip(ws, keep) if k]
 
 
-def _printed_conditions(forms, conds, N=1):
+# conditions per block of _sieve; the first block of the _qt_B_oracle
+# conditions holds 2,401 x 32 int64 exponents at (3,7), 64 raised the peak
+# memory of a run
+_SIEVE_BLOCK = 32
+
+
+def _sieve(forms, C, N):
     """Mask of the bicharacters w of forms = _bichar_forms(ws, K) meeting
-    every printed condition ((x, y), (u, v), e), on indices of K.elements:
-    w(x, y) = w(u, v) zeta_N^e.  The condition entries X[x] A_w X[y]^T of
-    every w are computed at once and compared at the conductor lcm(L, N)."""
+    every condition (x, y, u, v, e), a row of the integer array C, on
+    indices of K.elements: w(x, y) = w(u, v) zeta_N^e.  Each condition is
+    linear in the generator-pair form A_w of w, since W = X A_w X^T:
+    X[x] A_w X[y]^T - X[u] A_w X[v]^T = e, compared at the conductor
+    lcm(L, N).  All bicharacters go through the conditions a block at a
+    time, and each one is dropped at its first failing block."""
     X, A, L = forms
+    r = X.shape[1]
     M = math.lcm(L, N)
-    rows = [r for (x, _), (u, _), _ in conds for r in (x, u)]
-    cols = [c for (_, y), (_, v), _ in conds for c in (y, v)]
-    shift = np.array([e for _, _, e in conds], dtype=np.int64) * (M // N)
-    V = np.einsum("ci,wij,cj->wc", X[rows], A, X[cols]) * (M // L)
-    return ((V[:, 0::2] - V[:, 1::2] - shift) % M == 0).all(axis=1)
+    x, y, u, v, e = C.T
+    P = (X[x, :, None] * X[y, None, :]
+         - X[u, :, None] * X[v, None, :]).reshape(len(C), r * r)
+    P, F = P.T * (M // L), e * (M // N)
+    A = A.reshape(len(A), r * r)
+    alive = np.arange(len(A))
+    for c in range(0, len(F), _SIEVE_BLOCK):
+        block = slice(c, c + _SIEVE_BLOCK)
+        V = A[alive] @ P[:, block]
+        V -= F[block]
+        V %= M
+        alive = alive[~V.any(axis=1)]
+    keep = np.zeros(len(A), dtype=bool)
+    keep[alive] = True
+    return keep
+
+
+def _respects(perm, kmul):
+    """perm[kmul[a, b]] = kmul[perm[a], perm[b]] for all a, b: the
+    permutation perm of the support indices is an automorphism of kmul."""
+    return np.array_equal(perm[kmul], kmul[np.ix_(perm, perm)])
+
+
+def _invariant_mask(forms, perms, kmul, gens):
+    """Mask of the bicharacters w of forms = _bichar_forms(ws, K), with kmul
+    the index table of K, invariant under every permutation perm in perms:
+    w(perm x, perm y) = w(x, y) for all x, y, i.e. W[perm, perm] = W mod L,
+    as ``_invariant_under`` tests it on one W.
+
+    Where gens is the identity and a generating set of the group kmul
+    (``_group_generators``) and perm respects kmul (``_respects``),
+    w o (perm x perm) is again a bicharacter, and two bicharacters agree
+    when they agree on all pairs of generators; so the conditions are needed
+    on the pairs of generators only.  For any other perm, every pair is a
+    condition.  One ``_sieve`` decides them all, and no exponent matrix is
+    built."""
+    conds = [np.zeros((0, 5), dtype=np.int64)]
+    for perm in perms:
+        perm = np.asarray(perm)
+        automorphism = gens is not None and _respects(perm, kmul)
+        idx = np.array(gens[1:] if automorphism else range(len(kmul)),
+                       dtype=np.int64)
+        x, y = (a.ravel() for a in np.meshgrid(idx, idx, indexing="ij"))
+        conds.append(np.stack([perm[x], perm[y], x, y, 0 * x], axis=1))
+    return _sieve(forms, np.concatenate(conds), 1)
 
 
 class QTEnumeration(list):
@@ -701,9 +889,12 @@ class QTEnumeration(list):
 def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
     """All quasitriangular structures on k[G] supported on K, which is G
     itself or its largest abelian normal subgroup: the bicharacters on K
-    invariant under conjugation by the generators of G, read off the rows of
-    the certified support's conj_perms, each verified by verify_qt_certified
-    and cross-checked against the printed closed-form conditions (every
+    invariant under conjugation by the generators of G, whose permutations
+    are the rows of the certified support's conj_perms.  Invariance is
+    decided for all bicharacters at once, on pairs of generators of K
+    (``_invariant_mask``); the exponent matrix of each survivor is built
+    and verified by verify_qt_certified, and the survivors are
+    cross-checked against the printed closed-form conditions (every
     bicharacter when G is abelian)."""
     from .hopfcore import group_algebra
 
@@ -718,20 +909,16 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
     if None in gen_perms:
         raise AssertionError("a generator does not permute the idempotents of K")
 
-    X, A, L = _bichar_forms(ws, K)
-    pairs, invariant = [], set()
-    for w, Aw in zip(ws, A):
-        W = (X @ Aw @ X.T) % L
-        if not all(_invariant_under(W, perm, L) for perm in gen_perms):
-            continue
-        invariant.add(w.key())
-        R = CertifiedR(sup, W, L)
+    X, A, L = forms = _bichar_forms(ws, K)
+    pairs = []
+    for k in np.flatnonzero(_invariant_mask(forms, gen_perms, sup.kmul, sup.gens)):
+        R = CertifiedR(sup, (X @ A[k] @ X.T) % L, L)
         if not verify_qt_certified(R, conj).passed:
             raise AssertionError(
                 "conjugation-invariant bicharacter failed verify_qt_certified")
-        pairs.append((w, R))
+        pairs.append((ws[k], R))
     closed = ws if abelian else closed_form_survivors(G, ws, K)
-    return QTEnumeration(pairs, invariant_keys=invariant,
+    return QTEnumeration(pairs, invariant_keys={w.key() for w, _ in pairs},
                          closed_form_keys={w.key() for w in closed})
 
 
@@ -791,10 +978,10 @@ def _B_condition_keys(mp, m, lam, ws, dec, forms):
     a, b = G.generators["a"], G.generators["b"]
     image = {a: G.power(a, m), b: G.power(b, m ** lam)}
     pos = {x: i for i, x in enumerate(dec.elements)}
-    conds = [((pos[x], pos[y]), (pos[image[x]], pos[image[y]]),
-              int(mp.tau[image[x], image[y], 1] - mp.tau[image[y], image[x], 1]))
+    conds = [(pos[x], pos[y], pos[image[x]], pos[image[y]],
+              mp.tau[image[x], image[y], 1] - mp.tau[image[y], image[x], 1])
              for x in (a, b) for y in (a, b)]
-    keep = _printed_conditions(forms, conds, mp.conductor)
+    keep = _sieve(forms, np.array(conds), mp.conductor)
     return {w.key() for w, k in zip(ws, keep) if k}
 
 
@@ -805,11 +992,6 @@ def _e_r_support(H, dec):
                        _k_index_table(dec))
 
 
-# conditions per block of the _qt_B_oracle sieve; its first block holds
-# 2,401 x 32 int64 exponents at (3,7), 64 raised the peak memory of a run
-_SIEVE_BLOCK = 32
-
-
 def _qt_B_oracle(H, dec, ws, sup=None):
     """Keys of the bicharacters w whose R = sum w(r,s) E_r (x) E_s, with
     E_r = e_r # 1, satisfies Delta-op(g) R = R Delta(g) at the generator
@@ -818,9 +1000,8 @@ def _qt_B_oracle(H, dec, ws, sup=None):
 
     The rows have pairwise disjoint coordinates, so the identity at 1 # g
     holds exactly when it holds at every row e_r # g.  Each condition of
-    those rows is linear in the generator-pair form A_w of w, since
-    W = X A_w X^T; all bicharacters go through the conditions a block at a
-    time, and each one is dropped at its first failing block.  Raises
+    those rows is a condition w(k, l) = w(i, j) zeta^-fix, which
+    ``_sieve`` decides for all bicharacters at once.  Raises
     AssertionError when the host does not have the table, or the rows share
     a coordinate.
     """
@@ -833,21 +1014,10 @@ def _qt_B_oracle(H, dec, ws, sup=None):
     sel = np.isin(rows, [H.gf_index(r, 1) for r in dec.elements])
     if not (np.diff(np.sort(coords[sel])) > 0).all():
         raise AssertionError("the rows e_r # g share a coordinate")
-    X, A, L = _bichar_forms(ws, dec)
-    # compare at the common conductor of the table and the bicharacters
-    M = math.lcm(sup.view.M, L)
-    P = (X[k[sel], :, None] * X[l[sel], None, :]
-         - X[i[sel], :, None] * X[j[sel], None, :]).reshape(sel.sum(), -1)
-    P, F = P.T * (M // L), fix[sel] * (M // sup.view.M)
-    A = A.reshape(len(ws), -1)
-    alive = np.arange(len(ws))
-    for c in range(0, len(F), _SIEVE_BLOCK):
-        block = slice(c, c + _SIEVE_BLOCK)
-        V = A[alive] @ P[:, block]
-        V += F[block]
-        V %= M
-        alive = alive[~V.any(axis=1)]
-    return {ws[a].key() for a in alive}
+    keep = _sieve(_bichar_forms(ws, dec),
+                  np.stack([k[sel], l[sel], i[sel], j[sel], -fix[sel]], axis=1),
+                  sup.view.M)
+    return {w.key() for w, kept in zip(ws, keep) if kept}
 
 
 # ---------------------------------------------------------------------------
@@ -939,9 +1109,10 @@ def braiding_A_search(p, q, t, l) -> list[BraidingForm]:
     dec = abelian_decomposition(G, sub_ids)
     perm = conjugation_map(G, G.generators["b"], dec)
     ws = enumerate_bicharacters(dec)
-    X, A, L = _bichar_forms(ws, dec)
-    if any(_invariant_under((X @ Aw @ X.T) % L, perm, L) and not w.is_trivial()
-           for w, Aw in zip(ws, A)):
+    kmul = np.array(_k_index_table(dec))
+    keep = _invariant_mask(_bichar_forms(ws, dec), [perm], kmul,
+                           _group_generators(kmul))
+    if any(kept and not w.is_trivial() for w, kept in zip(ws, keep)):
         raise AssertionError("restriction premise fails: nontrivial invariant "
                              "bicharacter on the abelian normal subgroup")
 
@@ -1127,7 +1298,8 @@ def hopf_images(R: CertifiedR):
     """
     sup = R.sup.certify()
     W, L = R.W % R.L, R.L
-    if not (_multiplicative(W, sup.kmul, L) and _multiplicative(W.T, sup.kmul, L)):
+    if not (_multiplicative(W, sup.kmul, L, sup.gens)
+            and _multiplicative(W.T, sup.kmul, L, sup.gens)):
         raise ValueError("exponent matrix is not a bicharacter on the support")
     cols, rows = np.unique(W.T, axis=0), np.unique(W, axis=0)
     # span + <g> is the union of the cosets span + k g, k below the order of

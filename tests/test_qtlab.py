@@ -368,7 +368,7 @@ def generic_certify(sup, bad=None):
         total = total + AlgebraElement(H, v)
     if total.coeffs != H.unit:
         return "support does not sum to the unit"
-    if any(sorted(row) != list(range(m)) for row in sup.kmul.tolist()):
+    if not is_group_table(sup.kmul):
         return "support index table is not a group"
     kdiv = np.argsort(sup.kmul, axis=1)
     for t in range(m):
@@ -380,6 +380,21 @@ def generic_certify(sup, bad=None):
         if AlgebraElement(H, vectors[t]).comult_apply() != rhs:
             return "comultiplication does not factor over the support"
     return None
+
+
+def is_group_table(table):
+    """The group axioms on a multiplication table on 0..m-1, checked on
+    every triple: the oracle for ``_group_generators``."""
+    T = np.asarray(table)
+    m = len(T)
+    if any(sorted(row) != list(range(m)) for row in T.tolist()):
+        return False
+    if any(sorted(col) != list(range(m)) for col in T.T.tolist()):
+        return False
+    units = [e for e in range(m)
+             if all(T[e, x] == T[x, e] == x for x in range(m))]
+    # (x y) z = x (y z) for every x, y, z
+    return len(units) == 1 and bool((T[T] == T[:, T]).all())
 
 
 def certify_message(sup):
@@ -428,12 +443,22 @@ def e_r_support():
 
 def test_certify_rejects_swapped_kmul_on_e_r_support():
     # the basis idempotents e_r # 1 of B are not group-like: their
-    # coproducts have one term for each pair (r1, r2) with r1 r2 = r
+    # coproducts have one term for each pair (r1, r2) with r1 r2 = r.  Two
+    # swapped entries of row 0 leave no identity and repeat entries in
+    # columns 0 and 1, so the table is no group; the table relabeled by a
+    # transposition that is no automorphism is a group, but not the one of
+    # the support
     H, vectors, kmul = e_r_support()
     assert IdemSupport(H, vectors, kmul).view.M == H.conductor
     assert_certify_matches_generic(IdemSupport(H, vectors, kmul), None)
+    sigma = np.arange(len(kmul))
+    sigma[[1, 2]] = sigma[[2, 1]]
+    relabeled = sigma[kmul[np.ix_(sigma, sigma)]]
+    assert is_group_table(relabeled) and not np.array_equal(relabeled, kmul)
+    assert_certify_matches_generic(IdemSupport(H, vectors, relabeled),
+                                   "does not factor")
     kmul[0, [0, 1]] = kmul[0, [1, 0]]
-    assert_certify_matches_generic(IdemSupport(H, vectors, kmul), "does not factor")
+    assert_certify_matches_generic(IdemSupport(H, vectors, kmul), "not a group")
 
 
 def with_scaled_comult_term(H, i, k, factor):
@@ -696,6 +721,317 @@ def test_bichar_index_matrix_on_trivial_group():
     res = qt_group_algebra_enumerate(G)
     assert [v.key() for v, _ in res] == [w.key()]
     assert res.invariant_keys == res.closed_form_keys == {w.key()}
+
+
+# ---------------------------------------------------------------------------
+# generator shortcuts of the group-algebra enumeration and their oracles
+
+
+NONABELIAN_CASES = [(fam, params) for fam, params, _ in GROUP_CASES]
+
+
+def loop_invariant_keys(ws, K, perms):
+    """Keys of the bicharacters w with W[p, p] = W mod L for every p in
+    perms, one exponent matrix at a time: the oracle for the generator
+    conditions of qtlab._invariant_mask."""
+    keys = set()
+    for w in ws:
+        W, L = index_matrix(w, K)
+        if all(((W[np.ix_(p, p)] - W) % L == 0).all()
+               for p in map(np.asarray, perms)):
+            keys.add(w.key())
+    return keys
+
+
+@pytest.mark.parametrize("fam,params", NONABELIAN_CASES)
+def test_invariance_conditions_match_per_matrix_loop(fam, params, monkeypatch):
+    """The invariant bicharacters found on generator pairs are those of the
+    per-matrix loop, on every nonabelian catalog family at its smallest
+    primes; with every permutation sent to the all-pairs fallback the keys
+    stay the same."""
+    G = build_group(fam, **params)
+    res = qt_group_algebra_enumerate(G)
+    K = res[0][0].domain
+    sup = res[0][1].sup
+    conj = sup.conj_perms()
+    perms = [conj[g] for g in sorted(set(G.generators.values()))]
+    assert all(qtlab._respects(np.asarray(p), sup.kmul) for p in perms)
+    ws = enumerate_bicharacters(K)
+    assert res.invariant_keys == loop_invariant_keys(ws, K, perms)
+    monkeypatch.setattr(qtlab, "_respects", lambda perm, kmul: False)
+    again = qt_group_algebra_enumerate(G)
+    assert again.invariant_keys == res.invariant_keys
+    assert [w.key() for w, _ in again] == [w.key() for w, _ in res]
+
+
+def test_invariance_fallback_on_permutations_that_are_no_automorphism():
+    """A permutation that does not respect kmul gets every pair as a
+    condition: the mask equals the per-matrix loop, where the generator
+    pairs alone would accept more."""
+    G = build_group("beta7", p=3, q=5)
+    K = largest_abelian_normal(G).decomposition
+    ws = enumerate_bicharacters(K)
+    kmul = np.array(_k_index_table(K))
+    gens = qtlab._group_generators(kmul)
+    forms = _bichar_forms(ws, K)
+    rng = np.random.default_rng(17)
+    swap = np.arange(len(kmul))
+    swap[gens[1:]] = swap[gens[1:][::-1]]
+    # fixes the generators, moves the rest
+    fixing = np.arange(len(kmul))
+    rest = np.setdiff1d(fixing, gens)
+    fixing[rest] = rng.permutation(rest)
+    for perm in (swap, fixing, rng.permutation(len(kmul))):
+        assert not qtlab._respects(perm, kmul)
+        mask = qtlab._invariant_mask(forms, [perm], kmul, gens)
+        assert {w.key() for w, k in zip(ws, mask) if k} == \
+            loop_invariant_keys(ws, K, [perm])
+    # the generator pairs alone cannot see that fixing moves the rest
+    assert qtlab._sieve(forms, np.array([
+        (fixing[x], fixing[y], x, y, 0) for x in gens for y in gens]), 1).all()
+    assert qtlab._invariant_mask(forms, [fixing], kmul, gens).sum() < len(ws)
+
+
+def test_braiding_restriction_premise_matches_per_matrix_loop():
+    # the conjugation by b on <a> in the sigma-twisted group: only the
+    # trivial bicharacter is invariant
+    G = make_A(7, 3, 2, 1).G
+    dec = abelian_decomposition(G, G.subgroup_closure([G.generators["a"]]))
+    perm = conjugation_map(G, G.generators["b"], dec)
+    ws = enumerate_bicharacters(dec)
+    kmul = np.array(_k_index_table(dec))
+    mask = qtlab._invariant_mask(_bichar_forms(ws, dec), [perm], kmul,
+                                 qtlab._group_generators(kmul))
+    keys = {w.key() for w, k in zip(ws, mask) if k}
+    assert keys == loop_invariant_keys(ws, dec, [perm])
+    assert [w.is_trivial() for w in ws if w.key() in keys] == [True]
+
+
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def test_group_check_rejects_a_non_associative_loop():
+    """Every row and column of LOOP5 is a permutation and 0 is an identity,
+    but x x = 0 for all x, which no group of order 5 has.  certify() calls it
+    no group, as the oracle checking every triple does; before its columns,
+    identity and associativity were checked it passed as a group."""
+    loop = np.array(LOOP5)
+    assert sorted(map(sorted, loop.tolist())) == [list(range(5))] * 5
+    assert sorted(map(sorted, loop.T.tolist())) == [list(range(5))] * 5
+    assert not is_group_table(loop)
+    assert qtlab._group_generators(loop) is None
+    G = cyclic_group(5)
+    K = abelian_decomposition(G, range(5))
+    H = group_algebra(G, conductor=5)
+    assert_certify_matches_generic(IdemSupport(H, idempotents(K), loop),
+                                   "not a group")
+    assert_certify_matches_generic(
+        IdemSupport(H, idempotents(K), _k_index_table(K)), None)
+
+
+def test_group_generators_match_the_group_axioms():
+    """_group_generators against the triple-by-triple oracle on group tables,
+    their isotopes (rows and columns permuted) and single swapped entries;
+    on a group its list starts at the identity and generates the table."""
+    rng = np.random.default_rng(5)
+    tables = [np.array(LOOP5)]
+    for G in (cyclic_group(1), cyclic_group(5), abelian_group([3, 3]),
+              abelian_group([2, 4]), cyclic_group(9)):
+        tables.append(np.array(_k_index_table(abelian_decomposition(G, range(G.order)))))
+    G = build_group("gamma3", p=7, q=3, m=2)
+    tables.append(np.array(G.table))
+    for T in list(tables):
+        m = len(T)
+        tables.append(T[rng.permutation(m)][:, rng.permutation(m)])
+        if m > 2:
+            U = T.copy()
+            U[0, [1, 2]] = U[0, [2, 1]]
+            tables.append(U)
+    verdicts = []
+    for T in tables:
+        gens = qtlab._group_generators(T)
+        verdicts.append(gens is not None)
+        assert verdicts[-1] == is_group_table(T)
+        if gens is not None:
+            assert (T[gens[0]] == np.arange(len(T))).all()
+            span = {gens[0]}
+            while True:
+                grown = span | {int(T[x, y]) for x in span for y in gens}
+                if grown == span:
+                    break
+                span = grown
+            assert span == set(range(len(T)))
+            assert 2 ** (len(gens) - 1) <= len(T)
+    assert 6 < sum(verdicts) < len(tables)
+
+
+def test_generator_hexagons_match_the_cubic_check():
+    """_multiplicative on the generators of the support group against the
+    m^3 broadcast of the reference verifier, witness by witness: seeded
+    single-entry mutants of survivors, and an exponent matrix that is
+    multiplicative along some generators and not along the others."""
+    rng = random.Random(11)
+    for fam, params in (("beta7", dict(p=3, q=5)), ("gamma3", dict(p=7, q=3, m=2))):
+        res = qt_group_algebra_enumerate(build_group(fam, **params))
+        sup = res[0][1].sup
+        conj = sup.conj_perms()
+        K = res[0][0].domain
+        for _ in range(12):
+            w, _ = rng.choice(res)
+            W, L = index_matrix(w, K)
+            s, t = rng.randrange(sup.m), rng.randrange(sup.m)
+            W[s, t] = (W[s, t] + 1 + rng.randrange(L - 1)) % L
+            for M in (W, W.T.copy()):
+                rep = verify_qt_certified(CertifiedR(sup, M, L), conj)
+                assert not rep.passed
+                assert rep.failures == reference_verify_qt_certified(
+                    sup, M, L, conj).failures
+        # W = w + d x_j^2 in the exponent coordinates x of K: additive along
+        # the generators with x_j = 0 only
+        X = np.array([K.exponent_of(x) for x in K.elements], dtype=np.int64)
+        w = next(w for w, _ in res if not w.is_trivial())
+        W, L = index_matrix(w, K)
+        j = len(K.orders) - 1
+        bent = (W + (L // K.orders[j]) * X[:, j:j + 1] ** 2) % L
+        along = [g for g in sup.gens if X[g, j] == 0]
+        assert 0 < len(along) < len(sup.gens)
+        assert qtlab._multiplicative(bent, sup.kmul, L, along)
+        for M in (bent, bent.T.copy()):
+            assert not qtlab._multiplicative(M, sup.kmul, L, sup.gens)
+            assert verify_qt_certified(CertifiedR(sup, M, L), conj).failures == \
+                reference_verify_qt_certified(sup, M, L, conj).failures
+
+
+def test_distinct_permutations_once_per_support(monkeypatch):
+    """verify_qt_certified finds the distinct conj_perms rows once per
+    support: one np.unique over the 25 survivors of beta7(3,5).  Rows that
+    differ from the last ones are found again, with the verdicts of the
+    reference."""
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    res = qt_group_algebra_enumerate(build_group("beta7", p=3, q=5))
+    monkeypatch.undo()
+    assert len(res) == 25 and len(calls) == 1
+    # Z7 in Z7 x| Z3, small enough for the generic R of the None rows
+    G = semidirect_pq(7, 3, 2)
+    K = abelian_decomposition(G, G.subgroup_closure([G.generators["a"]]))
+    sup = IdemSupport(group_algebra(G, conductor=7), idempotents(K),
+                      _k_index_table(K)).certify()
+    conj = sup.conj_perms()
+    forced = list(conj)
+    for h in sorted(set(G.generators.values())):
+        forced[h] = None
+    w = next(w for w in enumerate_bicharacters(K) if not w.is_trivial())
+    for rows in (conj, forced, conj, [list(p) for p in conj]):
+        for W in (np.zeros((7, 7), dtype=np.int64), index_matrix(w, K)[0]):
+            assert verify_qt_certified(CertifiedR(sup, W, 7), rows).failures == \
+                reference_verify_qt_certified(sup, W, 7, rows).failures
+
+
+def view_certify_message(sup, monkeypatch):
+    """The message certify() raises on a fresh copy of sup with the
+    character certificate switched off, None when it certifies."""
+    with monkeypatch.context() as mp:
+        mp.setattr(IdemSupport, "_characters", False)
+        return certify_message(IdemSupport(sup.host, sup.vectors, sup.kmul))
+
+
+@pytest.mark.parametrize("fam,params", NONABELIAN_CASES + [
+    ("beta1", dict(p=3, q=5)), ("beta2", dict(p=3, q=5))])
+def test_character_certificate_matches_view_certificate(fam, params, monkeypatch):
+    """Every group support of the catalog meets the character premises and
+    certifies, as on the sums of roots of the view."""
+    G = build_group(fam, **params)
+    K = (abelian_decomposition(G, range(G.order)) if G.is_abelian()
+         else largest_abelian_normal(G).decomposition)
+    H = group_algebra(G, conductor=math.lcm(1, *K.orders))
+    sup = IdemSupport(H, idempotents(K), _k_index_table(K))
+    assert sup._characters
+    assert certify_message(sup) is None
+    assert view_certify_message(sup, monkeypatch) is None
+
+
+def test_character_certificate_falls_back_on_unmet_premises(monkeypatch):
+    """Mutants of the gamma3(7,3) support that each break one premise of the
+    character certificate: the view certificate decides, with the verdict
+    and message of the generic oracle."""
+    H, vectors, kmul = group_support("gamma3", p=7, q=3, m=2)
+    z = zeta(H.conductor)
+    clean = IdemSupport(H, vectors, kmul)
+    assert clean._characters and certify_message(clean) is None
+
+    def scaled(vecs, t, factor, only=None):
+        out = [dict(v) for v in vecs]
+        out[t] = {x: c * factor if only in (None, x) else c
+                  for x, c in out[t].items()}
+        return out
+
+    # b_g E_t: the support is the coset g K, not closed under the product
+    g = next(x for x in range(H.dim) if x not in vectors[0])
+    coset = [{H.mult[g][x][0][0]: c for x, c in v.items()} for v in vectors]
+    Hm = with_scaled_comult_term(H, max(vectors[0]), max(vectors[0]), z)
+    # the last two keep products of the clean support, which
+    # test_orthogonality_certificate_matches_products finds orthogonal; the
+    # oracle is told so (bad=()) rather than multiply them all again
+    mutants = [
+        ("non-homomorphic row", H, scaled(vectors, 1, z, min(vectors[1])), kmul,
+         "orthogonal", None),
+        ("two equal rows", H, [vectors[0], vectors[1], vectors[1], *vectors[3:]],
+         kmul, "orthogonal", None),
+        ("wrong scale", H, [{x: 2 * c for x, c in v.items()} for v in vectors],
+         kmul, "orthogonal", None),
+        ("support not closed", H, coset, kmul, "orthogonal", None),
+        ("m < |S|", H, vectors[:-1], np.array(kmul)[:-1, :-1], "unit", ()),
+        ("non-group-like element", Hm, vectors, kmul, "does not factor", ()),
+    ]
+    for name, host, vecs, km, expect, bad in mutants:
+        sup = IdemSupport(host, vecs, km)
+        assert sup.view is not None, name
+        # the orthogonality and completeness shortcut applies only where its
+        # premises hold: on the host whose Delta(b_g) is zeta b_g (x) b_g
+        assert sup._characters == (host is Hm), name
+        message = certify_message(sup)
+        assert expect in message, (name, message)
+        assert message == generic_certify(sup, bad), name
+        assert message == view_certify_message(sup, monkeypatch), name
+
+
+def test_non_character_supports_still_certify(monkeypatch):
+    """The basis idempotents e_r # 1 of B(3,7,2,1) and the group-like
+    idempotents of B(3,7,1)* (a monomial view at M = 21 on a conductor-7
+    host) are no characters of a group of basis elements: they certify on
+    the view."""
+    H, vectors, kmul = e_r_support()
+    _, _, supports = _spy_no_qt_B_dual(monkeypatch, 3, 7, 2, 1)
+    dual = supports[0]
+    for sup, M in ((IdemSupport(H, vectors, kmul), H.conductor),
+                   (IdemSupport(dual.host, dual.vectors, dual.kmul), 21)):
+        assert sup.view.M == M
+        assert not sup._characters
+        assert certify_message(sup) is None
+
+
+@pytest.mark.parametrize("fam,count", [("beta1", 75), ("beta2", 1875)])
+def test_abelian_families_at_3_5(fam, count):
+    """Every bicharacter on G is a quasitriangular structure on k[G] for the
+    abelian families: the enumeration computes the count that reproduce
+    reports."""
+    from hopfqt import cli
+    res = qt_group_algebra_enumerate(build_group(fam, p=3, q=5))
+    K = res[0][0].domain
+    assert len(res) == cli._abelian_bicharacter_count(K.orders) == count
+    assert res.oracle_equivalent
+    assert any(w.is_trivial() for w, _ in res)
 
 
 # ---------------------------------------------------------------------------
