@@ -1,7 +1,7 @@
 """hopfqt: exact-arithmetic toolkit for finite-dimensional Hopf algebras of
 dimension p*q^2 and the classification of their quasitriangular structures."""
 
-from .exactfield import CycloNumber, SparseMatrix, cyclotomic_poly, nullspace, zeta
+from .exactfield import CycloNumber, cyclotomic_poly, nullspace, zeta
 from .grouptool import (
     AbelianDecomposition,
     Bicharacter,
@@ -36,7 +36,6 @@ from .bismash import (
 from .qtlab import (
     BraidingForm,
     CertifiedR,
-    TensorSquareElement,
     braiding_A0_construct,
     braiding_A_search,
     eta,

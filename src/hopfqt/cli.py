@@ -179,11 +179,14 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     try:
-        with open(args.infile) as fh:
-            H = load_structure(fh.read())
+        with open(args.infile, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"cannot read dump: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"dump is not UTF-8 text: {exc}") from exc
+    H = load_structure(text)
     rep = verify_hopf_axioms(H)
     diag = antipode_diagnostics(H)
     axioms = []

@@ -6,6 +6,10 @@ Q(zeta_N), reduced modulo the N-th cyclotomic polynomial.  Values that happen
 to be a rational multiple of a single root of unity carry a monomial tag, so
 products of roots of unity cost O(1) integer work.  There are no tolerance
 parameters anywhere; every comparison is exact.
+
+There is one Gaussian elimination, the incremental ``RowSpace`` over sparse
+dict vectors.  ``nullspace`` adds a matrix's columns to it, and the inverse
+of a non-monomial ``CycloNumber`` adds its multiplication columns over Q.
 """
 
 from __future__ import annotations
@@ -328,22 +332,28 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse; raises ZeroDivisionError on zero.
+
+        A monomial inverts in O(1).  Otherwise 1 = self * sum_j c_j zeta^j
+        is solved over Q in the power basis: the phi columns self * zeta^j,
+        with rational CycloNumber entries, go into a RowSpace, then e_0, and
+        its last_dependence() is c.  Every pivot of that rational RowSpace
+        is a monomial, so the recursion ends after one level."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self._m is not None:
             e, num, den = self._m
             return CycloNumber(self.n, _m=_mono_norm(self.n, -e, den, num))
-        # solve (self) * x = 1 over Q in the power basis
-        f = _field(self.n)
-        phi = f.phi
-        cols = []
+        n, phi = self.n, _field(self.n).phi
+        rs = RowSpace()
         for j in range(phi):
-            cols.append((self * CycloNumber(self.n, _m=(j % self.n, 1, 1)))._vec())
-        mat = [[Fraction(cols[j][0][i], cols[j][1]) for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(phi)]
-        sol = _solve_rational_system(mat, rhs)
-        return CycloNumber.from_coeffs(self.n, sol)
+            nums, den = (self * zeta(n, j))._vec()
+            rs.add({i: CycloNumber(1, _m=_mono_norm(1, 0, c, den))
+                    for i, c in enumerate(nums) if c})
+        rs.add({0: CycloNumber.one()})
+        sol = rs.last_dependence()
+        return CycloNumber.from_coeffs(
+            n, [sol[j].coeffs[0] if j in sol else 0 for j in range(phi)])
 
     def __truediv__(self, other):
         a, b = _pair(self, other)
@@ -478,64 +488,8 @@ def cyclo_arith(op: str, a, b=None):
     raise ValueError(f"unknown operation {op!r}")
 
 
-def _solve_rational_system(mat, rhs):
-    # dense Gaussian elimination over Q; mat is square and invertible
-    n = len(mat)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
-# sparse exact linear algebra
-
-
-class SparseMatrix:
-    """Sparse matrix of CycloNumbers; zero entries are never stored.
-
-    All entries are lifted to one common conductor on construction.
-    """
-
-    def __init__(self, rows: int, cols: int, entries=None):
-        self.rows = rows
-        self.cols = cols
-        entries = dict(entries or {})
-        n = 1
-        for v in entries.values():
-            n = math.lcm(n, v.conductor)
-        self.conductor = n
-        self.entries = {}
-        for (r, c), v in entries.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-            v = v.lift(n)
-            if v:
-                self.entries[(r, c)] = v
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def transpose(self):
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
-    def mul_vector(self, vec):
-        out = [CycloNumber.zero(self.conductor) for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r] = out[r] + v * vec[c]
-        return out
+# exact linear algebra on sparse dict vectors: one elimination, RowSpace
 
 
 def _axpy(dst, f, src):
@@ -549,89 +503,10 @@ def _axpy(dst, f, src):
             dst.pop(k, None)
 
 
-def _rref(rows, ncols):
-    """In-place reduced row echelon form on a list of dict rows.
-
-    Returns list of (pivot_col, row_dict) in elimination order.
-    """
-    pivots = []
-    rows = [r for r in rows if r]
-    for col in range(ncols):
-        piv = None
-        for idx, r in enumerate(rows):
-            if col in r:
-                piv = idx
-                break
-        if piv is None:
-            continue
-        prow = rows.pop(piv)
-        inv = prow[col].inv()
-        prow = {c: inv * v for c, v in prow.items()}
-        for r in rows:
-            f = r.get(col)
-            if f is not None:
-                _axpy(r, -f, prow)
-        for _, done in pivots:
-            f = done.get(col)
-            if f is not None:
-                _axpy(done, -f, prow)
-        pivots.append((col, prow))
-        rows = [r for r in rows if r]
-    return pivots
-
-
-def nullspace(m: SparseMatrix):
-    """Basis of the right nullspace, computed by exact elimination.
-
-    Returns a list of length-``cols`` vectors of CycloNumbers; empty when the
-    nullspace is trivial.
-    """
-    n = m.conductor
-    pivots = _rref(m.row_dicts(), m.cols)
-    pivot_cols = {col for col, _ in pivots}
-    basis = []
-    zero = CycloNumber.zero(n)
-    one = CycloNumber.one(n)
-    for free in range(m.cols):
-        if free in pivot_cols:
-            continue
-        vec = [zero] * m.cols
-        vec[free] = one
-        for col, row in pivots:
-            coef = row.get(free)
-            if coef is not None:
-                vec[col] = -coef
-        basis.append(vec)
-    return basis
-
-
-def matrix_rank(m: SparseMatrix) -> int:
-    """Rank by an independent column-elimination pass."""
-    cols = [dict() for _ in range(m.cols)]
-    for (r, c), v in m.entries.items():
-        cols[c][r] = v
-    rank = 0
-    work = [c for c in cols if c]
-    while work:
-        col = work.pop(0)
-        rank += 1
-        prow = min(col)  # eliminate on the lowest-index nonzero row
-        pval = col[prow]
-        inv = pval.inv()
-        rest = []
-        for other in work:
-            f = other.get(prow)
-            if f is not None:
-                scale = f * inv
-                _axpy(other, -scale, col)
-            if other:
-                rest.append(other)
-        work = rest
-    return rank
-
-
 class RowSpace:
-    """Incremental exact row space of sparse dict vectors.
+    """Incremental exact row space of sparse dict vectors, the one Gaussian
+    elimination of the package: nullspace, CycloNumber.inv and the minimal
+    polynomials behind R-matrix inverses all run on it.
 
     Keys must be totally ordered (ints or tuples of ints).  Tracks how each
     reduced basis row is expressed in terms of the vectors passed to ``add``,
@@ -683,3 +558,24 @@ class RowSpace:
     def last_dependence(self):
         """After add() returned False: combo expressing that vector in prior ones."""
         return dict(self._last_combo)
+
+
+def nullspace(columns):
+    """Basis of the null space of the matrix with the given sparse columns:
+    the vectors c, as dicts column index -> CycloNumber in ascending index,
+    with sum_f c[f] columns[f] = 0; empty when the columns are independent.
+
+    The columns go into one RowSpace in order, and each column f that depends
+    on the earlier ones gives e_f - sum last_dependence().  This is the
+    reduced row echelon basis, vector for vector: greedy insertion keeps
+    exactly its pivot columns, and its basis vector at a non-pivot column f
+    is the unique null vector with 1 at f and 0 at the other non-pivot
+    columns."""
+    rs = RowSpace()
+    basis = []
+    for f, col in enumerate(columns):
+        if not rs.add(col):
+            vec = {i: -c for i, c in rs.last_dependence().items()}
+            vec[f] = CycloNumber.one()
+            basis.append(dict(sorted(vec.items())))
+    return basis

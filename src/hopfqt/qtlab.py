@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactfield import CycloNumber, RowSpace, SparseMatrix, nullspace, zeta
+from .exactfield import CycloNumber, RowSpace, nullspace, zeta
 from .grouptool import (
     AbelianDecomposition,
     FiniteGroup,
@@ -52,23 +52,6 @@ from .bismash import MatchedPair, build_bismash, dualize_trivial_action, make_A,
 
 # ---------------------------------------------------------------------------
 # sparse tensors in H (x) H
-
-
-class TensorSquareElement:
-    """Sparse element of H (x) H: entries (i, j) -> CycloNumber."""
-
-    def __init__(self, host: HopfAlgebra, entries):
-        self.host = host
-        self.entries = {k: v for k, v in entries.items() if v}
-
-    def __eq__(self, other):
-        return self.host is other.host and self.entries == other.entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __repr__(self):
-        return f"<TensorSquareElement nnz={len(self.entries)}>"
 
 
 def _join(mult, A, B, carry):
@@ -540,15 +523,14 @@ def _group_like(H, i):
 # verify_qt
 
 
-def verify_qt(H: HopfAlgebra, R) -> Report:
-    """Exact verification: invertibility of R, both coproduct identities
-    (Delta (x) id)R = R13 R23 and (id (x) Delta)R = R13 R12, and the
-    intertwiner identity Delta-op(h) R = R Delta(h) for every basis h.
-    R is a TensorSquareElement or a CertifiedR; only R.entries is read.
+def verify_qt(H: HopfAlgebra, entries: dict) -> Report:
+    """Exact verification of R, given as its sparse tensor ``entries``
+    (i, j) -> coefficient of b_i (x) b_j: invertibility of R, both coproduct
+    identities (Delta (x) id)R = R13 R23 and (id (x) Delta)R = R13 R12, and
+    the intertwiner identity Delta-op(h) R = R Delta(h) for every basis h.
     Every condition is checked: each coproduct identity is witnessed by its
     first differing tensor key, the intertwiner by every failing h."""
     rep = Report()
-    entries = R.entries
 
     if _inverse(entries, partial(t2_mul, H), unit_tensor(H), H.dim ** 2) is None:
         rep.fail("invertible", ("zero divisor or no inverse",))
@@ -1059,7 +1041,7 @@ def verify_coqt(H: HopfAlgebra, form: BraidingForm) -> Report:
     commutation identity <a1, b1> a2 b2 = b1 a1 <a2, b2> is ``intertwiner``
     and convolution invertibility is ``invertible``."""
     D = dual_hopf(H)
-    return verify_qt(D, TensorSquareElement(D, form.values))
+    return verify_qt(D, form.values)
 
 
 # ---------------------------------------------------------------------------
@@ -1246,28 +1228,18 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
     b = Fp.generators["b"]
     support = [H.gf_index(i, Fp.power(b, k)) for i in range(p) for k in range(q)]
     pairs = [(u, v) for u in support for v in support]
-    rows = {}
-    for cidx, uv in enumerate(pairs):
+    columns = []
+    for uv in pairs:
         lhs, rhs = _intertwiner_sides(H, {uv: CycloNumber.one(N)}, da)
         for key, val in rhs.items():
             _acc(lhs, key, -val)
-        for key, val in lhs.items():
-            rows.setdefault(key, {})[cidx] = val
-    entries = {}
-    row_ids = {key: i for i, key in enumerate(sorted(rows))}
-    for key, cols in rows.items():
-        for cidx, val in cols.items():
-            entries[(row_ids[key], cidx)] = val
-    mat = SparseMatrix(len(row_ids), len(pairs), entries)
-    basis = nullspace(mat)
+        columns.append(lhs)
+    basis = nullspace(columns)
     report.nullspace_dim = len(basis)
 
     e_g1_e_g0 = {(H.gf_index(1, 0), H.gf_index(0, 0)): CycloNumber.one(N)}
     for n, vec in enumerate(basis):
-        sol = {}
-        for cidx, val in enumerate(vec):
-            if val:
-                sol[pairs[cidx]] = val
+        sol = {pairs[cidx]: val for cidx, val in vec.items()}
         for (u, v), val in sol.items():
             gi, _ = H.basis_gf(u)
             if gi != 0:

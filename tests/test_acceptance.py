@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from hopfqt.exactfield import CycloNumber, RowSpace, SparseMatrix, nullspace, zeta
+from hopfqt.exactfield import CycloNumber, RowSpace, nullspace, zeta
 from hopfqt.grouptool import (
     ParameterError,
     Subgroup,
@@ -257,8 +257,10 @@ def _brute_force_group_likes(H, span_ids, value_order):
             return [tuples]
         out = []
         for mu in root_sets[u]:
-            rows = {}
-            for ci, vec in enumerate(basis_vectors):
+            # column ci is the image of basis vector ci under
+            # (u* (x) id) Delta - mu id
+            columns = []
+            for vec in basis_vectors:
                 img = {}
                 for (vpos, xpos), c in mats[u].items():
                     cx = vec.get(xpos)
@@ -266,29 +268,20 @@ def _brute_force_group_likes(H, span_ids, value_order):
                         img[vpos] = img.get(vpos, zero) + c * cx
                 for vpos, c in vec.items():
                     img[vpos] = img.get(vpos, zero) - mu * c
-                for vpos, c in img.items():
-                    if c:
-                        rows.setdefault(vpos, {})[ci] = c
-            rid = {key: i for i, key in enumerate(sorted(rows))}
-            entries = {}
-            for key, colvals in rows.items():
-                for ci, c in colvals.items():
-                    entries[(rid[key], ci)] = c
-            mat = SparseMatrix(len(rid), len(basis_vectors), entries)
-            combos = nullspace(mat)
+                columns.append(img)
+            combos = nullspace(columns)
             if not combos:
                 continue
             sub = []
             for combo in combos:
                 vec = {}
-                for ci, coef in enumerate(combo):
-                    if coef:
-                        for vpos, c in basis_vectors[ci].items():
-                            s = vec.get(vpos, zero) + coef * c
-                            if s:
-                                vec[vpos] = s
-                            else:
-                                vec.pop(vpos, None)
+                for ci, coef in combo.items():
+                    for vpos, c in basis_vectors[ci].items():
+                        s = vec.get(vpos, zero) + coef * c
+                        if s:
+                            vec[vpos] = s
+                        else:
+                            vec.pop(vpos, None)
                 sub.append(vec)
             out.extend(split(sub, u + 1, tuples + [mu]))
         return out

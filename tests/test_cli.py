@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import subprocess
 import sys
 
@@ -106,6 +107,25 @@ def test_malformed_dump_exit_code(tmp_path):
     bad.write_text("not a dump\n")
     run_cli("verify", "--in", str(bad), expect=3)
     run_cli("verify", "--in", str(tmp_path / "missing.txt"), expect=3)
+
+
+def test_non_utf8_dump_is_a_format_error(tmp_path, capsys):
+    # a valid header, then a line that is not UTF-8
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"hopfqt-structure 1\n\xff\xfe\n")
+    run_cli("verify", "--in", str(bad), expect=3)
+    err = capsys.readouterr().err
+    assert err.startswith("format error: dump is not UTF-8 text")
+    assert len(err.splitlines()) == 1
+
+
+def test_random_bytes_dump_is_a_format_error(tmp_path):
+    bad = tmp_path / "random.bin"
+    bad.write_bytes(random.Random(18).randbytes(4096))
+    proc = run_proc("verify", "--in", str(bad))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("format error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_mutated_dump_fails_verification(tmp_path):

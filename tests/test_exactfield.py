@@ -1,16 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfqt.exactfield import (
     CycloNumber,
     RowSpace,
-    SparseMatrix,
     cyclo_arith,
     cyclotomic_poly,
     euler_phi,
-    matrix_rank,
     nullspace,
     zeta,
 )
@@ -215,6 +213,11 @@ def _sympy_class(sympy, n, c, step=1):
     return f.rem(sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=sympy.QQ))
 
 
+def _sympy_phi(sympy, n):
+    x = sympy.Symbol("x")
+    return sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=sympy.QQ)
+
+
 def _fractions(poly, phi):
     asc = [Fraction(int(r.p), int(r.q)) for r in reversed(poly.all_coeffs())]
     return tuple(asc + [Fraction(0)] * (phi - len(asc)))
@@ -224,8 +227,7 @@ def _fractions(poly, phi):
 @given(zeta_sums())
 def test_arithmetic_matches_sympy(sympy, case):
     n, c, d = case
-    x = sympy.Symbol("x")
-    phi_n = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain=sympy.QQ)
+    phi_n = _sympy_phi(sympy, n)
     phi = euler_phi(n)
     a, b = _zeta_sum(n, c), _zeta_sum(n, d)
     fa, fb = _sympy_class(sympy, n, c), _sympy_class(sympy, n, d)
@@ -244,41 +246,158 @@ def test_arithmetic_matches_sympy(sympy, case):
 
 
 # ---------------------------------------------------------------------------
-# sparse linear algebra
+# sparse linear algebra: nullspace and inv run on RowSpace; the eliminations
+# they replaced are the oracles below
 
 
-def _mat(rows):
-    entries = {}
+def _axpy(dst, f, src):
+    for k, v in src.items():
+        nv = dst.get(k)
+        nv = f * v if nv is None else nv + f * v
+        if nv:
+            dst[k] = nv
+        else:
+            dst.pop(k, None)
+
+
+def _rref(rows, ncols):
+    """In-place reduced row echelon form on a list of dict rows.
+
+    Returns list of (pivot_col, row_dict) in elimination order.
+    """
+    pivots = []
+    rows = [r for r in rows if r]
+    for col in range(ncols):
+        piv = None
+        for idx, r in enumerate(rows):
+            if col in r:
+                piv = idx
+                break
+        if piv is None:
+            continue
+        prow = rows.pop(piv)
+        inv = prow[col].inv()
+        prow = {c: inv * v for c, v in prow.items()}
+        for r in rows:
+            f = r.get(col)
+            if f is not None:
+                _axpy(r, -f, prow)
+        for _, done in pivots:
+            f = done.get(col)
+            if f is not None:
+                _axpy(done, -f, prow)
+        pivots.append((col, prow))
+        rows = [r for r in rows if r]
+    return pivots
+
+
+def rref_nullspace(columns):
+    """The null space basis read off the reduced row echelon form of the
+    rows, in the sparse ascending form nullspace returns."""
+    rows = _transpose(columns)
+    pivots = _rref(list(rows.values()), len(columns))
+    pivot_cols = {col for col, _ in pivots}
+    basis = []
+    for free in range(len(columns)):
+        if free in pivot_cols:
+            continue
+        vec = {free: CycloNumber.one()}
+        for col, row in pivots:
+            coef = row.get(free)
+            if coef is not None:
+                vec[col] = -coef
+        basis.append(dict(sorted(vec.items())))
+    return basis
+
+
+def matrix_rank(columns) -> int:
+    """Rank by an independent column-elimination pass."""
+    rank = 0
+    work = [{r: v for r, v in c.items() if v} for c in columns]
+    work = [c for c in work if c]
+    while work:
+        col = work.pop(0)
+        rank += 1
+        prow = min(col)  # eliminate on the lowest-index nonzero row
+        pval = col[prow]
+        inv = pval.inv()
+        rest = []
+        for other in work:
+            f = other.get(prow)
+            if f is not None:
+                scale = f * inv
+                _axpy(other, -scale, col)
+            if other:
+                rest.append(other)
+        work = rest
+    return rank
+
+
+def _solve_rational_system(mat, rhs):
+    # dense Gaussian elimination over Q; mat is square and invertible
+    n = len(mat)
+    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+def _transpose(columns):
+    """Row dicts {row key: {column index: value}} of sparse columns."""
+    rows = {}
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            if v:
+                rows.setdefault(r, {})[c] = v
+    return rows
+
+
+def _apply(columns, vec):
+    """sum_f vec[f] columns[f], sparse."""
+    out = {}
+    for f, c in vec.items():
+        _axpy(out, c, columns[f])
+    return out
+
+
+def _cols(rows):
+    columns = [dict() for _ in rows[0]]
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if not isinstance(v, CycloNumber):
                 v = CycloNumber.from_rational(v)
             if v:
-                entries[(i, j)] = v
-    return SparseMatrix(len(rows), len(rows[0]), entries)
+                columns[j][i] = v
+    return columns
 
 
 def test_nullspace_identity_is_trivial():
-    assert nullspace(_mat([[1, 0], [0, 1]])) == []
+    assert nullspace(_cols([[1, 0], [0, 1]])) == []
 
 
 def test_nullspace_zero_matrix():
-    basis = nullspace(SparseMatrix(2, 2, {}))
+    basis = nullspace([{}, {}])
     assert len(basis) == 2
-    assert basis[0][0].is_one() and basis[0][1].is_zero()
-    assert basis[1][1].is_one() and basis[1][0].is_zero()
+    assert basis[0][0].is_one() and 1 not in basis[0]
+    assert basis[1][1].is_one() and 0 not in basis[1]
 
 
 def test_nullspace_rank_one_cyclotomic():
     # det = 1 - z^3 = 0, so a one-dimensional nullspace spanned by (-z, 1)
-    m = _mat([[1, zeta(3)], [zeta(3, 2), 1]])
+    m = _cols([[1, zeta(3)], [zeta(3, 2), 1]])
     basis = nullspace(m)
     assert len(basis) == 1
     v = basis[0]
     scale = v[1]
     assert v[0] * scale.inv() == -zeta(3)
-    for x in m.mul_vector(v):
-        assert x.is_zero()
+    assert _apply(m, v) == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -288,25 +407,101 @@ def test_nullspace_rank_one_cyclotomic():
     st.data(),
 )
 def test_nullspace_exact_and_dimension(nr, nc, data):
-    entries = {}
+    columns = [dict() for _ in range(nc)]
     for i in range(nr):
         for j in range(nc):
             k = data.draw(st.integers(-2, 2))
             e = data.draw(st.integers(0, 2))
             if k:
-                entries[(i, j)] = CycloNumber.from_rational(k) * zeta(3, e)
-    m = SparseMatrix(nr, nc, entries)
-    basis = nullspace(m)
+                columns[j][i] = CycloNumber.from_rational(k) * zeta(3, e)
+    basis = nullspace(columns)
     for v in basis:
-        for x in m.mul_vector(v):
-            assert x.is_zero()
+        assert _apply(columns, v) == {}
     # dimension count against an independent rank pass
-    assert len(basis) == nc - matrix_rank(m)
+    assert len(basis) == nc - matrix_rank(columns)
 
 
 def test_matrix_rank_transpose_invariance():
-    m = _mat([[1, zeta(3), 0], [zeta(3, 2), 1, 0]])
-    assert matrix_rank(m) == matrix_rank(m.transpose()) == 1
+    m = _cols([[1, zeta(3), 0], [zeta(3, 2), 1, 0]])
+    rows = _transpose(m)
+    assert matrix_rank(m) == matrix_rank([rows[r] for r in sorted(rows)]) == 1
+
+
+@st.composite
+def column_systems(draw):
+    """Sparse columns over Q(zeta_n), keyed by row, where some columns are
+    zero, some repeat an earlier column and some are combinations of earlier
+    ones, so dependent columns are common."""
+    n = draw(st.sampled_from((1, 3, 7, 21)))
+    nrows = draw(st.integers(1, 4))
+    scales = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+    def entry():
+        x = CycloNumber.from_rational(draw(scales)) * zeta(n, draw(st.integers(0, n - 1)))
+        if draw(st.booleans()):
+            x = x + zeta(n, draw(st.integers(0, n - 1)))
+        return x
+
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("random", "zero", "repeat", "combination"))
+                    if columns else st.just("random"))
+        if kind == "random":
+            rows = draw(st.sets(st.integers(0, nrows - 1), max_size=nrows))
+            columns.append({r: entry() for r in sorted(rows)})
+        elif kind == "zero":
+            columns.append({})
+        elif kind == "repeat":
+            columns.append(dict(draw(st.sampled_from(columns))))
+        else:
+            picks = draw(st.sets(st.integers(0, len(columns) - 1), min_size=1))
+            columns.append(_apply(columns, {f: entry() for f in sorted(picks)}))
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_systems())
+def test_nullspace_equals_rref_basis(columns):
+    basis = nullspace(columns)
+    assert basis == rref_nullspace(columns)
+    for v in basis:
+        assert list(v) == sorted(v)
+        assert _apply(columns, v) == {}
+    assert len(basis) == len(columns) - matrix_rank(columns)
+
+
+def test_nullspace_vectors_ascend_when_pivots_do_not():
+    # column 1 takes a smaller pivot row than column 0, so the RowSpace
+    # dependence of column 2 names index 1 before index 0
+    one = CycloNumber.one(7)
+    columns = [{1: one}, {0: one}, {0: one, 1: zeta(7, 2)}]
+    basis = nullspace(columns)
+    assert basis == rref_nullspace(columns) == [{0: -zeta(7, 2), 1: -one, 2: 1}]
+    assert [list(v) for v in basis] == [[0, 1, 2]]
+
+
+@st.composite
+def non_monomials(draw):
+    n = draw(st.sampled_from((3, 5, 7, 9, 12, 21)))
+    phi = euler_phi(n)
+    nums = draw(st.lists(st.integers(-6, 6), min_size=phi, max_size=phi))
+    x = CycloNumber.from_coeffs(n, [Fraction(c, draw(st.integers(1, 5))) for c in nums])
+    assume(x.as_root() is None and not x.is_zero())
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(non_monomials())
+def test_inv_matches_dense_solve_and_sympy(sympy, x):
+    n, phi = x.conductor, euler_phi(x.conductor)
+    # column j of the multiplication matrix is x zeta^j in the power basis
+    cols = [(x * zeta(n, j)).coeffs for j in range(phi)]
+    mat = [[cols[j][i] for j in range(phi)] for i in range(phi)]
+    solved = _solve_rational_system(mat, [Fraction(int(i == 0)) for i in range(phi)])
+    assert x.inv().coeffs == tuple(solved)
+    # sympy: the inverse of the polynomial class mod Phi_n
+    assert x.inv().coeffs == _fractions(
+        sympy.invert(_sympy_class(sympy, n, x.coeffs), _sympy_phi(sympy, n)), phi)
 
 
 def test_rowspace_dependence_tracking():

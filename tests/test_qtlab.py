@@ -33,7 +33,6 @@ from hopfqt.qtlab import (
     BraidingForm,
     CertifiedR,
     IdemSupport,
-    TensorSquareElement,
     braiding_A0_construct,
     braiding_A_search,
     eta,
@@ -62,8 +61,7 @@ from hopfqt.qtlab import (
 
 def test_trivial_r_on_group_algebra_passes():
     H = group_algebra(cyclic_group(5), conductor=5)
-    R = TensorSquareElement(H, unit_tensor(H))
-    rep = verify_qt(H, R)
+    rep = verify_qt(H, unit_tensor(H))
     assert rep.passed
 
 
@@ -87,7 +85,7 @@ def test_bicharacters_on_abelian_pass():
     K = abelian_decomposition(G, range(3))
     for w in enumerate_bicharacters(K):
         R = bichar_r(H, K, w)
-        assert verify_qt(H, R).passed
+        assert verify_qt(H, R.entries).passed
         if not w.is_trivial():
             assert len(R.entries) == 9
 
@@ -99,7 +97,7 @@ def test_nontrivial_bicharacter_fails_intertwiner_on_nonabelian():
     K = abelian_decomposition(G, G.subgroup_closure([G.generators["a"]]))
     for w in enumerate_bicharacters(K):
         R = bichar_r(H, K, w)
-        rep = verify_qt(H, R)
+        rep = verify_qt(H, R.entries)
         if w.is_trivial():
             assert rep.passed
         else:
@@ -128,7 +126,7 @@ def test_zero_divisor_detected():
     for i, ci in e0.items():
         for j, cj in e0.items():
             entries[(i, j)] = ci * cj
-    rep = verify_qt(H, TensorSquareElement(H, entries))
+    rep = verify_qt(H, entries)
     assert "invertible" in rep.failures
 
 
@@ -166,7 +164,7 @@ def test_group_algebra_survivor_passes_generic_verifier():
         assert len(res) == 3
         for w, R in res:
             assert isinstance(R, CertifiedR) and R.entries
-            assert verify_qt(R.host, R).passed, (G.family_tag, w)
+            assert verify_qt(R.host, R.entries).passed, (G.family_tag, w)
 
 
 def test_abelian_group_algebra_unconstrained():
@@ -1376,7 +1374,7 @@ def test_qt_B_survivors_pass_exhaustive_verifier(lam):
     H = res[0][1].host
     for w, R in res:
         assert R.entries == explicit_B_entries(H, w)
-        assert verify_qt(H, R).passed
+        assert verify_qt(H, R.entries).passed
 
 
 def test_qt_B_enumerate_builds_no_generic_R(monkeypatch):
@@ -1431,7 +1429,7 @@ def test_qt_B_certified_matches_exhaustive_on_mutants():
     ]
     for Wm, failed in mutants:
         Rm = CertifiedR(sup, Wm % L, L)
-        full = verify_qt(H, Rm)
+        full = verify_qt(H, Rm.entries)
         cert = verify_qt_certified(Rm, conj)
         assert not full.passed and not cert.passed
         assert set(full.failures) == set(cert.failures) == failed
@@ -1453,7 +1451,7 @@ def assert_table_matches_generic(sup, W, L, exhaustive=False):
     assert np.flatnonzero(rejects).tolist() == \
         [h for h, in ref.failures.get(INTERTWINER, [])]
     if exhaustive:
-        full = verify_qt(H, R)
+        full = verify_qt(H, R.entries)
         assert set(full.failures) == set(cert.failures)
         assert full.failures.get(INTERTWINER) == cert.failures.get(INTERTWINER)
     return cert.failures
