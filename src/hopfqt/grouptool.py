@@ -3,9 +3,14 @@ subgroup analysis, orthogonal idempotents and bicharacters of finite abelian
 groups.
 
 Groups are explicit multiplication tables on ids 0..n-1 with id 0 the
-identity.  Every constructed table is verified (associativity, identity,
-inverses) and each catalog constructor additionally checks its defining
-relations, so a bad parameter can never produce a silently wrong group.
+identity.  Every catalog group is one split extension N x| Q of abelian
+groups, Q acting on N by integer matrices, built as one array broadcast.
+Every table is verified: entries in range, the identity, associativity by
+Light's test on a generating set, r n^2 work for r <= log2 n generators
+(A. H. Clifford and G. B. Preston, *The algebraic theory of semigroups*,
+Vol. I, 1.2), and inverses; each catalog group additionally checks its
+defining relations, so a bad parameter can never produce a silently wrong
+group.
 """
 
 from __future__ import annotations
@@ -46,10 +51,10 @@ class FiniteGroup:
         n = self.order
         if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
             raise ParameterError("id 0 is not a two-sided identity")
-        for i in range(n):
-            # (i*j)*k == i*(j*k) for all j, k
-            if not np.array_equal(t[t[i]], t[i][t]):
-                raise ParameterError("multiplication table is not associative")
+        if ((t < 0) | (t >= n)).any():
+            raise ParameterError(f"table entries must lie in 0..{n - 1}")
+        if _light_generators(t, 0) is None:
+            raise ParameterError("multiplication table is not associative")
         for i in range(n):
             if 0 not in t[i]:
                 raise ParameterError(f"element {i} has no inverse")
@@ -165,16 +170,99 @@ class FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
+# group-table checks
+
+
+def _light_generators(T, e):
+    """[e, g_1, ..., g_r] for a multiplication table T on 0..m-1 (entries in
+    range) with two-sided identity e: elements that generate T, taken
+    greedily in index order, so that on a group each at least doubles the
+    span and r <= log2 m.  None when Light's associativity test fails.
+
+    Light's test (x g) y = x (g y) holds for all x, y and each listed g,
+    which is r m^2 integer work.  The g that pass the test are closed under
+    products, since (x (g h)) y = ((x g) h) y = (x g)(h y) = x (g (h y)) =
+    x ((g h) y), and the listed g generate the table under products, so the
+    test on them makes the whole table associative (A. H. Clifford and
+    G. B. Preston, *The algebraic theory of semigroups*, Vol. I, 1.2)."""
+    m = len(T)
+    gens = [e]
+    span = np.zeros(m, dtype=bool)
+    span[gens] = True
+    for x in range(m):
+        if span[x]:
+            continue
+        gens.append(x)
+        span[x] = True
+        # close the span under products
+        while True:
+            S = np.flatnonzero(span)
+            grown = span.copy()
+            grown[T[np.ix_(S, S)]] = True
+            if (grown == span).all():
+                break
+            span = grown
+    for g in gens:
+        if (T[T[:, g]] != T[:, T[g]]).any():
+            return None
+    return gens
+
+
+def _group_generators(table):
+    """``_light_generators`` of a multiplication table on 0..m-1 that is a
+    group, at its identity; None when the table is not a group.  Checked
+    first: the rows and the columns are permutations, and there is a
+    two-sided identity (a loop)."""
+    T = np.asarray(table)
+    m = len(T)
+    ar = np.arange(m)
+    if T.shape != (m, m) or not ((np.sort(T, axis=1) == ar).all()
+                                 and (np.sort(T, axis=0) == ar[:, None]).all()):
+        return None
+    ids = np.flatnonzero((T == ar).all(axis=1))
+    if len(ids) != 1 or (T[:, ids[0]] != ar).any():
+        return None
+    return _light_generators(T, int(ids[0]))
+
+
+# ---------------------------------------------------------------------------
 # catalog constructors
 
 
-def _group_from_states(states, op, labels, generators, tag, relations=()):
-    index = {s: i for i, s in enumerate(states)}
-    assert len(index) == len(states)
-    n = len(states)
-    table = [[index[op(states[i], states[j])] for j in range(n)] for i in range(n)]
-    G = FiniteGroup(table, labels=labels, generators=generators, family_tag=tag,
-                    states=list(states))
+def _semidirect(n_orders, q_orders, actions, syms, tag, relations=()):
+    """N x| Q for N = Z_n1 x ... x Z_na and Q = Z_k1 x ... x Z_kb, the j-th
+    generator of Q acting on the column vectors of N by the integer matrix
+    actions[j]: (x, k)(y, k') = (x + A(k) y, k + k') with
+    A(k) = A_1^k1 ... A_b^kb, every coordinate mod its order.  Elements are
+    numbered in lexicographic order of their coordinates (x, k), labelled by
+    the coordinates on syms, and syms[i] names the i-th unit vector.
+    FiniteGroup checks the group axioms of the table, then each relation
+    lhs = rhs is checked as a word in the generators."""
+    orders = [*n_orders, *q_orders]
+    # the place value of each coordinate in the lexicographic numbering
+    place = np.array([math.prod(orders[r + 1:]) for r in range(len(orders))],
+                     dtype=np.int64)
+    a, nq = len(n_orders), math.prod(q_orders)
+    coords = np.array(list(product(*map(range, orders))), dtype=np.int64)
+    X, K = coords[:, :a], coords[:, a:]
+    L = math.lcm(*n_orders)
+    # A(k) for the first |Q| elements, which run through Q in order; element
+    # i acts by the matrix at i mod |Q|
+    mats = np.broadcast_to(np.eye(a, dtype=np.int64), (nq, a, a))
+    for j, A in enumerate(actions):
+        A = np.array([[x % L for x in row] for row in A], dtype=np.int64)
+        powers = [np.eye(a, dtype=np.int64)]
+        for _ in range(1, q_orders[j]):
+            powers.append(powers[-1] @ A % L)
+        mats = mats @ np.array(powers)[K[:nq, j]] % L
+    AY = np.einsum("qrc,jc->qjr", mats, X)[np.arange(len(coords)) % nq]
+    prod_coords = np.concatenate([X[:, None] + AY, K[:, None] + K], axis=2)
+    table = prod_coords % np.array(orders, dtype=np.int64) @ place
+    states = [tuple(c) for c in coords.tolist()]
+    labels = [_mono_label(list(zip(syms, c))) for c in states]
+    gens = {s: (1 % o) * int(v) for s, o, v in zip(syms, orders, place)}
+    G = FiniteGroup(table, labels=labels, generators=gens, family_tag=tag,
+                    states=states)
     for lhs, rhs in relations:
         if G.word(lhs) != G.word(rhs):
             raise ParameterError(f"defining relation {lhs} = {rhs} fails for {tag}")
@@ -187,24 +275,12 @@ def _mono_label(sym_powers):
 
 
 def cyclic_group(n, sym="g", tag=None):
-    states = list(range(n))
-    return _group_from_states(
-        states, lambda a, b: (a + b) % n,
-        [_mono_label([(sym, i)]) for i in states],
-        {sym: 1 % n}, tag or f"Z{n}")
+    return _semidirect([n], [], [], [sym], tag or f"Z{n}")
 
 
 def abelian_group(orders, syms=None, tag=None):
     syms = syms or [chr(ord("a") + i) for i in range(len(orders))]
-    states = list(product(*[range(m) for m in orders]))
-    def op(x, y):
-        return tuple((u + v) % m for u, v, m in zip(x, y, orders))
-    gens = {}
-    for i, s in enumerate(syms):
-        e = tuple(1 if j == i else 0 for j in range(len(orders)))
-        gens[s] = states.index(e)
-    labels = [_mono_label(list(zip(syms, st))) for st in states]
-    return _group_from_states(states, op, labels, gens, tag or "x".join(f"Z{m}" for m in orders))
+    return _semidirect(orders, [], [], syms, tag or "x".join(f"Z{m}" for m in orders))
 
 
 def _check_mult_order(m, modulus, exponent, name="m"):
@@ -221,13 +297,8 @@ def semidirect_pq(p, q, t):
     """Z_p x| Z_q = <a, b | a^p = b^q = 1, b a b^-1 = a^t>."""
     _check_primes(p, q)
     _check_mult_order(t, p, q, "t")
-    states = list(product(range(p), range(q)))
-    def op(x, y):
-        return ((x[0] + pow(t, x[1], p) * y[0]) % p, (x[1] + y[1]) % q)
-    labels = [_mono_label([("a", i), ("b", j)]) for i, j in states]
-    return _group_from_states(
-        states, op, labels, {"a": states.index((1, 0)), "b": states.index((0, 1))},
-        f"Z{p}:Z{q}",
+    return _semidirect(
+        [p], [q], [[[t]]], "ab", f"Z{p}:Z{q}",
         relations=[((("a", p),), ()), ((("b", q),), ()),
                    (("b", "a", ("b", -1)), (("a", t % p),))])
 
@@ -243,34 +314,6 @@ def _check_primes(p, q):
         raise ParameterError("p and q must be distinct")
     if p == 2 or q == 2:
         raise ParameterError("p and q must be odd")
-
-
-def _two_gen_action_group(p, q, alpha, beta, tag, relations):
-    # (Z_q x Z_q) x| Z_p with u acting diagonally: s -> s^alpha, t -> t^beta
-    states = [((i, j), k) for k in range(p) for i in range(q) for j in range(q)]
-    def op(x, y):
-        (i, j), k = x
-        (i2, j2), k2 = y
-        a = pow(alpha, k, q)
-        b = pow(beta, k, q)
-        return (((i + a * i2) % q, (j + b * j2) % q), (k + k2) % p)
-    states.sort()
-    labels = [_mono_label([("s", i), ("t", j), ("u", k)]) for (i, j), k in states]
-    gens = {"s": states.index(((1, 0), 0)), "t": states.index(((0, 1), 0)),
-            "u": states.index(((0, 0), 1))}
-    return _group_from_states(states, op, labels, gens, tag, relations)
-
-
-def _beta3(p, q, m):
-    _check_mult_order(m, q * q, p, "m")
-    states = list(product(range(q * q), range(p)))
-    def op(x, y):
-        return ((x[0] + pow(m, x[1], q * q) * y[0]) % (q * q), (x[1] + y[1]) % p)
-    labels = [_mono_label([("s", i), ("t", j)]) for i, j in states]
-    return _group_from_states(
-        states, op, labels,
-        {"s": states.index((1, 0)), "t": states.index((0, 1))}, "beta3",
-        relations=[(("t", "s", ("t", -1)), (("s", m % (q * q)),))])
 
 
 def _beta7(p, q, m, n):
@@ -292,22 +335,8 @@ def _beta7(p, q, m, n):
     # char poly x^2 - n x - m must have no root mod q
     if any((x * x - n * x - m) % q == 0 for x in range(q)):
         raise ParameterError(f"x^2 - {n}x - {m} has a root mod {q}; not the irreducible type")
-    states = [((i, j), k) for k in range(p) for i in range(q) for j in range(q)]
-    states.sort()
-    def act(v, k):
-        i, j = v
-        for _ in range(k):
-            i, j = (m * j) % q, (i + n * j) % q
-        return (i, j)
-    def op(x, y):
-        (v, k), (v2, k2) = x, y
-        w = act(v2, k)
-        return (((v[0] + w[0]) % q, (v[1] + w[1]) % q), (k + k2) % p)
-    labels = [_mono_label([("s", i), ("t", j), ("u", k)]) for (i, j), k in states]
-    gens = {"s": states.index(((1, 0), 0)), "t": states.index(((0, 1), 0)),
-            "u": states.index(((0, 0), 1))}
-    return _group_from_states(
-        states, op, labels, gens, "beta7",
+    return _semidirect(
+        [q, q], [p], [[[0, m], [1, n]]], "stu", "beta7",
         relations=[(("u", "s", ("u", -1)), ("t",)),
                    (("u", "t", ("u", -1)), (("s", m), ("t", n)))])
 
@@ -322,35 +351,6 @@ def beta7_default_params(p, q):
             except ParameterError:
                 continue
     raise ParameterError(f"no beta7 parameters exist for p={p}, q={q}")
-
-
-def _gamma34(p, q, m, tag):
-    states = list(product(range(p), range(q * q)))
-    def op(x, y):
-        return ((x[0] + pow(m, x[1], p) * y[0]) % p, (x[1] + y[1]) % (q * q))
-    labels = [_mono_label([("s", i), ("t", j)]) for i, j in states]
-    return _group_from_states(
-        states, op, labels,
-        {"s": states.index((1, 0)), "t": states.index((0, 1))}, tag,
-        relations=[(("t", "s", ("t", -1)), (("s", m % p),))])
-
-
-def _gamma56(p, q, m_t, m_u, tag):
-    # s of order p; t, u of order q acting on s by s -> s^(m_t), s -> s^(m_u)
-    states = [(i, (j, k)) for j in range(q) for k in range(q) for i in range(p)]
-    states.sort()
-    def op(x, y):
-        i, (j, k) = x
-        i2, (j2, k2) = y
-        c = (pow(m_t, j, p) * pow(m_u, k, p)) % p
-        return ((i + c * i2) % p, ((j + j2) % q, (k + k2) % q))
-    labels = [_mono_label([("s", i), ("t", j), ("u", k)]) for i, (j, k) in states]
-    gens = {"s": states.index((1, (0, 0))), "t": states.index((0, (1, 0))),
-            "u": states.index((0, (0, 1)))}
-    rel = [(("t", "u", ("t", -1)), ("u",)),
-           (("t", "s", ("t", -1)), (("s", m_t % p),)),
-           (("u", "s", ("u", -1)), (("s", m_u % p),))]
-    return _group_from_states(states, op, labels, gens, tag, rel)
 
 
 def build_group(family: str, **params) -> FiniteGroup:
@@ -371,13 +371,15 @@ def _build_group(family: str, params) -> FiniteGroup:
         return cyclic_group(p * q * q, tag=fam)
     if fam in {"beta2", "gamma2"}:
         _check_primes(p, q)
-        G = abelian_group([p, q, q], syms=["c", "s", "t"], tag=fam)
-        return G
+        return abelian_group([p, q, q], syms=["c", "s", "t"], tag=fam)
     if fam == "beta3":
         _check_primes(p, q)
         if q < p:
             raise ParameterError("beta families require q > p")
-        return _beta3(p, q, params["m"])
+        m = params["m"]
+        _check_mult_order(m, q * q, p, "m")
+        return _semidirect([q * q], [p], [[[m]]], "st", "beta3",
+                           relations=[(("t", "s", ("t", -1)), (("s", m % (q * q)),))])
     if fam in {"beta4", "beta5", "beta6"}:
         _check_primes(p, q)
         if q < p:
@@ -385,22 +387,20 @@ def _build_group(family: str, params) -> FiniteGroup:
         m = params["m"]
         _check_mult_order(m, q, p, "m")
         if fam == "beta4":
-            return _two_gen_action_group(
-                p, q, 1, m, fam,
+            # (Z_q x Z_q) x| Z_p with u acting by s -> s, t -> t^m
+            return _semidirect(
+                [q, q], [p], [[[1, 0], [0, m]]], "stu", fam,
                 relations=[(("t", "s", ("t", -1)), ("s",)),
                            (("u", "s", ("u", -1)), ("s",)),
                            (("u", "t", ("u", -1)), (("t", m % q),))])
-        if fam == "beta5":
-            return _two_gen_action_group(
-                p, q, m, m, fam,
-                relations=[(("u", "s", ("u", -1)), (("s", m % q),)),
-                           (("u", "t", ("u", -1)), (("t", m % q),))])
-        n = params["n"]
-        _check_mult_order(n, q, p, "n")
-        if (m - n) % q == 0:
-            raise ParameterError("beta6 requires m != n (mod q)")
-        return _two_gen_action_group(
-            p, q, m, n, fam,
+        n = m if fam == "beta5" else params["n"]
+        if fam == "beta6":
+            _check_mult_order(n, q, p, "n")
+            if (m - n) % q == 0:
+                raise ParameterError("beta6 requires m != n (mod q)")
+        # u acts by s -> s^m, t -> t^n, and n = m for beta5
+        return _semidirect(
+            [q, q], [p], [[[m, 0], [0, n]]], "stu", fam,
             relations=[(("u", "s", ("u", -1)), (("s", m % q),)),
                        (("u", "t", ("u", -1)), (("t", n % q),))])
     if fam == "beta7":
@@ -415,23 +415,21 @@ def _build_group(family: str, params) -> FiniteGroup:
             m, n = beta7_default_params(p, q)
             params["m"], params["n"] = m, n
         return _beta7(p, q, m, n)
-    if fam == "gamma3":
+    if fam in {"gamma3", "gamma4"}:
         _check_primes(p, q)
         if q > p:
             raise ParameterError("gamma families require q < p")
         m = params["m"]
-        _check_mult_order(m, p, q, "m")
-        return _gamma34(p, q, m, fam)
-    if fam == "gamma4":
-        _check_primes(p, q)
-        if q > p:
-            raise ParameterError("gamma families require q < p")
-        m = params["m"] % p
-        if pow(m, q * q, p) != 1:
-            raise ParameterError(f"m^(q^2) != 1 (mod {p})")
-        if pow(m, q, p) == 1:
-            raise ParameterError(f"m^q == 1 (mod {p})")
-        return _gamma34(p, q, m, fam)
+        if fam == "gamma3":
+            _check_mult_order(m, p, q, "m")
+        else:
+            m %= p
+            if pow(m, q * q, p) != 1:
+                raise ParameterError(f"m^(q^2) != 1 (mod {p})")
+            if pow(m, q, p) == 1:
+                raise ParameterError(f"m^q == 1 (mod {p})")
+        return _semidirect([p], [q * q], [[[m]]], "st", fam,
+                           relations=[(("t", "s", ("t", -1)), (("s", m % p),))])
     if fam in {"gamma5", "gamma6"}:
         _check_primes(p, q)
         if q > p:
@@ -439,12 +437,19 @@ def _build_group(family: str, params) -> FiniteGroup:
         m = params["m"]
         _check_mult_order(m, p, q, "m")
         if fam == "gamma5":
-            return _gamma56(p, q, 1, m, fam)
-        n = params["n"]
-        _check_mult_order(n, p, q, "n")
-        if (m - n) % p == 0:
-            raise ParameterError("gamma6 requires m != n (mod p)")
-        return _gamma56(p, q, m, n, fam)
+            m_t, m_u = 1, m
+        else:
+            n = params["n"]
+            _check_mult_order(n, p, q, "n")
+            if (m - n) % p == 0:
+                raise ParameterError("gamma6 requires m != n (mod p)")
+            m_t, m_u = m, n
+        # s of order p; t, u of order q acting on s by s -> s^(m_t), s -> s^(m_u)
+        return _semidirect(
+            [p], [q, q], [[[m_t]], [[m_u]]], "stu", fam,
+            relations=[(("t", "u", ("t", -1)), ("u",)),
+                       (("t", "s", ("t", -1)), (("s", m_t % p),)),
+                       (("u", "s", ("u", -1)), (("s", m_u % p),))])
     if fam == "semidirect_pq":
         return semidirect_pq(p, q, params["t"])
     if fam == "cyclic":

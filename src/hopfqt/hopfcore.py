@@ -257,14 +257,11 @@ def group_algebra(G: FiniteGroup, conductor: int = 1) -> HopfAlgebra:
     """k[G]: basis the group elements, Delta(g) = g (x) g, S(g) = g^-1."""
     n = G.order
     one = CycloNumber.one(conductor)
-    mult = [dict() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mult[i][j] = ((G.mul(i, j), one),)
+    mult = [{j: ((k, one),) for j, k in enumerate(row)} for row in G.table.tolist()]
     comult = [((i, i, one),) for i in range(n)]
     unit = {0: one}
     counit = [one] * n
-    antipode = [((G.inv(i), one),) for i in range(n)]
+    antipode = [((i, one),) for i in G.inverse.tolist()]
     return HopfAlgebra(n, conductor, mult, comult, unit, counit, antipode,
                        labels=list(G.labels))
 

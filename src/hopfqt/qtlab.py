@@ -38,6 +38,7 @@ from .grouptool import (
     AbelianDecomposition,
     FiniteGroup,
     ParameterError,
+    _group_generators,
     abelian_decomposition,
     conjugation_map,
     cyclic_group,
@@ -601,51 +602,6 @@ def r_entries_from_support(sup: IdemSupport, W, L) -> dict:
     return entries
 
 
-def _group_generators(table):
-    """[e, g_1, ..., g_r] for a multiplication table on 0..m-1 that is a
-    group: its identity e, then elements that generate it, taken greedily in
-    index order, so that each at least doubles the span and r <= log2 m.
-    None when the table is not a group.
-
-    Checked: the rows and the columns are permutations, there is a two-sided
-    identity (a loop), and Light's associativity test (x g) y = x (g y)
-    holds for all x, y and each listed g, which is r m^2 integer work.  The
-    g that pass the test are closed under products, since
-    (x (g h)) y = ((x g) h) y = (x g)(h y) = x (g (h y)) = x ((g h) y), and
-    the listed g generate the table under products, so the test on them
-    makes the whole table associative (A. H. Clifford and G. B. Preston,
-    *The algebraic theory of semigroups*, Vol. I, 1.2)."""
-    T = np.asarray(table)
-    m = len(T)
-    ar = np.arange(m)
-    if T.shape != (m, m) or not ((np.sort(T, axis=1) == ar).all()
-                                 and (np.sort(T, axis=0) == ar[:, None]).all()):
-        return None
-    ids = np.flatnonzero((T == ar).all(axis=1))
-    if len(ids) != 1 or (T[:, ids[0]] != ar).any():
-        return None
-    gens = [int(ids[0])]
-    span = np.zeros(m, dtype=bool)
-    span[gens] = True
-    for x in range(m):
-        if span[x]:
-            continue
-        gens.append(x)
-        span[x] = True
-        # close the span under products
-        while True:
-            S = np.flatnonzero(span)
-            grown = span.copy()
-            grown[T[np.ix_(S, S)]] = True
-            if (grown == span).all():
-                break
-            span = grown
-    g = np.array(gens)
-    if (T[T[:, g]] != T[:, T[g]]).any():
-        return None
-    return gens
-
-
 def _multiplicative(W, kmul, L, gens):
     """W[kmul[s, g], t] = W[s, t] + W[g, t] mod L for all s, g, t: each
     column s -> W[s, t] is a character of the group kmul.  Checked for g in
@@ -716,10 +672,9 @@ def _invariant_under(W, perm, L):
 
 
 def _k_index_table(K: AbelianDecomposition):
-    pos = {x: i for i, x in enumerate(K.elements)}
-    m = len(K.elements)
-    return [[pos[K.group.mul(K.elements[a], K.elements[b])] for b in range(m)]
-            for a in range(m)]
+    pos = np.full(K.group.order, -1)
+    pos[K.elements] = np.arange(len(K.elements))
+    return pos[K.group.table[np.ix_(K.elements, K.elements)]].tolist()
 
 
 def _bichar_forms(ws, K: AbelianDecomposition):

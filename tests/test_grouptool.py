@@ -1,10 +1,14 @@
+import argparse
+import hashlib
 import math
 from itertools import combinations_with_replacement, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfqt.cli import _resolve_family_params, _smallest_order_element
 from hopfqt.exactfield import CycloNumber, zeta
 from hopfqt.grouptool import (
     AbelianDecomposition,
@@ -123,6 +127,381 @@ def test_table_verification_rejects_bad_tables():
         FiniteGroup([[0, 1], [1, 1]])  # not a latin square / no inverse
     with pytest.raises(ParameterError):
         FiniteGroup([[1, 0], [0, 1]])  # 0 not identity
+
+
+def test_out_of_range_entries_are_rejected_before_indexing():
+    # an entry >= n used to raise IndexError out of the associativity check,
+    # and a negative one wrapped around to "not associative"
+    for table in ([[0, 1], [1, 2]], [[0, 1], [1, 5]], [[0, 1], [1, -1]],
+                  [[0, 1, 2], [1, 2, 0], [2, 0, -3]]):
+        n = len(table)
+        with pytest.raises(ParameterError, match=rf"^table entries must lie in 0\.\.{n - 1}$"):
+            FiniteGroup(table)
+    with pytest.raises(ParameterError, match=r"^table entries must lie in 0\.\.1$"):
+        build_group("custom", table=[[0, 1], [1, 5]])
+    # a table whose identity already fails keeps that message
+    with pytest.raises(ParameterError, match="^id 0 is not a two-sided identity$"):
+        FiniteGroup([[0, 1], [5, 0]])
+
+
+# ---------------------------------------------------------------------------
+# the replaced per-family constructors and the n^3 table check, as oracles
+
+
+def oracle_verify_table(t):
+    """The group axioms checked on every triple, with the messages and in
+    the order of FiniteGroup's checks; for tables with entries in 0..n-1."""
+    t = np.asarray(t, dtype=np.int32)
+    n = len(t)
+    if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
+        raise ParameterError("id 0 is not a two-sided identity")
+    for i in range(n):
+        # (i*j)*k == i*(j*k) for all j, k
+        if not np.array_equal(t[t[i]], t[i][t]):
+            raise ParameterError("multiplication table is not associative")
+    for i in range(n):
+        if 0 not in t[i]:
+            raise ParameterError(f"element {i} has no inverse")
+
+
+def _flat(state):
+    if isinstance(state, int):
+        return (state,)
+    return tuple(x for part in state for x in _flat(part))
+
+
+def oracle_group_from_states(states, op, labels, generators, tag):
+    """The table by one op call per pair of states, indexed by position."""
+    index = {s: i for i, s in enumerate(states)}
+    assert len(index) == len(states)
+    n = len(states)
+    table = np.array([[index[op(states[i], states[j])] for j in range(n)]
+                      for i in range(n)], dtype=np.int32)
+    return SimpleNamespace(table=table, labels=labels, generators=generators,
+                           family_tag=tag, states=list(states))
+
+
+def _label(sym_powers):
+    parts = [f"{s}^{k}" for s, k in sym_powers if k]
+    return "1" if not parts else "".join(parts)
+
+
+def oracle_cyclic_group(n, sym="g", tag=None):
+    states = list(range(n))
+    return oracle_group_from_states(
+        states, lambda a, b: (a + b) % n,
+        [_label([(sym, i)]) for i in states],
+        {sym: 1 % n}, tag or f"Z{n}")
+
+
+def oracle_abelian_group(orders, syms=None, tag=None):
+    syms = syms or [chr(ord("a") + i) for i in range(len(orders))]
+    states = list(product(*[range(m) for m in orders]))
+    def op(x, y):
+        return tuple((u + v) % m for u, v, m in zip(x, y, orders))
+    gens = {}
+    for i, s in enumerate(syms):
+        e = tuple(1 if j == i else 0 for j in range(len(orders)))
+        gens[s] = states.index(e)
+    labels = [_label(list(zip(syms, st))) for st in states]
+    return oracle_group_from_states(states, op, labels, gens,
+                                    tag or "x".join(f"Z{m}" for m in orders))
+
+
+def oracle_semidirect_pq(p, q, t):
+    states = list(product(range(p), range(q)))
+    def op(x, y):
+        return ((x[0] + pow(t, x[1], p) * y[0]) % p, (x[1] + y[1]) % q)
+    labels = [_label([("a", i), ("b", j)]) for i, j in states]
+    return oracle_group_from_states(
+        states, op, labels, {"a": states.index((1, 0)), "b": states.index((0, 1))},
+        f"Z{p}:Z{q}")
+
+
+def oracle_two_gen_action_group(p, q, alpha, beta, tag):
+    # (Z_q x Z_q) x| Z_p with u acting diagonally: s -> s^alpha, t -> t^beta
+    states = [((i, j), k) for k in range(p) for i in range(q) for j in range(q)]
+    def op(x, y):
+        (i, j), k = x
+        (i2, j2), k2 = y
+        a = pow(alpha, k, q)
+        b = pow(beta, k, q)
+        return (((i + a * i2) % q, (j + b * j2) % q), (k + k2) % p)
+    states.sort()
+    labels = [_label([("s", i), ("t", j), ("u", k)]) for (i, j), k in states]
+    gens = {"s": states.index(((1, 0), 0)), "t": states.index(((0, 1), 0)),
+            "u": states.index(((0, 0), 1))}
+    return oracle_group_from_states(states, op, labels, gens, tag)
+
+
+def oracle_beta3(p, q, m):
+    states = list(product(range(q * q), range(p)))
+    def op(x, y):
+        return ((x[0] + pow(m, x[1], q * q) * y[0]) % (q * q), (x[1] + y[1]) % p)
+    labels = [_label([("s", i), ("t", j)]) for i, j in states]
+    return oracle_group_from_states(
+        states, op, labels,
+        {"s": states.index((1, 0)), "t": states.index((0, 1))}, "beta3")
+
+
+def oracle_beta7(p, q, m, n):
+    m %= q
+    n %= q
+    states = [((i, j), k) for k in range(p) for i in range(q) for j in range(q)]
+    states.sort()
+    def act(v, k):
+        i, j = v
+        for _ in range(k):
+            i, j = (m * j) % q, (i + n * j) % q
+        return (i, j)
+    def op(x, y):
+        (v, k), (v2, k2) = x, y
+        w = act(v2, k)
+        return (((v[0] + w[0]) % q, (v[1] + w[1]) % q), (k + k2) % p)
+    labels = [_label([("s", i), ("t", j), ("u", k)]) for (i, j), k in states]
+    gens = {"s": states.index(((1, 0), 0)), "t": states.index(((0, 1), 0)),
+            "u": states.index(((0, 0), 1))}
+    return oracle_group_from_states(states, op, labels, gens, "beta7")
+
+
+def oracle_gamma34(p, q, m, tag):
+    states = list(product(range(p), range(q * q)))
+    def op(x, y):
+        return ((x[0] + pow(m, x[1], p) * y[0]) % p, (x[1] + y[1]) % (q * q))
+    labels = [_label([("s", i), ("t", j)]) for i, j in states]
+    return oracle_group_from_states(
+        states, op, labels,
+        {"s": states.index((1, 0)), "t": states.index((0, 1))}, tag)
+
+
+def oracle_gamma56(p, q, m_t, m_u, tag):
+    # s of order p; t, u of order q acting on s by s -> s^(m_t), s -> s^(m_u)
+    states = [(i, (j, k)) for j in range(q) for k in range(q) for i in range(p)]
+    states.sort()
+    def op(x, y):
+        i, (j, k) = x
+        i2, (j2, k2) = y
+        c = (pow(m_t, j, p) * pow(m_u, k, p)) % p
+        return ((i + c * i2) % p, ((j + j2) % q, (k + k2) % q))
+    labels = [_label([("s", i), ("t", j), ("u", k)]) for i, (j, k) in states]
+    gens = {"s": states.index((1, (0, 0))), "t": states.index((0, (1, 0))),
+            "u": states.index((0, (0, 1)))}
+    return oracle_group_from_states(states, op, labels, gens, tag)
+
+
+def oracle_build(family, params):
+    """The replaced constructors by family, and the params build_group
+    records (beta7 fills in its default m and n)."""
+    params = dict(params)
+    p, q, m, n = (params.get(k) for k in "pqmn")
+    if family in {"beta1", "gamma1"}:
+        G = oracle_cyclic_group(p * q * q, tag=family)
+    elif family in {"beta2", "gamma2"}:
+        G = oracle_abelian_group([p, q, q], syms=["c", "s", "t"], tag=family)
+    elif family == "beta3":
+        G = oracle_beta3(p, q, m)
+    elif family in {"beta4", "beta5", "beta6"}:
+        alpha, beta = {"beta4": (1, m), "beta5": (m, m), "beta6": (m, n)}[family]
+        G = oracle_two_gen_action_group(p, q, alpha, beta, family)
+    elif family == "beta7":
+        if m is None:
+            params["m"], params["n"] = m, n = beta7_default_params(p, q)
+        G = oracle_beta7(p, q, m, n)
+    elif family in {"gamma3", "gamma4"}:
+        G = oracle_gamma34(p, q, m % p if family == "gamma4" else m, family)
+    elif family in {"gamma5", "gamma6"}:
+        G = oracle_gamma56(p, q, *((1, m) if family == "gamma5" else (m, n)), family)
+    else:
+        G = oracle_semidirect_pq(p, q, params["t"])
+    G.params = params
+    return G
+
+
+CATALOG_PAIRS = [(3, 7), (3, 13), (5, 11), (3, 19), (3, 5), (3, 11), (5, 19),
+                 (7, 3), (13, 3), (19, 3), (11, 5), (31, 5)]
+
+
+def _catalog_cases():
+    """Every catalog family that exists at each pair, with the parameters
+    that ``hopfqt reproduce`` resolves for it; semidirect_pq where q | p - 1."""
+    cases = []
+    for p, q in CATALOG_PAIRS:
+        if q > p:
+            fams = ["beta1", "beta2"]
+            if (q - 1) % p == 0:
+                fams += ["beta3", "beta4", "beta5", "beta6"]
+            if (q + 1) % p == 0:
+                fams.append("beta7")
+        else:
+            fams = ["gamma1", "gamma2", "gamma3", "gamma5", "gamma6"]
+            if (p - 1) % (q * q) == 0:
+                fams.append("gamma4")
+            cases.append(("semidirect_pq", dict(p=p, q=q, t=_smallest_order_element(p, q))))
+        for fam in fams:
+            cases.append((fam, _resolve_family_params(
+                argparse.Namespace(family=fam, p=p, q=q, m=None, n=None))))
+    return cases
+
+
+CATALOG_CASES = _catalog_cases()
+
+
+@pytest.mark.parametrize("family,params", CATALOG_CASES,
+                         ids=[f"{f}-{c['p']}-{c['q']}" for f, c in CATALOG_CASES])
+def test_catalog_groups_match_the_replaced_constructors(family, params):
+    """The one semidirect-product constructor numbers, labels and names
+    every catalog group as the per-family constructors did, and its states
+    are theirs flattened, in the same order."""
+    G = build_group(family, **params)
+    old = oracle_build(family, params)
+    assert G.table.dtype == old.table.dtype
+    assert np.array_equal(G.table, old.table)
+    assert G.labels == old.labels
+    assert list(G.generators.items()) == list(old.generators.items())
+    assert G.family_tag == old.family_tag
+    assert G.params == old.params
+    assert G.states == [_flat(s) for s in old.states]
+    if G.order <= 200:
+        oracle_verify_table(old.table)
+
+
+def test_small_groups_match_the_replaced_constructors():
+    for G, old in [(cyclic_group(1), oracle_cyclic_group(1)),
+                   (cyclic_group(7, sym="h", tag="C7"), oracle_cyclic_group(7, "h", "C7")),
+                   (abelian_group([5, 5], syms=["a", "b"]),
+                    oracle_abelian_group([5, 5], syms=["a", "b"])),
+                   (abelian_group([2, 3, 4]), oracle_abelian_group([2, 3, 4])),
+                   (abelian_group([]), oracle_abelian_group([]))]:
+        assert np.array_equal(G.table, old.table)
+        assert (G.labels, G.generators, G.family_tag) == \
+            (old.labels, old.generators, old.family_tag)
+        assert G.states == [_flat(s) for s in old.states]
+    assert cyclic_group(1).generators == {"g": 0}
+    # an action parameter beyond int64 acts by its residue, as pow() did
+    assert np.array_equal(semidirect_pq(7, 3, 2 + 7 * 10**30).table,
+                          oracle_semidirect_pq(7, 3, 2).table)
+
+
+def _verdict(check, table):
+    try:
+        check(table)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+_SMALL_TABLES = [np.asarray(G.table) for G in (
+    cyclic_group(1), cyclic_group(2), cyclic_group(4), cyclic_group(6),
+    abelian_group([2, 2]), abelian_group([3, 3]), semidirect_pq(7, 3, 2),
+    build_group("gamma3", p=7, q=3, m=2))]
+
+
+def _as_loop(T):
+    """The principal isotope of the Latin square T with 0 as identity:
+    symbols renamed so that row 0 reads 0..n-1, then rows reordered so that
+    column 0 does.  A loop isotopic to a group is a group."""
+    rename = np.argsort(T[0])
+    L = rename[T]
+    return L[np.argsort(L[:, 0])]
+
+
+@st.composite
+def magmas(draw):
+    kind = draw(st.sampled_from(["catalog", "isotope", "loop", "random"]))
+    if kind == "random":
+        n = draw(st.integers(1, 5))
+        T = np.array(draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                                   min_size=n, max_size=n)), dtype=np.int64)
+        if draw(st.booleans()):
+            T[0] = T[:, 0] = np.arange(n)
+    else:
+        T = draw(st.sampled_from(_SMALL_TABLES)).copy()
+        n = len(T)
+        if kind != "catalog":
+            rows = np.array(draw(st.permutations(range(n))))
+            cols = np.array(draw(st.permutations(range(n))))
+            T = T[rows][:, cols]
+            if kind == "loop":
+                T = _as_loop(T)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+        T[i, j] = v
+    return T.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(magmas())
+def test_table_check_matches_the_cubic_oracle(table):
+    """FiniteGroup accepts exactly the tables the every-triple check
+    accepts, and rejects the others with its message."""
+    assert _verdict(FiniteGroup, table) == _verdict(oracle_verify_table, table)
+
+
+def test_table_check_sees_catalog_perturbations():
+    """Each single-entry change of a catalog table is rejected with the
+    oracle's message, and the loops isotopic to it are accepted."""
+    rng = np.random.default_rng(19)
+    for T in _SMALL_TABLES:
+        n = len(T)
+        assert _verdict(FiniteGroup, _as_loop(T[rng.permutation(n)][:, rng.permutation(n)])) is None
+        for _ in range(20 if n > 1 else 0):
+            U = T.copy()
+            i, j = rng.integers(n, size=2)
+            U[i, j] = (U[i, j] + rng.integers(1, n)) % n
+            message = _verdict(oracle_verify_table, U)
+            assert message is not None
+            assert _verdict(FiniteGroup, U) == message
+
+
+# Element numbering of every group `hopfqt reproduce` builds at (3,5),
+# (3,7), (7,3) and (19,3): the catalog families with the parameters it
+# resolves, and the groups of make_A and make_B there.  The digests are
+# sha256 of table.tobytes() followed by the labels joined by spaces, taken
+# from the per-family constructors before the one semidirect-product
+# constructor replaced them.  Labels name elements in structure dumps, and
+# ids key the bicharacters in reports, so a renumbering must show here.
+NUMBERING_PINS = [
+    ("beta1", dict(p=3, q=5), "1c496b1b1276fba4bd42cd2c24d83d21b6666847a5878bc611e1c02a1ba421e4"),
+    ("beta2", dict(p=3, q=5), "71b6833f821b84423f51f60618fedc84229d6bb53a8dc8c0c0a6c5f48243ba88"),
+    ("beta7", dict(p=3, q=5), "5e0823be15c08322e39228809b60e392bda5915bbd66c1c70cc9786fc18c11e4"),
+    ("beta1", dict(p=3, q=7), "2602be156e95ec7c4dcb36b254b08b9bca9ec5133740c6b4231c553b473ef2d6"),
+    ("beta2", dict(p=3, q=7), "1fcfd4c8df00886750ee3cbef6b1254290bd2bfc533ce7d1f7141ef3c0e3c540"),
+    ("beta3", dict(p=3, q=7, m=18), "892e0e26a4046930d1873ff2afaef5af33e43177f461e15c88ba9601bfc49190"),
+    ("beta4", dict(p=3, q=7, m=2), "b09b7a18bb80bcda234bdc2ed45b379f6ce34996532f981fa2f47bb60d8ef54a"),
+    ("beta5", dict(p=3, q=7, m=2), "3d304d4f42131adee84a4d9c5855ee382ba8f918ab5ec4037d4bbb3e26b4c6ce"),
+    ("beta6", dict(p=3, q=7, m=2, n=4), "3069c9ba4bfa024d6e9f118fec8d0eeae6e558f2ed7b2de9aaef7b8357e733cb"),
+    ("gamma1", dict(p=7, q=3), "ebe123fff7aa9633ac0b129be26e0dd259b45672b874051011e18b2f14b60b57"),
+    ("gamma2", dict(p=7, q=3), "d0900e11b2b71e443418a72d3db918313aba68d0c7469c52c45bc2d962385f24"),
+    ("gamma3", dict(p=7, q=3, m=2), "9fecc7a70aece98a56674d1eaea03afa4ccc49be2c70e84a14be52fb9380d173"),
+    ("gamma5", dict(p=7, q=3, m=2), "4df2e30eeffa6898640d284675862b3cc385eea1bc59a6d10fe9b4bf2142922e"),
+    ("gamma6", dict(p=7, q=3, m=2, n=4), "75a381cc8921f936fea79abd764df1f1c342163f49ac3449e4aa983ba3db1d2b"),
+    ("gamma1", dict(p=19, q=3), "d043dcd30ca43e1a6105ad81a45abd68f504bb52f8b2ff01dd8c36f0c44778c1"),
+    ("gamma2", dict(p=19, q=3), "87bab980522c467891464288f7bf6471a82ef76e193788926356dc38e60034cd"),
+    ("gamma3", dict(p=19, q=3, m=7), "e5b3cc720f9ec9bb8114e179a019451f41c739bca1887e18c9f7bbf6092b864a"),
+    ("gamma4", dict(p=19, q=3, m=4), "19557773431e7b78e92e90d4888118033577643816d2c76332ce9c756ee66206"),
+    ("gamma5", dict(p=19, q=3, m=7), "313e1ae84a37069e75e6881b91b0ba97336b20e4fdd5478d8dafa5af18ad3e9b"),
+    ("gamma6", dict(p=19, q=3, m=7, n=11), "83bddd6389e8f7c9107579f86dcbb3703d6004f270335539a56f491ad31d9847"),
+    ("semidirect_pq", dict(p=7, q=3, t=2), "3edf59271856fecdaaff60c3f2fab1142f84e66c0368120c25b9e7ad17180b15"),
+    ("semidirect_pq", dict(p=19, q=3, t=7), "292cf18dc3c72421326bbd8b1261d72c7f56364c5a4f06777b608d5c48c1164b"),
+]
+
+
+def _numbering_digest(G):
+    return hashlib.sha256(G.table.tobytes() + " ".join(G.labels).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,params,digest", NUMBERING_PINS,
+                         ids=[f"{f}-{c['p']}-{c['q']}" for f, c, _ in NUMBERING_PINS])
+def test_catalog_element_numbering_is_pinned(family, params, digest):
+    assert _numbering_digest(build_group(family, **params)) == digest
+
+
+def test_matched_pair_group_numbering_is_pinned():
+    # make_B(3, 7, ...) builds Z7 x Z7 on a, b and make_A / make_B the cyclic F
+    assert _numbering_digest(abelian_group([7, 7], syms=["a", "b"])) == \
+        "9ece831f928a063a3286464bbb7e04d501a84cc1ca6e10ea4666b7e58fdd29b2"
+    assert _numbering_digest(cyclic_group(3, sym="g")) == \
+        "9af0fbcdde796e935e90ec398aec6a2026758496e32a84995c1d581c3ba83a4c"
 
 
 # ---------------------------------------------------------------------------

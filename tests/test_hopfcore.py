@@ -67,6 +67,28 @@ def test_group_algebra_axioms(G):
     assert rep.passed
 
 
+def oracle_group_algebra(G, conductor=1):
+    """k[G] by one G.mul and G.inv call per entry."""
+    n = G.order
+    one = CycloNumber.one(conductor)
+    mult = [dict() for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            mult[i][j] = ((G.mul(i, j), one),)
+    antipode = [((G.inv(i), one),) for i in range(n)]
+    return mult, antipode
+
+
+@pytest.mark.parametrize("G", [cyclic_group(1), cyclic_group(7), semidirect_pq(7, 3, 2),
+                               build_group("beta7", p=3, q=5)])
+def test_group_algebra_matches_per_entry_products(G):
+    H = group_algebra(G, conductor=5)
+    mult, antipode = oracle_group_algebra(G, 5)
+    assert H.mult == mult and H.antipode == antipode
+    assert all(type(k) is int for row in H.mult for ((k, _),) in row.values())
+    assert [list(row) for row in H.mult] == [list(range(G.order))] * G.order
+
+
 def test_axioms_all_families():
     for l in (0, 1, 2):
         assert verify_hopf_axioms(build_bismash(make_A(7, 3, 2, l))).passed

@@ -812,6 +812,23 @@ LOOP5 = [[0, 1, 2, 3, 4],
          [4, 3, 1, 2, 0]]
 
 
+def test_k_index_table_matches_per_pair_products():
+    """The gathered index table of K equals the one from a G.mul call per
+    pair of elements, entry by entry, as nested lists of ints."""
+    Ks = [largest_abelian_normal(G).decomposition for G in (
+        build_group("beta6", p=3, q=7, m=2, n=4), build_group("gamma4", p=19, q=3, m=4),
+        make_A(7, 3, 2, 1).G)]
+    Ks += [abelian_decomposition(G, range(G.order))
+           for G in (cyclic_group(1), abelian_group([3, 9]))]
+    for K in Ks:
+        G = K.group
+        pos = {x: i for i, x in enumerate(K.elements)}
+        oracle = [[pos[G.mul(a, b)] for b in K.elements] for a in K.elements]
+        table = _k_index_table(K)
+        assert table == oracle
+        assert all(type(x) is int for row in table for x in row)
+
+
 def test_group_check_rejects_a_non_associative_loop():
     """Every row and column of LOOP5 is a permutation and 0 is an identity,
     but x x = 0 for all x, which no group of order 5 has.  certify() calls it
