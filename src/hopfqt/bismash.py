@@ -73,61 +73,67 @@ class MatchedPair:
 
 
 def validate_matched_pair(mp: MatchedPair) -> Report:
-    """Check every matched-pair identity, cocycle identity, normalization and
-    the sigma-tau compatibility condition on all argument tuples.
+    """Every witness of every condition of _matched_pair_failures."""
+    rep = Report()
+    for condition, witness in _matched_pair_failures(mp):
+        rep.fail(condition, witness)
+    return rep
+
+
+def _matched_pair_failures(mp: MatchedPair):
+    """(condition, witness) of each failing matched-pair identity, cocycle
+    identity, normalization and the sigma-tau compatibility condition.
 
     Cocycle identities are exponent identities mod the conductor.  Each
-    condition is one numpy table, or one table per value of the first group
-    argument when it has three or four arguments; every witness is recorded,
-    in lexicographic order of the arguments.
+    condition is one numpy table, or one per value of the first group
+    argument when it has three or four arguments, built when the consumer
+    asks past the witnesses before it, which come in lexicographic order.
     """
-    rep = Report()
     N = mp.conductor
     ng, nf = mp.G.order, mp.F.order
     gt, ft = mp.G.table, mp.F.table
     al, ar, sig, tau = mp.act_left, mp.act_right, mp.sigma, mp.tau
 
     def record(condition, bad, *prefix):
-        """Record the witnesses: the indices of True in bad, after prefix."""
-        for idx in np.argwhere(bad).tolist():
-            rep.fail(condition, (*prefix, *idx))
+        """The failures: the indices of True in bad, after prefix."""
+        return ((condition, (*prefix, *idx)) for idx in np.argwhere(bad).tolist())
 
     # unit behaviour of the actions; the two conditions on G (and the two on
     # F) are checked element by element, so their witnesses interleave
     unit_g = np.stack([al[:, 0] != np.arange(ng), ar[:, 0] != 0], axis=1)
     for g, c in np.argwhere(unit_g).tolist():
-        rep.fail(("g <| 1 = g", "g |> 1 = 1")[c], (g,))
+        yield ("g <| 1 = g", "g |> 1 = 1")[c], (g,)
     unit_f = np.stack([al[0] != 0, ar[0] != np.arange(nf)], axis=1)
     for f, c in np.argwhere(unit_f).tolist():
-        rep.fail(("1 <| f = 1", "1 |> f = f")[c], (f,))
+        yield ("1 <| f = 1", "1 |> f = f")[c], (f,)
     for g in range(ng):
         # axes (f, f')
-        record("g |> (f f') = (g |> f)((g <| f) |> f')",
-               ar[g][ft] != ft[ar[g][:, None], ar[al[g]]], g)
+        yield from record("g |> (f f') = (g |> f)((g <| f) |> f')",
+                          ar[g][ft] != ft[ar[g][:, None], ar[al[g]]], g)
     for g in range(ng):
         # axes (g', f)
-        record("(g g') <| f = (g <| (g' |> f))(g' <| f)",
-               al[gt[g]] != gt[al[g][ar], al], g)
+        yield from record("(g g') <| f = (g <| (g' |> f))(g' <| f)",
+                          al[gt[g]] != gt[al[g][ar], al], g)
 
     # sigma normalization and cocycle identity
-    record("sigma(1,f,f') = 1", sig[0] != 0)
-    record("sigma(g,1,f) = sigma(g,f,1) = 1",
-           (sig[:, 0] != 0) | (sig[:, :, 0] != 0))
+    yield from record("sigma(1,f,f') = 1", sig[0] != 0)
+    yield from record("sigma(g,1,f) = sigma(g,f,1) = 1",
+                      (sig[:, 0] != 0) | (sig[:, :, 0] != 0))
     for g in range(ng):
         # axes (f, f', f''): sigma(g <| f, f', f'') sigma(g, f, f' f'')
         #                    = sigma(g, f, f') sigma(g, f f', f'')
         s = sig[g]
-        record("sigma cocycle",
-               (sig[al[g]] + s[:, ft] - s[:, :, None] - s[ft]) % N != 0, g)
+        yield from record("sigma cocycle",
+                          (sig[al[g]] + s[:, ft] - s[:, :, None] - s[ft]) % N != 0, g)
 
     # tau normalization and cocycle identity
-    record("tau(g,g',1) = 1", tau[:, :, 0] != 0)
-    record("tau(g,1,f) = tau(1,g',f) = 1", (tau[:, 0] != 0) | (tau[0] != 0))
+    yield from record("tau(g,g',1) = 1", tau[:, :, 0] != 0)
+    yield from record("tau(g,1,f) = tau(1,g',f) = 1", (tau[:, 0] != 0) | (tau[0] != 0))
     for g in range(ng):
         # axes (g', g'', f): tau(g g', g'', f) tau(g, g', g'' |> f)
         #                    = tau(g', g'', f) tau(g, g' g'', f)
         t = tau[g]
-        record("tau cocycle", (tau[gt[g]] + t[:, ar] - tau - t[gt]) % N != 0, g)
+        yield from record("tau cocycle", (tau[gt[g]] + t[:, ar] - tau - t[gt]) % N != 0, g)
 
     # compatibility of sigma and tau
     for g in range(ng):
@@ -138,8 +144,7 @@ def validate_matched_pair(mp: MatchedPair) -> Report:
         lhs = sig[gt[g]] + t[:, ft]
         rhs = (sig[g][ar[:, :, None], ar[al]] + sig + t[:, :, None]
                + tau[al[g][ar][:, :, None], al[:, :, None], np.arange(nf)])
-        record("sigma-tau compatibility", (lhs - rhs) % N != 0, g)
-    return rep
+        yield from record("sigma-tau compatibility", (lhs - rhs) % N != 0, g)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +176,8 @@ class BismashHopf(HopfAlgebra):
 
 def build_bismash(mp: MatchedPair) -> BismashHopf:
     """The Hopf algebra k^G # kF of a validated matched pair."""
-    rep = validate_matched_pair(mp)
-    if not rep.passed:
-        cond, wits = next(iter(rep.failures.items()))
-        raise ParameterError(f"matched pair invalid: {cond} fails at {wits[0]}")
+    for cond, witness in _matched_pair_failures(mp):
+        raise ParameterError(f"matched pair invalid: {cond} fails at {witness}")
     G, F = mp.G, mp.F
     ng, nf = G.order, F.order
     dim = ng * nf

@@ -482,9 +482,7 @@ class AbelianDecomposition:
         self.elements = []
         self.exponents = {}
         for vec in product(*[range(m) for m in orders]):
-            x = 0
-            for g, k in zip(gens, vec):
-                x = group.mul(x, group.power(g, k))
+            x = self.element_of(vec)
             if x in self.exponents:
                 raise ValueError("generators are not independent")
             self.exponents[x] = vec
@@ -510,28 +508,40 @@ class AbelianDecomposition:
 
 
 def abelian_decomposition(G: FiniteGroup, ids) -> AbelianDecomposition:
-    """Decompose an abelian subgroup into independent cyclic factors."""
+    """Decompose an abelian subgroup into independent cyclic factors: by
+    descending order, x joins the generators when its order modulo their
+    span equals its order, so that the span grows by the factor ord(x)."""
     ids = sorted(set(ids))
     if not G.is_abelian_subset(ids):
         raise ValueError("subset is not abelian")
     if ids == [0]:
         return AbelianDecomposition(G, ids, [], [])
     target = len(ids)
-    by_order = sorted((x for x in ids if x), key=lambda x: (-G.order_of(x), x))
+    # every element order from one pass of powers over the table
+    order, power, k = np.zeros(G.order, dtype=np.int64), np.arange(G.order), 1
+    while not order.all():
+        order[(power == 0) & (order == 0)] = k
+        power, k = G.table[power, np.arange(G.order)], k + 1
+    order = order.tolist()
+    by_order = sorted((x for x in ids if x), key=lambda x: (-order[x], x))
     gens, orders = [], []
-    span = {0}
+    span = np.zeros(G.order, dtype=bool)
+    span[0] = True
+    size = 1
     for x in by_order:
-        if x in span:
+        if span[x]:
             continue
-        trial_gens = gens + [x]
-        closure = G.subgroup_closure(trial_gens)
-        if len(closure) == len(span) * G.order_of(x):
+        powers = [x]
+        while not span[powers[-1]]:
+            powers.append(int(G.table[powers[-1], x]))
+        if len(powers) == order[x]:
             gens.append(x)
-            orders.append(G.order_of(x))
-            span = closure
-            if len(span) == target:
+            orders.append(order[x])
+            span[G.table[np.ix_(np.flatnonzero(span), powers)]] = True
+            size *= order[x]
+            if size == target:
                 break
-    if len(span) != target:
+    if size != target:
         raise ValueError("could not find an independent generating set")
     return AbelianDecomposition(G, ids, gens, orders)
 

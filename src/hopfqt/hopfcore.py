@@ -1,15 +1,15 @@
 """Finite-dimensional Hopf algebras by sparse structure constants.
 
 All structure data lives over one cyclotomic conductor.  Verification is
-exact on every basis tuple.  When every structure constant is a single root of
-unity (true for group algebras, bismash products and their duals), three
-sweeps start on integer exponent tables via numpy: associativity,
-coassociativity and the law that Delta is an algebra map.  The tables only
-accept: an index is accepted when both sides are sums over pairwise-distinct
-keys with equal root exponents.  Every index the tables cannot accept, the
-other axioms, and every sweep on a host without tables, run a sparse join
-over the rows of the structure constants (mult, comult, antipode, unit) in
-exact CycloNumber arithmetic, with no AlgebraElement built per basis tuple.
+exact on every basis tuple.  All axiom sweeps but the unit law start on
+integer exponent tables via numpy, which hold each structure constant that
+is one root of unity (all of them in group algebras, bismash products and
+their duals) and mark the others odd.  The tables only accept: an identity is
+accepted when it reads no odd entry and both sides are sums over
+pairwise-distinct keys with equal root exponents.  Every identity the tables
+cannot accept, the unit law, and every sweep on a host without tables, run a
+sparse join over the rows of the structure constants (mult, comult,
+antipode, unit) in exact CycloNumber arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
+from operator import itemgetter
 from fractions import Fraction
 
 import numpy as np
@@ -62,30 +63,26 @@ class HopfAlgebra:
 
     # -- monomial extraction for integer fast paths
 
-    def mono_tables(self):
-        """(targets, exponents) int arrays when every product of basis
-        elements is a single basis element scaled by a power of zeta_N;
-        None otherwise."""
+    def mult_tables(self):
+        """(targets, exponents, odd) int arrays over the products b_i b_j, as
+        _one_term_rows gives them; a zero product has target -1."""
         if self._mono == -1:
-            n, N = self.dim, self.conductor
-            rows = self.mult
-            exps = None
-            if all(len(terms) == 1 for row in rows for terms in row.values()):
-                exps = _root_exponents(
-                    (terms[0][1] for row in rows for terms in row.values()), N)
-            if exps is None:
-                self._mono = None
-            else:
-                i = np.repeat(np.arange(n), list(map(len, rows)))
-                j = np.fromiter((j for row in rows for j in row), np.int64, len(i))
-                mt = np.full((n, n), -1, dtype=np.int32)
-                me = np.zeros((n, n), dtype=np.int64)
-                mt[i, j] = np.fromiter(
-                    (terms[0][0] for row in rows for terms in row.values()),
-                    np.int64, len(i))
-                me[i, j] = exps
-                self._mono = (mt, me)
+            n, rows = self.dim, self.mult
+            chain = itertools.chain.from_iterable
+            i = np.repeat(np.arange(n), list(map(len, rows)))
+            j = np.fromiter(chain(rows), np.int64, len(i))
+            self._mono = (np.full((n, n), -1, dtype=np.int32),
+                          np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=bool))
+            entries = _one_term_rows(list(chain(map(dict.values, rows))), self.conductor)
+            for table, x in zip(self._mono, entries):
+                table[i, j] = x
         return self._mono
+
+    def mono_tables(self):
+        """(targets, exponents) of mult_tables() when every product of basis
+        elements is zero or a power of zeta_N times one; None otherwise."""
+        tables = self.mult_tables()
+        return None if tables is None or tables[2].any() else tables[:2]
 
     def comult_tables(self):
         """(rows, lefts, rights, exponents) int arrays, one entry per term
@@ -95,12 +92,11 @@ class HopfAlgebra:
         if self._cmono == -1:
             N = self.conductor
             exps = _root_exponents((c for row in self.comult for _, _, c in row), N)
-            if exps is None or (self.dim ** 4 << (N.bit_length() + 1)) >= 2 ** 63:
+            if (exps < 0).any() or (self.dim ** 4 << (N.bit_length() + 1)) >= 2 ** 63:
                 self._cmono = None
             else:
                 legs = [(i, j, k) for i, row in enumerate(self.comult) for j, k, _ in row]
-                self._cmono = (*np.array(legs, dtype=np.int64).reshape(-1, 3).T,
-                               np.array(exps, dtype=np.int64))
+                self._cmono = (*np.array(legs, dtype=np.int64).reshape(-1, 3).T, exps)
         return self._cmono
 
     def with_scaled_mult_entry(self, i, j, k, factor) -> "HopfAlgebra":
@@ -227,26 +223,35 @@ def _acc(out, key, val):
 
 
 def _root_exponents(coeffs, N):
-    """[e] with c = zeta_N^e and e in 0..N-1 for each c in coeffs, or None
-    if some coefficient is no power of zeta_N."""
-    # structure constants share a few scalar objects; CycloNumber is not
-    # hashable, so they are memoized by identity (the host keeps them alive)
-    memo = {}
-    out = []
+    """int64 array of e with c = zeta_N^e and e in 0..N-1 for each c in
+    coeffs, and -1 where c is no power of zeta_N (zero included)."""
+    # structure constants share a few unhashable scalars: memoized by identity
+    memo, out = {}, []
     for c in coeffs:
         e = memo.get(id(c))
         if e is None:
             r = c.lift(N).as_root()
-            if r is None:
-                return None
-            e, scale = r
+            e, scale = r if r else (-1, 1)
             if scale != 1:
-                if scale != -1 or N % 2:
-                    return None
-                e += N // 2
+                e = e + N // 2 if scale == -1 and N % 2 == 0 else -1
             memo[id(c)] = e
         out.append(e)
-    return out
+    return np.array(out, dtype=np.int64)
+
+
+def _one_term_rows(rows, N):
+    """(targets, exponents, odd) int arrays over rows of (index, coefficient)
+    terms: a row that is one term zeta_N^e b_t has target t and exponent e;
+    odd marks every other row, with target -1 and exponent 0."""
+    t, e = np.full(len(rows), -1, dtype=np.int64), np.zeros(len(rows), dtype=np.int64)
+    one = np.fromiter(map(len, rows), np.int64, len(rows)) == 1
+    if one.any():
+        firsts = list(map(itemgetter(0), itertools.compress(rows, one.tolist())))
+        exps = _root_exponents(map(itemgetter(1), firsts), N)
+        keys = np.fromiter(map(itemgetter(0), firsts), np.int64, len(firsts))
+        one[one] = root = exps >= 0
+        t[one], e[one] = keys[root], exps[root]
+    return t, e, ~one
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +357,19 @@ def _check_assoc(H):
 
 
 def _assoc_suspects(H):
-    """(i, j, k) in ascending order whose associativity the exponent tables
-    cannot accept.  A host without tables leaves every triple with b_i b_j
-    or b_j b_k nonzero; both sides of the others are zero."""
+    """(i, j, k) in ascending order whose associativity fails on the tables
+    or reads an odd entry.  A host without tables leaves every triple with
+    b_i b_j or b_j b_k nonzero; both sides of the others are zero."""
     n, N = H.dim, H.conductor
-    tables = H.mono_tables()
+    tables = H.mult_tables()
     if tables is None:
         nz = [sorted(j for j, terms in row.items() if terms) for row in H.mult]
         for i, j in itertools.product(range(n), repeat=2):
             for k in range(n) if H.mult[i].get(j) else nz[j]:
                 yield i, j, k
         return
-    mt, me = tables
+    mt, me, odd = tables  # an odd entry counts as a zero product
+    any_odd = odd.any()
     nzm = mt >= 0
     # reach[i]: the number of (j, k) with b_i (b_j b_k) nonzero
     reach = nzm.astype(np.int64) @ np.bincount(mt[nzm], minlength=n)
@@ -383,6 +389,12 @@ def _assoc_suspects(H):
             s = mt[zs]
             z = np.flatnonzero((s >= 0) & (mt[i, s] >= 0))
             jk = np.sort(np.concatenate((jk, zs[z // n] * n + z % n)))
+        if any_odd:
+            # (j, k) where b_i b_j, b_j b_k, b_(ij) b_k or b_i b_(jk) is odd
+            rd = odd | odd[i][:, None]
+            rd[js] |= odd[t]
+            rd |= nzm & odd[i][mt]
+            jk = _distinct(jk, np.flatnonzero(rd))
         yield from ((i, *divmod(x, n)) for x in jk.tolist())
 
 
@@ -416,7 +428,7 @@ def _check_counit_laws(H):
     eps = H.counit
     if not H.one().counit_apply().is_one():
         yield ("counit(unit) != 1",)
-    for i in range(H.dim):
+    for i in _counit_suspects(H):
         left, right = {}, {}
         for j, k, c in H.comult[i]:
             _acc(left, k, c * eps[j])
@@ -511,9 +523,13 @@ def _unmatched(lkey, lexp, rkey, rexp, N, span):
     alone[1:] &= ~pair
     key = v >> shift
     paired = key[:-1][pair]
-    bad = np.concatenate((key[alone], paired[1:][paired[1:] == paired[:-1]])) // span
-    bad.sort()
-    return bad[np.r_[True, bad[1:] != bad[:-1]]] if bad.size else bad
+    return _distinct(key[alone] // span, paired[1:][paired[1:] == paired[:-1]] // span)
+
+
+def _distinct(*arrays):
+    """The distinct values of the int arrays, ascending; asked for indices,
+    np.unique does not import numpy.ma on its first call in a process."""
+    return np.unique(np.concatenate(arrays), return_index=True)[0]
 
 
 def _comult_rows(tables, n):
@@ -551,17 +567,23 @@ def _coassoc_suspects(H):
 
 
 def _delta_mult_suspects(H):
-    """(i, j) in lexicographic order whose Delta(b_i b_j) = Delta(b_i)
-    Delta(b_j) the exponent tables cannot accept: every pair when the host
-    has no tables."""
+    """(i, j) in lexicographic order whose Delta(b_i b_j) = Delta(b_i) Delta(b_j)
+    fails on the tables or reads an odd entry; every pair when the host has
+    no tables."""
     n, N = H.dim, H.conductor
-    mono, tables = H.mono_tables(), H.comult_tables()
+    mono, tables = H.mult_tables(), H.comult_tables()
     if mono is None or tables is None:
         yield from itertools.product(range(n), repeat=2)
         return
-    mt, me = mono
+    mt, me, odd = mono  # an odd entry counts as a zero product
     rows, lefts, rights, exps = tables
     cnt, ptr = _comult_rows(tables, n)
+    # (i, j) reads odd[i, j], and odd[a, b] for legs a, b of Delta(b_i), Delta(b_j)
+    reads = odd.copy()
+    for legs in (lefts, rights) if odd.any() else ():
+        inc = np.zeros((n, n))
+        inc[rows, legs] = 1
+        reads |= inc @ odd @ inc.T > 0
     # nonzero products b_u b_v, v listed by u
     nzu, nzv = np.nonzero(mt >= 0)
     nnz = np.bincount(nzu, minlength=n)
@@ -602,30 +624,85 @@ def _delta_mult_suspects(H):
         u1, v1, u2, v2 = lefts[t1], rights[t1], lefts[t2], rights[t2]
         rkey = ((rows[t1] * n + rows[t2]) * n + mt[u1, u2]) * n + mt[v1, v2]
         rexp = exps[t1] + exps[t2] + me[u1, u2] + me[v1, v2]
-        for ij in _unmatched(lkey, lexp, rkey, rexp, N, n * n).tolist():
-            yield divmod(ij, n)
+        bad = _distinct(_unmatched(lkey, lexp, rkey, rexp, N, n * n),
+                        np.flatnonzero(reads[r0:r1]) + r0 * n)
+        yield from (divmod(ij, n) for ij in bad.tolist())
+
+
+def _counit_exponents(H):
+    """(exponents, zero, odd) arrays over the counit values and, at index -1,
+    a zero product; odd marks the values neither zero nor a power of zeta_N."""
+    e = np.append(_root_exponents(H.counit, H.conductor), -1)
+    zero = np.array([not c for c in H.counit] + [True])
+    return np.maximum(e, 0), zero, ~zero & (e < 0)
 
 
 def _check_eps_algebra_map(H):
-    eps = H.counit
-    # an absent product b_i b_j = 0 requires eps_i eps_j = 0, so it can fail
-    # only where both counit values are nonzero
-    nonzero = [j for j in range(H.dim) if eps[j]]
-    for i in range(H.dim):
-        for j, terms in H.mult[i].items():
-            val = CycloNumber.zero(H.conductor)
-            for k, c in terms:
-                val = val + c * eps[k]
-            if val != eps[i] * eps[j]:
-                yield i, j
-        for j in (nonzero if eps[i] else ()):
-            if j not in H.mult[i]:
-                yield i, j
+    eps, mult = H.counit, H.mult
+    for i, j in _eps_mult_suspects(H):
+        val = CycloNumber.zero(H.conductor)
+        for k, c in mult[i].get(j, ()):
+            val = val + c * eps[k]
+        if val != eps[i] * eps[j]:
+            yield i, j
+
+
+def _eps_mult_suspects(H):
+    """(i, j) whose eps(b_i b_j) = eps(b_i) eps(b_j) fails on the tables or
+    reads an odd value, every pair when the host has no tables; per i, the
+    j of mult[i] in dict order, then the absent j ascending."""
+    n, N = H.dim, H.conductor
+    tables, (ce, cz, codd) = H.mult_tables(), _counit_exponents(H)
+    for r0, r1 in _row_blocks(np.full(n, n)):
+        if tables is None:
+            sus = np.ones((r1 - r0, n), dtype=bool)
+        else:
+            mt, me, odd = (x[r0:r1] for x in tables)
+            b = np.arange(r0, r1)[:, None]
+            lz, rz = cz[mt], cz[b] | cz[:n]
+            ok = (lz == rz) & (lz | ((me + ce[mt] - ce[b] - ce[:n]) % N == 0))
+            sus = ~ok | odd | codd[mt] | codd[b] | codd[:n]
+        for i in np.flatnonzero(sus.any(axis=1)).tolist():
+            row, s = H.mult[r0 + i], sus[i].tolist()
+            yield from ((r0 + i, j) for j in row if s[j])
+            yield from ((r0 + i, j) for j in range(n) if s[j] and j not in row)
+
+
+def _counit_suspects(H):
+    """Ascending i whose counit laws, sum c eps(b_j) b_k = b_i (law 0) and
+    sum c eps(b_k) b_j = b_i (law 1) over Delta(b_i), the exponent tables
+    cannot accept: every i when the host has no tables."""
+    if H.comult_tables() is None:
+        return range(H.dim)
+    ce, cz, codd = _counit_exponents(H)
+    return _law_suspects(H, lambda j, k: [(np.where(cz[j], -1, k), ce[j], codd[j]),
+                                          (np.where(cz[k], -1, j), ce[k], codd[k])],
+                         lambda i: (i, i, 0 * i, i[:0]))
+
+
+def _law_suspects(H, sides, target):
+    """Ascending i whose two laws sum c side(j, k) = target(i) over Delta(b_i)
+    the tables cannot accept.  sides(j, k) gives per law the terms' (u of b_u
+    or -1, exponent added to c's, odd); target(i) the (i, u, exponent) of the
+    target terms of rows i, and the odd rows."""
+    n, N = H.dim, H.conductor
+    rows, lefts, rights, exps = tables = H.comult_tables()
+    cnt, ptr = _comult_rows(tables, n)
+    for r0, r1 in _row_blocks(cnt):
+        t = np.arange(ptr[r0], ptr[r1])
+        r = rows[t]
+        keys, lexp, odd = map(np.concatenate, zip(*(
+            (((2 * r + law) * n + u)[u >= 0], (exps[t] + e)[u >= 0], r[o])
+            for law, (u, e, o) in enumerate(sides(lefts[t], rights[t])))))
+        i, u, e, rd = target(np.arange(r0, r1))
+        rkey = np.concatenate(((2 * i) * n + u, (2 * i + 1) * n + u))
+        yield from _distinct(_unmatched(keys, lexp, rkey, np.tile(e, 2), N, 2 * n),
+                             odd, rd).tolist()
 
 
 def _check_antipode(H):
     mult, s = H.mult, H.antipode
-    for i in range(H.dim):
+    for i in _antipode_suspects(H):
         # sum S(b_j) b_k and sum b_j S(b_k) over Delta(b_i), against eps(b_i) 1
         left, right, target = {}, {}, {}
         for j, k, c in H.comult[i]:
@@ -639,6 +716,29 @@ def _check_antipode(H):
             _acc(target, u, H.counit[i] * c)
         if left != target or right != target:
             yield (i,)
+
+
+def _antipode_suspects(H):
+    """Ascending i whose antipode laws, sum c S(b_j) b_k = eps(b_i) 1 and
+    sum c b_j S(b_k) = eps(b_i) 1 over Delta(b_i), the exponent tables
+    cannot accept, with S(b_j) = zeta^se[j] b_sa[j]: every i when the host
+    has no tables or its unit is not a sum of terms zeta_N^e b_u."""
+    mono, N = H.mult_tables(), H.conductor
+    uk, ue = np.array(list(H.unit), dtype=np.int64), _root_exponents(H.unit.values(), N)
+    if mono is None or H.comult_tables() is None or (ue < 0).any():
+        return range(H.dim)
+    mt, me, odd = mono
+    sa, se, sodd = _one_term_rows(H.antipode, N)
+    ce, cz, codd = _counit_exponents(H)
+
+    def target(i):
+        nz = i[~cz[i]]
+        return (np.repeat(nz, len(uk)), np.tile(uk, len(nz)),
+                (ce[nz, None] + ue).ravel(), i[codd[i]])
+
+    return _law_suspects(H, lambda j, k: [
+        (mt[sa[j], k], me[sa[j], k] + se[j], odd[sa[j], k] | sodd[j]),
+        (mt[j, sa[k]], me[j, sa[k]] + se[k], odd[j, sa[k]] | sodd[k])], target)
 
 
 # each sweep yields the failing witnesses of its axiom in the order found
@@ -852,7 +952,7 @@ def _serial_coeff(c: CycloNumber, conductor):
 def dump_structure(H: HopfAlgebra) -> str:
     """Text dump of all structure constants, one line per (tag, indices)
     with repeated terms of a row summed and zero sums left out; loads back
-    to an algebra with equal structure constants (``hopf_structures_equal``)."""
+    to an algebra with equal structure constants."""
     N = H.conductor
     out = [f"hopfqt-structure 1", f"dim {H.dim}", f"conductor {N}"]
     for i, lab in enumerate(H.labels):
@@ -991,18 +1091,3 @@ def _summed(terms):
     for key, c in terms:
         _acc(out, key, c)
     return out
-
-
-def hopf_structures_equal(a: HopfAlgebra, b: HopfAlgebra) -> bool:
-    """Equal structure constants, with repeated terms of a row summed."""
-    if a.dim != b.dim:
-        return False
-
-    def row(h, i):
-        return (_summed(((j, k), c) for j, t in h.mult[i].items() for k, c in t),
-                _summed(((u, v), c) for u, v, c in h.comult[i]),
-                _summed(h.antipode[i]))
-
-    return (all(row(a, i) == row(b, i) for i in range(a.dim))
-            and _summed(a.unit.items()) == _summed(b.unit.items())
-            and all(x == y for x, y in zip(a.counit, b.counit)))

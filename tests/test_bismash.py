@@ -344,3 +344,38 @@ def test_mutation_sensitivity_exhaustive():
     missed += [("tau", s) for s in np.ndindex(mp.tau.shape)
                if validate_matched_pair(mp.with_tau_scaled(*s, 1)).passed]
     assert not missed
+
+
+def test_build_raises_the_first_failure_of_the_full_report():
+    """build_bismash stops at the first failing witness; its message names
+    the first condition and witness of the full validate_matched_pair
+    report, on sigma, tau and action mutants of A(7,3,l=1) and B(3,7,lam=1)."""
+    rng = random.Random(20)
+    raised = 0
+    for mp in (make_A(7, 3, 2, 1), make_B(3, 7, 2, 1)):
+        ng, nf, N = mp.G.order, mp.F.order, mp.conductor
+        for _ in range(120):
+            kind = rng.choice(["sigma", "tau", "left", "right"])
+            if kind == "sigma":
+                site = (rng.randrange(ng), rng.randrange(nf), rng.randrange(nf))
+                bad = mp.with_sigma_scaled(*site, rng.randrange(1, N))
+            elif kind == "tau":
+                site = (rng.randrange(ng), rng.randrange(ng), rng.randrange(nf))
+                bad = mp.with_tau_scaled(*site, rng.randrange(1, N))
+            else:
+                al, ar = mp.act_left.copy(), mp.act_right.copy()
+                g, f = rng.randrange(ng), rng.randrange(nf)
+                if kind == "left":
+                    al[g, f] = (al[g, f] + rng.randrange(1, ng)) % ng
+                else:
+                    ar[g, f] = (ar[g, f] + rng.randrange(1, nf)) % nf
+                bad = MatchedPair(mp.G, mp.F, al, ar, mp.sigma, mp.tau, N,
+                                  name=f"{mp.name}+{kind}-mutation")
+            rep = validate_matched_pair(bad)
+            assert not rep.passed
+            cond, wits = next(iter(rep.failures.items()))
+            with pytest.raises(ParameterError) as err:
+                build_bismash(bad)
+            assert str(err.value) == f"matched pair invalid: {cond} fails at {wits[0]}"
+            raised += 1
+    assert raised == 240

@@ -326,3 +326,48 @@ def test_schema_validator_rejects():
         validate_json({"claim": 1, "parameters": {}, "count": 0,
                        "structures": [], "oracle_equivalent": True,
                        "elapsed_ms": 0}, schema)
+
+
+# `hopfqt verify` on fixed-site dumps: the per-axiom failure counts and the
+# antipode figures, taken from the verifier before the counit, antipode and
+# counit-algebra-map sweeps moved onto the exponent tables and before an odd
+# mult entry stopped disabling the tables.  (dump, exit, failure counts in
+# the order associativity, unit, coassociativity, counit, comultiplication is
+# an algebra map, counit is an algebra map, antipode, trace_S2); S2 = id and
+# semisimple hold on all of them.
+VERIFY_PINS = [
+    ("A", 0, [0, 0, 0, 0, 0, 0, 0], "63"),
+    ("gamma5", 0, [0, 0, 0, 0, 0, 0, 0], "63"),
+    ("Bdual", 0, [0, 0, 0, 0, 0, 0, 0], "147"),
+    ("A zeta MUL 8 8 7", 1, [4, 0, 0, 0, 21, 0, 0], "63"),
+    ("Bdual zeta BDUAL_SITE", 1, [190, 0, 0, 0, 5, 1, 0], "147"),
+    ("A x2 MUL 54 54 54", 1, [8, 1, 0, 0, 21, 0, 1], "63"),
+]
+
+
+def _verify_dump_hosts():
+    from test_hopfcore import BDUAL_SITE, zeta_mutant
+
+    from hopfqt.bismash import dualize_trivial_action, make_B
+    from hopfqt.grouptool import build_group
+    from hopfqt.hopfcore import group_algebra
+
+    A = build_bismash(make_A(7, 3, 2, 1))
+    Bdual = build_bismash(dualize_trivial_action(make_B(3, 7, 2, 0)))
+    return {"A": A, "gamma5": group_algebra(build_group("gamma5", p=7, q=3, m=2), 1),
+            "Bdual": Bdual, "A zeta MUL 8 8 7": zeta_mutant(A, 8, 8),
+            "Bdual zeta BDUAL_SITE": zeta_mutant(Bdual, *BDUAL_SITE),
+            "A x2 MUL 54 54 54": A.with_scaled_mult_entry(54, 54, 54, 2)}
+
+
+def test_verify_reports_on_fixed_dumps_are_pinned(tmp_path):
+    hosts = _verify_dump_hosts()
+    assert hosts["A zeta MUL 8 8 7"].mult[8][8][0][0] == 7
+    for name, rc, counts, trace in VERIFY_PINS:
+        dump, report = tmp_path / "h.txt", tmp_path / "r.json"
+        dump.write_text(dump_structure(hosts[name]))
+        run_cli("verify", "--in", str(dump), "--out", str(report), expect=rc)
+        doc = json.loads(report.read_text())
+        assert [a["failures"] for a in doc["axioms"]] == counts, name
+        assert [a["passed"] for a in doc["axioms"]] == [not c for c in counts]
+        assert (doc["trace_S2"], doc["S2_is_id"], doc["semisimple"]) == (trace, True, True)

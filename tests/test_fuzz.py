@@ -1,23 +1,26 @@
 """Hypothesis fuzzing of the two loaders: mutated structure dumps through
 ``hopfqt verify`` and mutated matched-pair dumps through load_matched_pair.
 Malformed input must end in a documented exit code or a ValueError, never in
-another exception.  Also: the generic axiom sweeps against their references
-on algebras with one scaled or dropped structure constant."""
+another exception.  Also: the axiom sweeps against the exhaustive oracle and
+the references on algebras with one scaled or dropped structure constant."""
 
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hopfqt.bismash import MatchedPair, dump_matched_pair, load_matched_pair
+from hopfqt.bismash import (MatchedPair, build_bismash, dualize_trivial_action,
+                            dump_matched_pair, load_matched_pair, make_A, make_B)
 from hopfqt.cli import main
 from hopfqt.exactfield import CycloNumber, zeta
-from hopfqt.grouptool import abelian_group, cyclic_group, semidirect_pq
-from hopfqt.hopfcore import (HopfAlgebra, dual_hopf, dump_structure, group_algebra,
-                             verify_hopf_axioms)
-from test_hopfcore import (comult_mutant, generic_copy, joined_failures,
-                           reference_failures)
+from hopfqt.grouptool import abelian_group, build_group, cyclic_group, semidirect_pq
+from hopfqt.hopfcore import (_AXIOM_SWEEPS, HopfAlgebra, dual_hopf, dump_structure,
+                             group_algebra, verify_hopf_axioms)
+from test_hopfcore import (_reference_antipode, _reference_eps_algebra_map,
+                           _reference_unit, comult_mutant, generic_copy,
+                           joined_failures, reference_failures, sweep_failures)
 
 TOKENS = st.one_of(
     st.integers(-3, 40).map(str),
@@ -110,19 +113,23 @@ SMALL_ALGEBRAS = [
     dual_hopf(group_algebra(semidirect_pq(7, 3, 2), 3)),
 ]
 
+# the three algebras of the verify-dumps benchmark, in a second property
+# with fewer examples: the exhaustive oracle takes seconds on each
+DUMP_ALGEBRAS = [
+    build_bismash(make_A(7, 3, 2, 1)),
+    group_algebra(build_group("gamma5", p=7, q=3, m=2), 1),
+    build_bismash(dualize_trivial_action(make_B(3, 7, 2, 0))),
+]
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, len(SMALL_ALGEBRAS) - 1),
-       st.sampled_from(["MUL", "CMUL"]),
-       st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
-       st.one_of(st.none(), st.integers(0, 30),
-                 st.fractions(-3, 3, max_denominator=4)))
-def test_generic_join_matches_reference(which, tag, site, factor):
-    """Scale one constant of mult or comult by zeta_N^e (an int) or by a
-    rational, or drop it (None); the generic join must find the failures of
-    the exponent tables, and the product reference's when mult has no
-    tables."""
-    H = SMALL_ALGEBRAS[which]
+TAGS = st.sampled_from(["MUL", "CMUL", "EPS", "UNIT", "S"])
+SITES = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
+FACTORS = st.one_of(st.none(), st.integers(0, 30), st.fractions(-3, 3, max_denominator=4))
+
+
+def mutant(H, tag, site, factor):
+    """H with one structure constant of the dump line tag scaled by
+    zeta_N^e (factor an int) or by a rational, or dropped (None).  A zero
+    counit value scaled becomes the factor itself."""
     i = site[0] % H.dim
     if factor is None:
         scale = None
@@ -130,24 +137,81 @@ def test_generic_join_matches_reference(which, tag, site, factor):
         scale = zeta(H.conductor, factor)
     else:
         scale = CycloNumber.from_rational(factor)
+    mult, unit, counit, antipode = H.mult, H.unit, H.counit, H.antipode
     if tag == "CMUL":
         t = site[1] % len(H.comult[i])
-        bad = comult_mutant(H, i, t, lambda j, k, c: [] if scale is None
-                            else [(j, k, c * scale)])
-    else:
+        return comult_mutant(H, i, t, lambda j, k, c: [] if scale is None
+                             else [(j, k, c * scale)])
+    if tag == "MUL":
         js = sorted(H.mult[i])
         j = js[site[1] % len(js)]
         k = H.mult[i][j][site[2] % len(H.mult[i][j])][0]
-        if scale is None:  # as if the MUL line were missing from a dump
-            mult = [dict(row) for row in H.mult]
-            mult[i][j] = tuple(t for t in mult[i][j] if t[0] != k)
-            if not mult[i][j]:
-                del mult[i][j]
-            bad = HopfAlgebra(H.dim, H.conductor, mult, H.comult, H.unit,
-                              H.counit, H.antipode)
+        if scale is not None:
+            return H.with_scaled_mult_entry(i, j, k, scale)
+        # as if the MUL line were missing from a dump
+        mult = [dict(row) for row in H.mult]
+        mult[i][j] = tuple(t for t in mult[i][j] if t[0] != k)
+        if not mult[i][j]:
+            del mult[i][j]
+    elif tag == "EPS":
+        counit = list(counit)
+        c = counit[i]
+        counit[i] = (CycloNumber.zero(H.conductor) if scale is None
+                     else c * scale if c else scale)
+    elif tag == "UNIT":
+        unit = dict(unit)
+        u = sorted(unit)[site[0] % len(unit)]
+        if scale is None:
+            del unit[u]
         else:
-            bad = H.with_scaled_mult_entry(i, j, k, scale)
+            unit[u] = unit[u] * scale
+    else:
+        antipode = list(antipode)
+        terms = list(antipode[i])
+        t = site[1] % len(terms)
+        terms[t:t + 1] = [] if scale is None else [(terms[t][0], terms[t][1] * scale)]
+        antipode[i] = tuple(terms)
+    return HopfAlgebra(H.dim, H.conductor, mult, H.comult, unit, counit, antipode)
+
+
+def check_against_oracles(bad, product_reference, skip=()):
+    """The failures equal those of the exhaustive oracle, every index sent
+    to the sparse join, and per condition those of the references.  The
+    conditions in skip are left out of the oracle and must not fail."""
     generic = generic_copy(bad)
-    assert verify_hopf_axioms(generic).failures == verify_hopf_axioms(bad).failures
-    if bad.mono_tables() is None:
+    failures = verify_hopf_axioms(bad).failures
+    assert not set(skip) & set(failures)
+    assert sweep_failures({c: sweep for c, sweep in _AXIOM_SWEEPS if c not in skip},
+                          generic) == failures
+    for cond, ref in (("counit is an algebra map", _reference_eps_algebra_map),
+                      ("unit", _reference_unit), ("antipode", _reference_antipode)):
+        assert failures.get(cond, []) == list(ref(bad))
+    if product_reference and bad.mono_tables() is None:
         assert joined_failures(generic) == reference_failures(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(SMALL_ALGEBRAS) - 1), TAGS, SITES, FACTORS)
+# odd values the tables must not accept: a counit value 2, an antipode
+# coefficient 1/2, a unit coefficient 3
+@example(0, "EPS", (1, 0, 0), Fraction(2))
+@example(2, "S", (5, 0, 0), Fraction(1, 2))
+@example(1, "UNIT", (0, 0, 0), Fraction(3))
+def test_generic_join_matches_reference(which, tag, site, factor):
+    """Scale one constant of mult, comult, the counit, the unit or the
+    antipode by zeta_N^e (an int) or by a rational, or drop it (None); the
+    exponent tables must find the failures of the exhaustive oracle, and the
+    product reference's when mult has no tables."""
+    check_against_oracles(mutant(SMALL_ALGEBRAS[which], tag, site, factor), True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, len(DUMP_ALGEBRAS) - 1), TAGS, SITES, FACTORS)
+def test_dump_algebra_mutants_match_oracle(which, tag, site, factor):
+    """As above, on A(7,3,l=1), gamma5(7,3) and Bdual(3,7,lam=0), without
+    the cubic product reference of associativity; where mult is the clean
+    one, associativity must pass and its exhaustive oracle, seconds on each
+    of these hosts, is not run."""
+    H = DUMP_ALGEBRAS[which]
+    bad = mutant(H, tag, site, factor)
+    check_against_oracles(bad, False, ("associativity",) if bad.mult is H.mult else ())

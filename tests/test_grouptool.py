@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import math
+import os
+import tempfile
 from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
@@ -502,6 +504,76 @@ def test_matched_pair_group_numbering_is_pinned():
         "9ece831f928a063a3286464bbb7e04d501a84cc1ca6e10ea4666b7e58fdd29b2"
     assert _numbering_digest(cyclic_group(3, sym="g")) == \
         "9af0fbcdde796e935e90ec398aec6a2026758496e32a84995c1d581c3ba83a4c"
+
+
+# ---------------------------------------------------------------------------
+# abelian decomposition
+
+
+def abelian_decomposition_by_closure(G, ids):
+    """The decomposition that one subgroup closure per candidate decides,
+    kept as the oracle: x joins the generators when |<gens, x>| equals
+    |<gens>| ord(x)."""
+    ids = sorted(set(ids))
+    if ids == [0]:
+        return AbelianDecomposition(G, ids, [], [])
+    by_order = sorted((x for x in ids if x), key=lambda x: (-G.order_of(x), x))
+    gens, orders, span = [], [], {0}
+    for x in by_order:
+        if x in span:
+            continue
+        closure = G.subgroup_closure(gens + [x])
+        if len(closure) == len(span) * G.order_of(x):
+            gens.append(x)
+            orders.append(G.order_of(x))
+            span = closure
+            if len(span) == len(ids):
+                break
+    return AbelianDecomposition(G, ids, gens, orders)
+
+
+def _reproduce_decomposition_inputs(monkeypatch, p, q):
+    """(G, ids) of every abelian_decomposition call of reproduce at (p, q)."""
+    from hopfqt import cli, grouptool, qtlab
+    seen = []
+
+    def spy(G, ids, real=grouptool.abelian_decomposition):
+        ids = list(ids)
+        seen.append((G, ids))
+        return real(G, ids)
+
+    for module in (cli, grouptool, qtlab):
+        monkeypatch.setattr(module, "abelian_decomposition", spy)
+    with tempfile.TemporaryDirectory() as work:
+        cli.main(["reproduce", "--p", str(p), "--q", str(q),
+                  "--out", os.path.join(work, "r.json")])
+    monkeypatch.undo()
+    return seen
+
+
+def _decomposition_inputs_313():
+    """What reproduce --p 3 --q 13 decomposes (a spy on one run saw these
+    10 calls): Z13 x Z13 of make_B and Z3 twice each, and beta1..beta6,
+    whole when abelian, else their largest abelian normal subgroup."""
+    groups = [abelian_group([13, 13]), cyclic_group(3)] * 2
+    out = [(G, range(G.order)) for G in groups]
+    for fam, params in _catalog_cases():
+        if (params["p"], params["q"]) == (3, 13):
+            G = build_group(fam, **params)
+            out.append((G, range(G.order) if G.is_abelian()
+                        else largest_abelian_normal(G).ids))
+    return out
+
+
+def test_decomposition_by_orders_mod_span_matches_closures(monkeypatch):
+    inputs = [x for p, q in ((3, 5), (7, 3), (13, 3), (3, 7))
+              for x in _reproduce_decomposition_inputs(monkeypatch, p, q)]
+    assert len(inputs) == 3 + 8 + 8 + 10
+    inputs += _decomposition_inputs_313()
+    assert len(inputs) == 39
+    for G, ids in inputs:
+        K, oracle = abelian_decomposition(G, ids), abelian_decomposition_by_closure(G, ids)
+        assert (K.gens, K.orders, K.elements) == (oracle.gens, oracle.orders, oracle.elements)
 
 
 # ---------------------------------------------------------------------------

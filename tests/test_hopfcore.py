@@ -17,10 +17,25 @@ from hopfqt.hopfcore import (
     dump_structure,
     group_algebra,
     group_likes_bismash,
-    hopf_structures_equal,
     load_structure,
     verify_hopf_axioms,
 )
+
+
+def hopf_structures_equal(a: HopfAlgebra, b: HopfAlgebra) -> bool:
+    """Equal structure constants, with repeated terms of a row summed."""
+    if a.dim != b.dim:
+        return False
+    summed = hopfcore._summed
+
+    def row(h, i):
+        return (summed(((j, k), c) for j, t in h.mult[i].items() for k, c in t),
+                summed(((u, v), c) for u, v, c in h.comult[i]),
+                summed(h.antipode[i]))
+
+    return (all(row(a, i) == row(b, i) for i in range(a.dim))
+            and summed(a.unit.items()) == summed(b.unit.items())
+            and all(x == y for x, y in zip(a.counit, b.counit)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +193,10 @@ def test_generic_assoc_path_matches_numpy_path():
 # the sweeps that start on exponent tables: suspect generator -> condition
 TABLE_SWEEPS = {"_assoc_suspects": "associativity",
                 "_coassoc_suspects": "coassociativity",
-                "_delta_mult_suspects": "comultiplication is an algebra map"}
+                "_counit_suspects": "counit",
+                "_delta_mult_suspects": "comultiplication is an algebra map",
+                "_eps_mult_suspects": "counit is an algebra map",
+                "_antipode_suspects": "antipode"}
 
 
 def spy_reruns(monkeypatch):
@@ -197,11 +215,34 @@ def spy_reruns(monkeypatch):
 def reading_row(H, row):
     """Per table sweep, the indices whose identity reads Delta(b_row)."""
     n, mt = H.dim, H.mono_tables()[0]
-    return {"associativity": set(),
+    return {"associativity": set(), "counit is an algebra map": set(),
+            "counit": {(row,)}, "antipode": {(row,)},
             "coassociativity": {(i,) for i in range(n)
                                 if i == row or any(row in t[:2] for t in H.comult[i])},
             "comultiplication is an algebra map": {
                 (i, j) for i in range(n) for j in range(n) if row in (i, j, mt[i, j])}}
+
+
+def reading_entry(H, a, b):
+    """Per table sweep of mult, the indices whose identity reads the
+    constant of b_a b_b, found from the rows of mult and comult."""
+    n, mult = H.dim, H.mult
+    targets = [{j: {t for t, _ in terms} for j, terms in row.items()} for row in mult]
+    legs = [[{t[side] for t in H.comult[i]} for i in range(n)] for side in (0, 1)]
+    return {
+        "associativity": {
+            (i, j, k) for i in range(n) for j in range(n) for k in range(n)
+            if (i, j) == (a, b) or (j, k) == (a, b)
+            or (k == b and a in targets[i].get(j, ()))
+            or (i == a and b in targets[j].get(k, ()))},
+        "comultiplication is an algebra map": {
+            (i, j) for i in range(n) for j in range(n) if (i, j) == (a, b)
+            or any(a in side[i] and b in side[j] for side in legs)},
+        "counit is an algebra map": {(a, b)},
+        "antipode": {(i,) for i in range(n) if any(
+            (a in {u for u, _ in H.antipode[j]} and k == b)
+            or (j == a and b in {u for u, _ in H.antipode[k]})
+            for j, k, _ in H.comult[i])}}
 
 
 def test_coalgebra_tables_match_generic_join(monkeypatch):
@@ -240,8 +281,8 @@ def test_coalgebra_tables_match_generic_join(monkeypatch):
 def test_assoc_tables_leave_only_failing_triples(monkeypatch):
     """Associativity: the exponent tables accept every triple of a clean
     host and leave to the sparse join exactly the failing triples of a
-    mutant; a host without tables leaves the triples with b_i b_j or
-    b_j b_k nonzero."""
+    monomial mutant; twice a root of unity at b_54 b_54 is an odd entry, and
+    only triples that read it are left besides."""
     A1 = build_bismash(make_A(7, 3, 2, 1))
     clean = [A1, group_algebra(build_group("gamma5", p=7, q=3, m=2), 1),
              build_bismash(dualize_trivial_action(make_B(3, 7, 2, 0)))] + [
@@ -257,11 +298,28 @@ def test_assoc_tables_leave_only_failing_triples(monkeypatch):
         assert reruns["associativity"] == witnesses
     assert {(20, 10, 19), (20, 10, 20)} <= set(witnesses)
     doubled = A1.with_scaled_mult_entry(54, 54, 54, 2)
-    assert doubled.mono_tables() is None
-    n, mult = doubled.dim, doubled.mult
-    assert list(hopfcore._assoc_suspects(doubled)) == [
-        (i, j, k) for i in range(n) for j in range(n) for k in range(n)
-        if j in mult[i] or k in mult[j]]
+    assert doubled.mono_tables() is None and doubled.mult_tables()[2].sum() == 1
+    reruns = spy_reruns(monkeypatch)
+    witnesses = verify_hopf_axioms(doubled).failures["associativity"]
+    monkeypatch.undo()
+    assert witnesses == verify_hopf_axioms(generic_copy(doubled)).failures["associativity"]
+    assert (set(witnesses) <= set(reruns["associativity"])
+            <= reading_entry(doubled, 54, 54)["associativity"])
+    # a zero product b_t b_k given two terms: an odd entry whose failures
+    # show only where (b_i b_j) b_k reads it and b_i (b_j b_k) is zero
+    t, k = 20, next(k for k in range(A1.dim) if k not in A1.mult[20])
+    mult = [dict(row) for row in A1.mult]
+    mult[t][k] = ((0, zeta(3)), (1, zeta(3, 2)))
+    added = HopfAlgebra(A1.dim, A1.conductor, mult, A1.comult, A1.unit, A1.counit,
+                        A1.antipode)
+    reruns = spy_reruns(monkeypatch)
+    failures = verify_hopf_axioms(added).failures
+    monkeypatch.undo()
+    assert failures == verify_hopf_axioms(generic_copy(added)).failures
+    assert any(j in A1.mult[i] and A1.mult[i][j][0][0] == t and k not in A1.mult[j]
+               for i, j, _ in failures["associativity"])
+    for cond, allowed in reading_entry(added, t, k).items():
+        assert set(failures.get(cond, [])) <= set(reruns[cond]) <= allowed
 
 
 def test_tables_accept_only_distinct_keys_with_equal_exponents():
@@ -279,9 +337,10 @@ def test_tables_accept_only_distinct_keys_with_equal_exponents():
     assert flagged([(3, 1), (3, 1)], [(3, 1), (3, 1)]) == [0]
 
 
-def test_coalgebra_generic_rerun_without_tables_or_with_repeated_keys(monkeypatch):
-    # twice a root of unity: no mult tables, so the Delta-algebra-map law
-    # runs on the generic join alone
+def test_coalgebra_generic_rerun_with_odd_entry_or_repeated_keys(monkeypatch):
+    # twice a root of unity: an odd mult entry, so the Delta-algebra-map,
+    # counit-algebra-map and antipode laws leave to the generic join the
+    # indices that read it, and no more
     doubled = build_bismash(make_A(7, 3, 2, 1)).with_scaled_mult_entry(54, 54, 54, 2)
     assert doubled.mono_tables() is None and doubled.comult_tables() is not None
     # a term 1 of Delta split into zeta_6 + zeta_6^5 = 1: the same algebra,
@@ -295,10 +354,12 @@ def test_coalgebra_generic_rerun_without_tables_or_with_repeated_keys(monkeypatc
     monkeypatch.undo()
     assert failures == verify_hopf_axioms(generic_copy(doubled)).failures
     assert reruns["coassociativity"] == []
-    n = doubled.dim
-    assert failures["comultiplication is an algebra map"]
-    assert reruns["comultiplication is an algebra map"] == [
-        divmod(x, n) for x in range(n * n)]
+    assert failures["comultiplication is an algebra map"] and failures["antipode"]
+    reading = reading_entry(doubled, 54, 54)
+    for cond in ("comultiplication is an algebra map", "counit is an algebra map",
+                 "antipode"):
+        assert set(failures.get(cond, [])) <= set(reruns[cond]) <= reading[cond]
+    assert len(reading["comultiplication is an algebra map"]) < doubled.dim ** 2
 
     reruns = spy_reruns(monkeypatch)
     assert verify_hopf_axioms(split).passed
