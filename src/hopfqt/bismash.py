@@ -80,23 +80,37 @@ def validate_matched_pair(mp: MatchedPair) -> Report:
     return rep
 
 
+# elements per block of a four-argument condition's table, so that validation
+# allocates a few blocks and not |F|^3 per g
+BLOCK = 2**18
+
+
 def _matched_pair_failures(mp: MatchedPair):
     """(condition, witness) of each failing matched-pair identity, cocycle
     identity, normalization and the sigma-tau compatibility condition.
 
     Cocycle identities are exponent identities mod the conductor.  Each
     condition is one numpy table, or one per value of the first group
-    argument when it has three or four arguments, built when the consumer
-    asks past the witnesses before it, which come in lexicographic order.
+    argument when it has three arguments and per value of the first and block
+    of the second (at most BLOCK elements, or one value) when it has four,
+    built when the consumer asks past the witnesses before it, which come in
+    lexicographic order.
     """
     N = mp.conductor
     ng, nf = mp.G.order, mp.F.order
     gt, ft = mp.G.table, mp.F.table
     al, ar, sig, tau = mp.act_left, mp.act_right, mp.sigma, mp.tau
 
-    def record(condition, bad, *prefix):
-        """The failures: the indices of True in bad, after prefix."""
-        return ((condition, (*prefix, *idx)) for idx in np.argwhere(bad).tolist())
+    def record(condition, bad, *prefix, start=0):
+        """The failures: the indices of True in bad, the first shifted by
+        start, after prefix."""
+        return ((condition, (*prefix, i[0] + start, *i[1:]))
+                for i in np.argwhere(bad).tolist())
+
+    def blocks(n, per_value):
+        """Slices of 0..n-1 of at most BLOCK // per_value values each."""
+        step = max(1, BLOCK // per_value)
+        return (slice(lo, lo + step) for lo in range(0, n, step))
 
     # unit behaviour of the actions; the two conditions on G (and the two on
     # F) are checked element by element, so their witnesses interleave
@@ -123,8 +137,9 @@ def _matched_pair_failures(mp: MatchedPair):
         # axes (f, f', f''): sigma(g <| f, f', f'') sigma(g, f, f' f'')
         #                    = sigma(g, f, f') sigma(g, f f', f'')
         s = sig[g]
-        yield from record("sigma cocycle",
-                          (sig[al[g]] + s[:, ft] - s[:, :, None] - s[ft]) % N != 0, g)
+        for b in blocks(nf, nf * nf):
+            bad = (sig[al[g, b]] + s[b][:, ft] - s[b, :, None] - s[ft[b]]) % N != 0
+            yield from record("sigma cocycle", bad, g, start=b.start)
 
     # tau normalization and cocycle identity
     yield from record("tau(g,g',1) = 1", tau[:, :, 0] != 0)
@@ -133,7 +148,9 @@ def _matched_pair_failures(mp: MatchedPair):
         # axes (g', g'', f): tau(g g', g'', f) tau(g, g', g'' |> f)
         #                    = tau(g', g'', f) tau(g, g' g'', f)
         t = tau[g]
-        yield from record("tau cocycle", (tau[gt[g]] + t[:, ar] - tau - t[gt]) % N != 0, g)
+        for b in blocks(ng, ng * nf):
+            bad = (tau[gt[g, b]] + t[b][:, ar] - tau[b] - t[gt[b]]) % N != 0
+            yield from record("tau cocycle", bad, g, start=b.start)
 
     # compatibility of sigma and tau
     for g in range(ng):
@@ -141,10 +158,12 @@ def _matched_pair_failures(mp: MatchedPair):
         #   = sigma(g, g' |> f, (g' <| f) |> f') sigma(g', f, f')
         #     tau(g, g', f) tau(g <| (g' |> f), g' <| f, f')
         t = tau[g]
-        lhs = sig[gt[g]] + t[:, ft]
-        rhs = (sig[g][ar[:, :, None], ar[al]] + sig + t[:, :, None]
-               + tau[al[g][ar][:, :, None], al[:, :, None], np.arange(nf)])
-        yield from record("sigma-tau compatibility", (lhs - rhs) % N != 0, g)
+        for b in blocks(ng, nf * nf):
+            lhs = sig[gt[g, b]] + t[b][:, ft]
+            rhs = (sig[g][ar[b, :, None], ar[al[b]]] + sig[b] + t[b, :, None]
+                   + tau[al[g][ar[b]][:, :, None], al[b, :, None], np.arange(nf)])
+            yield from record("sigma-tau compatibility", (lhs - rhs) % N != 0,
+                              g, start=b.start)
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,8 @@ def _cyclo_field(c: CycloNumber):
     return {"conductor": c.conductor, "num": nums, "den": den}
 
 
-def _classify_A(p, q, t, l):
-    forms = qtlab.braiding_A_search(p, q, t, l)
+def _classify_A(H, p, q, l):
+    forms = qtlab.braiding_A_search(H)
     structures = []
     for f in forms:
         g0, g1, lam = f.params
@@ -226,7 +226,7 @@ def _classify_A(p, q, t, l):
             "lambda": _cyclo_field(lam),
         })
     if l == 0:
-        expected = [qtlab.braiding_A0_construct(p, q, t, k) for k in range(q)]
+        expected = [qtlab.braiding_A0_construct(H, k) for k in range(q)]
         equiv = (len(forms) == q
                  and all(any(f.values == g.values for g in expected)
                          for f in forms))
@@ -237,8 +237,7 @@ def _classify_A(p, q, t, l):
     return claim, len(forms), structures, equiv
 
 
-def _classify_B(p, q, m, lam):
-    res = qtlab.qt_B_enumerate(p, q, m, lam)
+def _classify_B(res, p, q, lam):
     structures = [{"kind": "r-matrix", "bicharacter": [list(r) for r in w.key()]}
                   for w, _ in res]
     claim = (f"quasitriangular structures on the tau-twisted algebra with "
@@ -276,11 +275,13 @@ def cmd_classify_qt(args) -> int:
     params = _resolve_family_params(args)
     fam = args.family
     if fam == "A":
+        H = build_bismash(make_A(params["p"], params["q"], params["t"], params["l"]))
         claim, count, structures, equiv = _classify_A(
-            params["p"], params["q"], params["t"], params["l"])
+            H, params["p"], params["q"], params["l"])
     elif fam == "B":
+        res = qtlab.qt_B_enumerate(params["p"], params["q"], params["m"], params["lam"])
         claim, count, structures, equiv = _classify_B(
-            params["p"], params["q"], params["m"], params["lam"])
+            res, params["p"], params["q"], params["lam"])
     elif fam == "Bdual":
         claim, count, structures, equiv = _classify_Bdual(
             params["p"], params["q"], params["m"], params["lam"])
@@ -334,7 +335,7 @@ def cmd_reproduce(args) -> int:
             add(f"sigma-twisted algebra index {l}: all axioms hold, "
                 f"trace(S^2) = dim = {H.dim}",
                 rep.passed and diag.s2_is_id and diag.trace_s2 == H.dim)
-            claim, count, _, equiv = _classify_A(p, q, t, l)
+            claim, count, _, equiv = _classify_A(H, p, q, l)
             expected = q if l == 0 else 0
             add(claim, equiv and count == expected, count)
     else:
@@ -344,13 +345,14 @@ def cmd_reproduce(args) -> int:
         m = _smallest_order_element(q, p)
         lams = [0] + lambda_set(p)
         for lam in lams:
-            H = build_bismash(make_B(p, q, m, lam))
+            res = qtlab.qt_B_enumerate(p, q, m, lam)
+            H = res.host
             rep = verify_hopf_axioms(H)
             diag = antipode_diagnostics(H)
             add(f"tau-twisted algebra index {lam}: all axioms hold, "
                 f"trace(S^2) = dim = {H.dim}",
                 rep.passed and diag.s2_is_id and diag.trace_s2 == H.dim)
-            claim, count, _, equiv = _classify_B(p, q, m, lam)
+            claim, count, _, equiv = _classify_B(res, p, q, lam)
             add(claim, equiv and count >= 1, count)
             claim, _, _, ok = _classify_Bdual(p, q, m, lam)
             add(claim, ok, 0)

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactfield import CycloNumber, zeta
-from .grouptool import FiniteGroup, ParameterError
+from .exactfield import CycloNumber, euler_phi, zeta
+from .grouptool import FiniteGroup, ParameterError, abelian_decomposition
 
 
 class HopfAlgebra:
@@ -810,12 +810,11 @@ def antipode_diagnostics(H: HopfAlgebra) -> AntipodeDiagnostics:
 class GroupLikeSet:
     """Group-like elements together with their group structure."""
 
-    def __init__(self, elements, table, orders, identity, host):
+    def __init__(self, elements, table, orders, identity):
         self.elements = elements
         self.table = table
         self.orders = orders
         self.identity = identity
-        self.host = host
 
     def __len__(self):
         return len(self.elements)
@@ -824,9 +823,9 @@ class GroupLikeSet:
         return iter(self.elements)
 
 
-def group_likes_bismash(mp) -> GroupLikeSet:
-    """All group-like elements of build_bismash(mp) for matched pairs with a
-    trivial action on one side.
+def group_likes_bismash(H) -> GroupLikeSet:
+    """All group-like elements of the bismash product H, for matched pairs
+    H.mp with a trivial action on one side.
 
     Candidates are twisted characters: x = (sum_g chi(g) e_g) # f where f is
     fixed by the right action of every g and chi(g')chi(g'') =
@@ -835,12 +834,10 @@ def group_likes_bismash(mp) -> GroupLikeSet:
     single fixed point); each candidate is then verified via Delta(x) =
     x (x) x and counit(x) = 1, exactly.
     """
-    from .bismash import build_bismash  # deferred; bismash imports this module
-
+    mp = H.mp
     G, F = mp.G, mp.F
     if not (mp.left_trivial() or mp.right_trivial()):
         raise ParameterError("group-like search requires one trivial action")
-    H = build_bismash(mp)
     N = H.conductor
 
     fixed_fs = np.flatnonzero((mp.act_right == np.arange(F.order)).all(axis=0))
@@ -882,7 +879,7 @@ def group_likes_bismash(mp) -> GroupLikeSet:
             cur = table[cur][i]
             k += 1
         orders.append(k)
-    return GroupLikeSet(group_likes, table, orders, ident, H)
+    return GroupLikeSet(group_likes, table, orders, ident)
 
 
 def _twisted_characters(G: FiniteGroup, tau, conductor):
@@ -893,8 +890,6 @@ def _twisted_characters(G: FiniteGroup, tau, conductor):
     chi(g)^n = prod_k tau(g^k, g); the finitely many root solutions are
     combined and every combination is checked on all pairs.
     """
-    from .grouptool import abelian_decomposition
-
     if not G.is_abelian():
         raise ParameterError("twisted characters implemented for abelian groups")
     dec = abelian_decomposition(G, range(G.order))
@@ -914,8 +909,7 @@ def _twisted_characters(G: FiniteGroup, tau, conductor):
         per_gen.append(vals)
 
     out = []
-    from itertools import product as iproduct
-    for combo in iproduct(*per_gen):
+    for combo in itertools.product(*per_gen):
         # extend along the lexicographic exponent chain
         chi = {0: one}
         for gi, (g, n, val) in enumerate(zip(dec.gens, dec.orders, combo)):
@@ -994,8 +988,6 @@ MAX_CONDUCTOR = 1024
 
 
 def load_structure(text: str) -> HopfAlgebra:
-    from .exactfield import euler_phi
-
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     try:
         if not lines or lines[0].split() != ["hopfqt-structure", "1"]:

@@ -47,8 +47,9 @@ from .grouptool import (
     largest_abelian_normal,
 )
 from .hopfcore import (AlgebraElement, HopfAlgebra, Report, _acc, _comult_rows,
-                       _expand, dual_hopf, group_likes_bismash)
-from .bismash import MatchedPair, build_bismash, dualize_trivial_action, make_A, make_B
+                       _expand, dual_hopf, group_algebra, group_likes_bismash)
+from .bismash import (BismashHopf, MatchedPair, build_bismash, dualize_trivial_action,
+                      make_B)
 
 
 # ---------------------------------------------------------------------------
@@ -806,15 +807,17 @@ def _invariant_mask(forms, perms, kmul, gens):
 
 
 class QTEnumeration(list):
-    """list of (Bicharacter, CertifiedR); each key set of the
+    """list of (Bicharacter, CertifiedR) on ``host``, the algebra the
+    R-matrices live on; each key set of the
     independent checks is an attribute (``invariant_keys`` and
     ``closed_form_keys`` for group algebras, ``filter_keys`` and
     ``oracle_keys`` for the tau-twisted family).  Every listed pair passed
     its verifier; an enumeration raises rather than leave out a filtered
     candidate that fails it."""
 
-    def __init__(self, pairs, **key_sets):
+    def __init__(self, host, pairs, **key_sets):
         super().__init__(pairs)
+        self.host = host
         vars(self).update(key_sets)
         self._key_sets = list(key_sets.values())
 
@@ -833,8 +836,6 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
     and verified by verify_qt_certified, and the survivors are
     cross-checked against the printed closed-form conditions (every
     bicharacter when G is abelian)."""
-    from .hopfcore import group_algebra
-
     abelian = G.is_abelian()
     sub = None if abelian else largest_abelian_normal(G)
     K = abelian_decomposition(G, range(G.order)) if abelian else sub.decomposition
@@ -855,7 +856,7 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
                 "conjugation-invariant bicharacter failed verify_qt_certified")
         pairs.append((ws[k], R))
     closed = ws if abelian else closed_form_survivors(G, ws, K)
-    return QTEnumeration(pairs, invariant_keys={w.key() for w, _ in pairs},
+    return QTEnumeration(H, pairs, invariant_keys={w.key() for w, _ in pairs},
                          closed_form_keys={w.key() for w in closed})
 
 
@@ -869,7 +870,8 @@ def eta(mp: MatchedPair, h: int, k: int, f: int) -> CycloNumber:
 
 
 def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
-    """All quasitriangular structures on the tau-twisted family.
+    """All quasitriangular structures on the tau-twisted family, on the
+    algebra it builds as the enumeration's host.
 
     Filters the q^4 bicharacters on G by the four generator conditions,
     cross-checks against the independent intertwiner test Delta-op(g) R =
@@ -903,7 +905,7 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
         if not rep.passed:
             raise AssertionError(f"survivor failed verification: {rep!r}")
         pairs.append((w, R))
-    return QTEnumeration(pairs, filter_keys=filter_keys, oracle_keys=oracle_keys)
+    return QTEnumeration(H, pairs, filter_keys=filter_keys, oracle_keys=oracle_keys)
 
 
 def _B_condition_keys(mp, m, lam, ws, dec, forms):
@@ -1003,15 +1005,17 @@ def verify_coqt(H: HopfAlgebra, form: BraidingForm) -> Report:
 # braiding constructions for the sigma-twisted family
 
 
-def braiding_A0_construct(p, q, t, lam) -> BraidingForm:
-    """The braiding with <e_h g^i, e_k g^j> = [h = b^j][k = b^-i] lam^(i j),
-    for lam a q-th root of unity."""
-    mp = make_A(p, q, t, 0)
+def braiding_A0_construct(H: BismashHopf, lam) -> BraidingForm:
+    """The braiding <e_h g^i, e_k g^j> = [h = b^j][k = b^-i] lam^(i j) on
+    the sigma-twisted algebra H of index 0, for lam a q-th root of unity.
+    Raises ParameterError when the sigma of H is not trivial."""
+    mp, q = H.mp, H.mp.F.order
+    if mp.sigma.any():
+        raise ParameterError("the braiding construction needs sigma = 1")
     if isinstance(lam, int):
         lam = zeta(q, lam)
     if not (lam ** q).is_one():
         raise ParameterError("lambda must satisfy lambda^q = 1")
-    H = build_bismash(mp)
     G = mp.G
     b = G.generators["b"]
     return BraidingForm(H, _delta_form_values(H, mp, b, G.inv(b), lam),
@@ -1030,13 +1034,13 @@ def _delta_form_values(H, mp, g0, g1, lam):
     return values
 
 
-def braiding_A_search(p, q, t, l) -> list[BraidingForm]:
+def braiding_A_search(H: BismashHopf) -> list[BraidingForm]:
     """Exhaustive constrained search for braiding structures on the
-    sigma-twisted family: candidates (g0, g1, lambda) in G x G x mu_(q^2),
+    sigma-twisted algebra H, whose G, F = Z_q and actions it reads off H.mp:
+    candidates (g0, g1, lambda) in G x G x mu_(q^2),
     each extended multiplicatively to a full form; cheap necessary axiom
     instances prune the grid and every survivor passes the full verifier."""
-    mp = make_A(p, q, t, l)
-    H = build_bismash(mp)
+    mp, q = H.mp, H.mp.F.order
     G = mp.G
 
     # the trivial-restriction premise: the only conjugation-invariant
@@ -1129,7 +1133,8 @@ class NoQTReport:
 
 
 def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
-    """The two no-go branches for the dual of the tau-twisted family.
+    """The two no-go branches for the dual of the tau-twisted family, on
+    the one algebra it builds.
 
     lam != 0: the group-like span is k[Z_p]; its primitive idempotents, the
     grouptool idempotents of Z_p pushed through the powers of a group-like
@@ -1142,21 +1147,16 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
     e_(g^1) (x) e_(g^0), hence is a zero divisor.
     Both branches test the identity at a through ``_intertwiner_sides``.
     """
-    mp = make_B(p, q, m, lam)
-    dmp = dualize_trivial_action(mp)
+    H = build_bismash(dualize_trivial_action(make_B(p, q, m, lam)))
     report = NoQTReport(lam, "nonzero" if lam else "zero")
-    if lam != 0:
-        gl = group_likes_bismash(dmp)
-        if len(gl) != p:
-            raise AssertionError(f"expected {p} group-likes, found {len(gl)}")
-        H = gl.host
-    else:
-        H = build_bismash(dmp)
-    Fp = dmp.F                      # Z_q x Z_q
+    Fp = H.mp.F                     # Z_q x Z_q
     N = H.conductor
     da = H.embed_f(Fp.generators["a"]).comult_apply()
 
     if lam != 0:
+        gl = group_likes_bismash(H)
+        if len(gl) != p:
+            raise AssertionError(f"expected {p} group-likes, found {len(gl)}")
         K = abelian_decomposition(cyclic_group(p), range(p))
         gen = next(i for i, o in enumerate(gl.orders) if o == p)
         powers = [gl.identity]

@@ -308,14 +308,15 @@ def _brute_force_group_likes(H, span_ids, value_order):
 
 def test_criterion_04_group_likes():
     mp0 = dualize_trivial_action(make_B(3, 7, 2, 0))
-    gl0 = group_likes_bismash(mp0)
+    H0 = build_bismash(mp0)
+    gl0 = group_likes_bismash(H0)
     assert len(gl0) == 21
     mp1 = dualize_trivial_action(make_B(3, 7, 2, 1))
-    gl1 = group_likes_bismash(mp1)
+    H1 = build_bismash(mp1)
+    gl1 = group_likes_bismash(H1)
     assert len(gl1) == 3
 
     # span check: the 21 group-likes span exactly {e_(g^i) b^j}
-    H0 = gl0.host
     F2 = mp0.F
     b = F2.generators["b"]
     allowed = {H0.gf_index(g, F2.power(b, j)) for g in range(3) for j in range(7)}
@@ -326,7 +327,6 @@ def test_criterion_04_group_likes():
     assert rs.dim == 21
 
     # independent brute force on the 21-dimensional span for both duals
-    H1 = gl1.host
     span1 = sorted(H1.gf_index(g, F2.power(b, j))
                    for g in range(3) for j in range(7))
     brute1 = _brute_force_group_likes(H1, span1, 21)
@@ -341,9 +341,10 @@ def test_criterion_04_group_likes():
 
 
 def test_criterion_05_A0_braidings():
-    forms = braiding_A_search(7, 3, 2, 0)
+    H = build_bismash(make_A(7, 3, 2, 0))
+    forms = braiding_A_search(H)
     assert len(forms) == 3
-    built = [braiding_A0_construct(7, 3, 2, k) for k in range(3)]
+    built = [braiding_A0_construct(H, k) for k in range(3)]
     for f in forms:
         assert verify_coqt(f.host, f).passed
         assert any(f.values == g.values for g in built)
@@ -368,8 +369,8 @@ def test_criterion_06_A_nogo():
             invariant.append(w)
     assert len(invariant) == 1 and invariant[0].is_trivial()
 
-    assert braiding_A_search(7, 3, 2, 1) == []
-    assert braiding_A_search(7, 3, 2, 2) == []
+    assert braiding_A_search(build_bismash(make_A(7, 3, 2, 1))) == []
+    assert braiding_A_search(build_bismash(make_A(7, 3, 2, 2))) == []
     report(6, "no braidings at twisted indices", "searches at indices 1, 2 "
            "return empty; restriction premise independently verified")
 
@@ -461,8 +462,9 @@ def test_criterion_10_mutation_sensitivity():
     # single-entry braiding-form mutants of the A0 forms: one value scaled
     # by zeta_q, or dropped
     braidings = 0
+    A0 = build_bismash(make_A(7, 3, 2, 0))
     for k in range(3):
-        form = braiding_A0_construct(7, 3, 2, k)
+        form = braiding_A0_construct(A0, k)
         keys = sorted(form.values)
         for _ in range(3):
             key = rng.choice(keys)

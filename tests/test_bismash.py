@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hopfqt.exactfield import zeta
 from hopfqt.grouptool import ParameterError, abelian_group, cyclic_group
+from hopfqt import bismash
 from hopfqt.bismash import (
     MatchedPair,
     build_bismash,
@@ -379,3 +381,101 @@ def test_build_raises_the_first_failure_of_the_full_report():
             assert str(err.value) == f"matched pair invalid: {cond} fails at {wits[0]}"
             raised += 1
     assert raised == 240
+
+
+# ---------------------------------------------------------------------------
+# blocked validation against the one-table-per-g generator
+
+
+def reference_failures(mp):
+    """The (condition, witness) sequence of _matched_pair_failures, with each
+    cocycle and compatibility condition as one whole table per value of its
+    first argument: |F|^3 elements per g for the sigma cocycle."""
+    N = mp.conductor
+    ng, nf = mp.G.order, mp.F.order
+    gt, ft = mp.G.table, mp.F.table
+    al, ar, sig, tau = mp.act_left, mp.act_right, mp.sigma, mp.tau
+
+    def record(condition, bad, *prefix):
+        return ((condition, (*prefix, *idx)) for idx in np.argwhere(bad).tolist())
+
+    unit_g = np.stack([al[:, 0] != np.arange(ng), ar[:, 0] != 0], axis=1)
+    for g, c in np.argwhere(unit_g).tolist():
+        yield ("g <| 1 = g", "g |> 1 = 1")[c], (g,)
+    unit_f = np.stack([al[0] != 0, ar[0] != np.arange(nf)], axis=1)
+    for f, c in np.argwhere(unit_f).tolist():
+        yield ("1 <| f = 1", "1 |> f = f")[c], (f,)
+    for g in range(ng):
+        yield from record("g |> (f f') = (g |> f)((g <| f) |> f')",
+                          ar[g][ft] != ft[ar[g][:, None], ar[al[g]]], g)
+    for g in range(ng):
+        yield from record("(g g') <| f = (g <| (g' |> f))(g' <| f)",
+                          al[gt[g]] != gt[al[g][ar], al], g)
+    yield from record("sigma(1,f,f') = 1", sig[0] != 0)
+    yield from record("sigma(g,1,f) = sigma(g,f,1) = 1",
+                      (sig[:, 0] != 0) | (sig[:, :, 0] != 0))
+    for g in range(ng):
+        s = sig[g]
+        yield from record("sigma cocycle",
+                          (sig[al[g]] + s[:, ft] - s[:, :, None] - s[ft]) % N != 0, g)
+    yield from record("tau(g,g',1) = 1", tau[:, :, 0] != 0)
+    yield from record("tau(g,1,f) = tau(1,g',f) = 1", (tau[:, 0] != 0) | (tau[0] != 0))
+    for g in range(ng):
+        t = tau[g]
+        yield from record("tau cocycle", (tau[gt[g]] + t[:, ar] - tau - t[gt]) % N != 0, g)
+    for g in range(ng):
+        t = tau[g]
+        lhs = sig[gt[g]] + t[:, ft]
+        rhs = (sig[g][ar[:, :, None], ar[al]] + sig + t[:, :, None]
+               + tau[al[g][ar][:, :, None], al[:, :, None], np.arange(nf)])
+        yield from record("sigma-tau compatibility", (lhs - rhs) % N != 0, g)
+
+
+def test_blocked_validation_matches_whole_tables(monkeypatch):
+    """Every witness in the same order as the whole-table generator, on
+    sigma and tau mutants of A(7,3,1), B(3,7,1) and Bdual(3,7,1).  A block
+    of 1000 elements splits the tau cocycle of A and B into ragged blocks
+    of g' and gives one f (one g') per sigma cocycle (compatibility) block
+    of Bdual; 5000 gives blocks of two."""
+    rng = random.Random(22)
+    pairs = (make_A(7, 3, 2, 1), make_B(3, 7, 2, 1),
+             dualize_trivial_action(make_B(3, 7, 2, 1)))
+    for mp in pairs:
+        ng, nf, N = mp.G.order, mp.F.order, mp.conductor
+        for _ in range(50):
+            if rng.random() < 0.5:
+                site = (rng.randrange(ng), rng.randrange(nf), rng.randrange(nf))
+                bad = mp.with_sigma_scaled(*site, rng.randrange(1, N))
+            else:
+                site = (rng.randrange(ng), rng.randrange(ng), rng.randrange(nf))
+                bad = mp.with_tau_scaled(*site, rng.randrange(1, N))
+            expected = list(reference_failures(bad))
+            assert expected
+            for block in (1000, 5000, bismash.BLOCK):
+                with monkeypatch.context() as m:
+                    m.setattr(bismash, "BLOCK", block)
+                    assert list(bismash._matched_pair_failures(bad)) == expected, \
+                        (bad.name, site, block)
+
+
+def _validation_peak(mp):
+    tracemalloc.start()
+    try:
+        assert validate_matched_pair(mp).passed
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_validation_memory_is_bounded_by_the_block():
+    # a loaded pair of |G| = 1, |F| = 150 is 120 KB of text, and one
+    # |F|^3 table of the sigma cocycle alone would be 27 MB
+    F = cyclic_group(150)
+    wide = MatchedPair(abelian_group([]), F, [[0] * 150], [list(range(150))],
+                       np.zeros((1, 150, 150), dtype=np.int64),
+                       np.zeros((1, 1, 150), dtype=np.int64), 1, name="wide")
+    text = dump_matched_pair(wide)
+    assert 100_000 < len(text) < 140_000
+    assert _validation_peak(load_matched_pair(text)) <= 16 * 2**20
+    # Bdual(3,13): |G| = 3, |F| = 169
+    assert _validation_peak(dualize_trivial_action(make_B(3, 13, 3, 0))) <= 16 * 2**20

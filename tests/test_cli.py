@@ -1,11 +1,16 @@
 import argparse
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from hopfqt import bismash
 from hopfqt.bismash import build_bismash, make_A
 from hopfqt.cli import build_parser, load_schema, main, validate_json
 from hopfqt.hopfcore import dump_structure
@@ -303,6 +308,68 @@ def test_reproduce_13_3(tmp_path):
     groups = [c["count"] for c in claims if c["claim"].startswith("group algebra")]
     assert braidings == [3, 0, 0]
     assert groups == [117, 1053, 3, 3, 3]
+
+
+# the reports of the benchmark's reproduce jobs, and the (3,7) report as the
+# parent of the commit that builds each algebra once per run printed it; each
+# without its elapsed_ms line
+PERFBENCH_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+REPORT_PINS = Path(__file__).resolve().parent / "golden"
+
+
+def run_counting_validations(*argv):
+    """The report of a successful command without its elapsed_ms line, and
+    the number of matched-pair validations of each pair, by pair name."""
+    counts = Counter()
+    validate = bismash._matched_pair_failures
+
+    def counting(mp):
+        counts[mp.name] += 1
+        return validate(mp)
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(out):
+        m.setattr(bismash, "_matched_pair_failures", counting)
+        assert main(list(argv)) == 0
+    report = "".join(line for line in out.getvalue().splitlines(keepends=True)
+                     if not line.startswith('  "elapsed_ms": '))
+    return report, counts
+
+
+@pytest.fixture(scope="module")
+def reproduced():
+    """reproduced(p, q): run_counting_validations of reproduce at (p, q),
+    run once per module."""
+    runs = {}
+
+    def run(p, q):
+        if (p, q) not in runs:
+            runs[p, q] = run_counting_validations("reproduce", "--p", str(p),
+                                                  "--q", str(q))
+        return runs[p, q]
+    return run
+
+
+@pytest.mark.parametrize("p,q,pin", [
+    (7, 3, PERFBENCH_GOLDEN / "reproduce-7-3.json"),
+    (3, 5, PERFBENCH_GOLDEN / "reproduce-3-5.json"),
+    (3, 7, REPORT_PINS / "reproduce-3-7.json"),
+])
+def test_reproduce_report_is_byte_identical_to_pin(reproduced, p, q, pin):
+    assert reproduced(p, q)[0] == pin.read_text()
+
+
+def test_reproduce_validates_each_algebra_once(reproduced):
+    assert reproduced(7, 3)[1] == {f"A_{l}(p=7,q=3,t=2)": 1 for l in range(3)}
+    B = [f"B_{lam}(p=3,q=7,m=2)" for lam in (0, 1)]
+    assert reproduced(3, 7)[1] == {name: 1 for name in B + [f"dual({b})" for b in B]}
+    assert reproduced(3, 5)[1] == {}
+
+
+def test_classify_A_validates_its_algebra_once():
+    _, counts = run_counting_validations("classify-qt", "--family", "A", "--p", "7",
+                                         "--q", "3", "--l", "0")
+    assert counts == {"A_0(p=7,q=3,t=2)": 1}
 
 
 def test_text_format(tmp_path):

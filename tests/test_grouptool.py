@@ -534,7 +534,7 @@ def abelian_decomposition_by_closure(G, ids):
 
 def _reproduce_decomposition_inputs(monkeypatch, p, q):
     """(G, ids) of every abelian_decomposition call of reproduce at (p, q)."""
-    from hopfqt import cli, grouptool, qtlab
+    from hopfqt import cli, grouptool, hopfcore, qtlab
     seen = []
 
     def spy(G, ids, real=grouptool.abelian_decomposition):
@@ -542,7 +542,7 @@ def _reproduce_decomposition_inputs(monkeypatch, p, q):
         seen.append((G, ids))
         return real(G, ids)
 
-    for module in (cli, grouptool, qtlab):
+    for module in (cli, grouptool, hopfcore, qtlab):
         monkeypatch.setattr(module, "abelian_decomposition", spy)
     with tempfile.TemporaryDirectory() as work:
         cli.main(["reproduce", "--p", str(p), "--q", str(q),

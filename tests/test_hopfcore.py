@@ -563,16 +563,16 @@ def test_dual_preserves_axioms():
 
 
 def test_group_likes_of_B_duals():
-    gl0 = group_likes_bismash(dualize_trivial_action(make_B(3, 7, 2, 0)))
+    gl0 = group_likes_bismash(build_bismash(dualize_trivial_action(make_B(3, 7, 2, 0))))
     assert len(gl0) == 21
-    gl1 = group_likes_bismash(dualize_trivial_action(make_B(3, 7, 2, 1)))
+    gl1 = group_likes_bismash(build_bismash(dualize_trivial_action(make_B(3, 7, 2, 1))))
     assert len(gl1) == 3
 
 
 def test_group_likes_verified_and_closed():
     mp = dualize_trivial_action(make_B(3, 7, 2, 1))
     H = build_bismash(mp)
-    gl = group_likes_bismash(mp)
+    gl = group_likes_bismash(H)
     one = CycloNumber.one(H.conductor)
     for x in gl:
         dx = x.comult_apply()
@@ -587,7 +587,7 @@ def test_group_likes_verified_and_closed():
 def test_group_likes_span_for_B0_dual():
     mp = dualize_trivial_action(make_B(3, 7, 2, 0))
     H = build_bismash(mp)
-    gl = group_likes_bismash(mp)
+    gl = group_likes_bismash(H)
     # support lies in the span of e_(g^i) b^j  (f-part a power of b)
     F2 = mp.F
     b = F2.generators["b"]
@@ -605,7 +605,7 @@ def test_group_likes_untwisted_counts():
     # untwisted k^G # kF with abelian G, F: |G^| * |F| group-likes
     from test_bismash import trivial_pair
 
-    gl = group_likes_bismash(trivial_pair([3], [5]))
+    gl = group_likes_bismash(build_bismash(trivial_pair([3], [5])))
     assert len(gl) == 15
 
 

@@ -35,3 +35,34 @@ def test_import_guard_sees_third_party_imports():
                      "from . import qtlab\nimport numpy as np\nfrom os import path\n")
     assert [root for _, root in _imported_roots(tree) if root not in ALLOWED] == \
         ["sympy", "hypothesis"]
+
+
+def _imported_modules(tree, package):
+    """The full name of every module imported anywhere in the tree, the
+    relative imports resolved against package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package if node.level else ""
+            if node.module:
+                base = f"{base}.{node.module}" if base else node.module
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_hopfcore_does_not_import_bismash():
+    # bismash builds on hopfcore; hopfcore takes built bismash products
+    path = Path(hopfqt.__file__).parent / "hopfcore.py"
+    imported = set(_imported_modules(ast.parse(path.read_text(encoding="utf-8")),
+                                     "hopfqt"))
+    assert "hopfqt.grouptool" in imported
+    assert not any(name == "hopfqt.bismash" or name.startswith("hopfqt.bismash.")
+                   for name in imported)
+
+
+def test_bismash_import_guard_sees_deferred_imports():
+    tree = ast.parse("def f():\n    from .bismash import build_bismash\n"
+                     "from . import bismash\n")
+    assert set(_imported_modules(tree, "hopfqt")) == {
+        "hopfqt", "hopfqt.bismash", "hopfqt.bismash.build_bismash"}

@@ -161,8 +161,9 @@ def test_group_algebra_survivor_passes_generic_verifier():
     # its entries are the nonzero tensor sum w(s,t) E_s (x) E_t
     for G in (build_group("gamma5", p=7, q=3, m=2), abelian_group([3])):
         res = qt_group_algebra_enumerate(G)
-        assert len(res) == 3
+        assert len(res) == 3 and res.host.dim == G.order
         for w, R in res:
+            assert R.host is res.host
             assert isinstance(R, CertifiedR) and R.entries
             assert verify_qt(R.host, R.entries).passed, (G.family_tag, w)
 
@@ -1388,8 +1389,10 @@ def explicit_B_entries(H, w):
 @pytest.mark.parametrize("lam", [0, 1])
 def test_qt_B_survivors_pass_exhaustive_verifier(lam):
     res = qt_B_enumerate(3, 7, 2, lam)
-    H = res[0][1].host
+    H = res.host
+    assert H.mp.name == f"B_{lam}(p=3,q=7,m=2)"
     for w, R in res:
+        assert R.host is H
         assert R.entries == explicit_B_entries(H, w)
         assert verify_qt(H, R.entries).passed
 
@@ -1562,18 +1565,26 @@ def test_qt_B_members_have_small_left_image():
 
 
 def test_braiding_A0_constructions_pass():
+    H = build_bismash(make_A(7, 3, 2, 0))
     for k in range(3):
-        form = braiding_A0_construct(7, 3, 2, k)
+        form = braiding_A0_construct(H, k)
         assert verify_coqt(form.host, form).passed
 
 
 def test_braiding_A0_rejects_non_cube_root():
     with pytest.raises(ParameterError):
-        braiding_A0_construct(7, 3, 2, zeta(9, 1))
+        braiding_A0_construct(build_bismash(make_A(7, 3, 2, 0)), zeta(9, 1))
+
+
+def test_braiding_A0_rejects_twisted_host():
+    # the construction is the index-0 family only; A_1 has sigma != 1
+    H = build_bismash(make_A(7, 3, 2, 1))
+    with pytest.raises(ParameterError, match="sigma = 1"):
+        braiding_A0_construct(H, 1)
 
 
 def test_braiding_A0_j_zero_column():
-    form = braiding_A0_construct(7, 3, 2, 1)
+    form = braiding_A0_construct(build_bismash(make_A(7, 3, 2, 0)), 1)
     H = form.host
     mp = H.mp
     G = mp.G
@@ -1590,19 +1601,20 @@ def test_braiding_A0_j_zero_column():
 
 
 def test_braiding_search_counts():
-    forms = braiding_A_search(7, 3, 2, 0)
+    forms = braiding_A_search(build_bismash(make_A(7, 3, 2, 0)))
     assert len(forms) == 3
     lams = sorted(repr(f.params[2]) for f in forms)
     # exactly the cube roots of unity
     for f in forms:
         assert (f.params[2] ** 3).is_one()
-    assert braiding_A_search(7, 3, 2, 1) == []
-    assert braiding_A_search(7, 3, 2, 2) == []
+    assert braiding_A_search(build_bismash(make_A(7, 3, 2, 1))) == []
+    assert braiding_A_search(build_bismash(make_A(7, 3, 2, 2))) == []
 
 
 def test_braiding_search_matches_construction():
-    forms = braiding_A_search(7, 3, 2, 0)
-    built = [braiding_A0_construct(7, 3, 2, k) for k in range(3)]
+    H = build_bismash(make_A(7, 3, 2, 0))
+    forms = braiding_A_search(H)
+    built = [braiding_A0_construct(H, k) for k in range(3)]
     for f in forms:
         assert any(f.values == g.values for g in built)
     for g in built:
@@ -1613,7 +1625,7 @@ def test_braiding_search_g0_g1_character_identity():
     # every found braiding satisfies phi^l(g0) = phi^l(g1); the searches at
     # l > 0 are empty so the identity holds vacuously there
     for l in (0, 1, 2):
-        for f in braiding_A_search(7, 3, 2, l):
+        for f in braiding_A_search(build_bismash(make_A(7, 3, 2, l))):
             g0, g1, _ = f.params
             mp = f.host.mp
             _, j0 = mp.G.states[g0]
@@ -1635,7 +1647,7 @@ def test_coqt_trivial_form_on_function_algebra():
 
 
 def test_coqt_mutated_form_fails():
-    form = braiding_A0_construct(7, 3, 2, 1)
+    form = braiding_A0_construct(build_bismash(make_A(7, 3, 2, 0)), 1)
     (i, j), v = next(iter(form.values.items()))
     bad_values = dict(form.values)
     bad_values[(i, j)] = v * zeta(3, 1)
@@ -1784,7 +1796,8 @@ def test_coqt_matches_reference_on_search_candidates(monkeypatch):
         return verify_coqt(H, form)
 
     monkeypatch.setattr(qtlab, "verify_coqt", recording)
-    found = [f for l in (0, 1, 2) for f in braiding_A_search(7, 3, 2, l)]
+    found = [f for l in (0, 1, 2)
+             for f in braiding_A_search(build_bismash(make_A(7, 3, 2, l)))]
     assert len(seen) == 9 and len(found) == 3
     passed = 0
     for form in seen:
@@ -1807,7 +1820,7 @@ def test_coqt_matches_reference_on_random_grid_forms():
 
 
 def test_coqt_matches_reference_on_A0_mutants():
-    form = braiding_A0_construct(7, 3, 2, 1)
+    form = braiding_A0_construct(build_bismash(make_A(7, 3, 2, 0)), 1)
     H = form.host
     _, inverse = grid_form(H, *form.params)
     assert assert_coqt_matches_reference(form, inverse).passed
@@ -1849,11 +1862,11 @@ def test_no_qt_on_B_duals_at_3_13(lam, branch, candidates, nullspace_dim):
     assert rep.no_qt_on_support
 
 
-def reference_B_dual_candidates(gl, p):
-    """The lam != 0 candidates of no_qt_B_dual built by hand: the primitive
+def reference_B_dual_candidates(gl, p, N):
+    """The lam != 0 candidates of no_qt_B_dual built by hand, over a host
+    of conductor N: the primitive
     idempotents of the group-like span k[Z_p] and R = sum zeta_p^(e r s)
     E_r (x) E_s for e = 0..p-1."""
-    N = gl.host.conductor
     L = math.lcm(p, N)
     gen_idx = next(i for i, o in enumerate(gl.orders) if o == p)
     powers = [gl.identity]
@@ -1908,10 +1921,10 @@ def test_no_qt_B_dual_candidates_are_not_vacuous(monkeypatch):
     at Delta(1 # a), so the check that rejects them can also accept."""
     rep, sides, supports = _spy_no_qt_B_dual(monkeypatch, 3, 7, 2, 1)
     assert rep.candidates_checked == 3 and rep.no_qt_on_support
-    gl = group_likes_bismash(dualize_trivial_action(make_B(3, 7, 2, 1)))
+    gl = group_likes_bismash(build_bismash(dualize_trivial_action(make_B(3, 7, 2, 1))))
     H = supports[0].host
     da = H.embed_f(H.mp.F.generators["a"]).comult_apply()
-    assert [R for R, _ in sides] == reference_B_dual_candidates(gl, 3)
+    assert [R for R, _ in sides] == reference_B_dual_candidates(gl, 3, H.conductor)
     for R, delta in sides:
         assert delta == da and R
         lhs, rhs = _intertwiner_sides(H, R, unit_tensor(H))
