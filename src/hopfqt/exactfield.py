@@ -8,8 +8,8 @@ products of roots of unity cost O(1) integer work.  There are no tolerance
 parameters anywhere; every comparison is exact.
 
 There is one Gaussian elimination, the incremental ``RowSpace`` over sparse
-dict vectors.  ``nullspace`` adds a matrix's columns to it, and the inverse
-of a non-monomial ``CycloNumber`` adds its multiplication columns over Q.
+dict vectors, and ``nullspace`` adds a matrix's columns to it.  A
+non-monomial ``CycloNumber`` inverts through its Galois conjugates.
 """
 
 from __future__ import annotations
@@ -334,26 +334,29 @@ class CycloNumber:
     def inv(self):
         """Multiplicative inverse; raises ZeroDivisionError on zero.
 
-        A monomial inverts in O(1).  Otherwise 1 = self * sum_j c_j zeta^j
-        is solved over Q in the power basis: the phi columns self * zeta^j,
-        with rational CycloNumber entries, go into a RowSpace, then e_0, and
-        its last_dependence() is c.  Every pivot of that rational RowSpace
-        is a monomial, so the recursion ends after one level."""
+        A monomial inverts in O(1).  Otherwise, with sigma_k the Galois
+        automorphism zeta -> zeta^k, the product c of the sigma_k(self) over
+        the units k != 1 mod N is nonzero, and self * c is the field norm,
+        a nonzero rational; so self^-1 = c / (self * c)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self._m is not None:
             e, num, den = self._m
             return CycloNumber(self.n, _m=_mono_norm(self.n, -e, den, num))
-        n, phi = self.n, _field(self.n).phi
-        rs = RowSpace()
-        for j in range(phi):
-            nums, den = (self * zeta(n, j))._vec()
-            rs.add({i: CycloNumber(1, _m=_mono_norm(1, 0, c, den))
-                    for i, c in enumerate(nums) if c})
-        rs.add({0: CycloNumber.one()})
-        sol = rs.last_dependence()
-        return CycloNumber.from_coeffs(
-            n, [sol[j].coeffs[0] if j in sol else 0 for j in range(phi)])
+        n, f = self.n, _field(self.n)
+        nums, den = self._v
+        c = CycloNumber.one(n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                # sigma_k(self): zeta^t goes to zeta^(t k)
+                out = [0] * f.phi
+                for t, a in enumerate(nums):
+                    if a:
+                        for i, r in enumerate(f.powtab[t * k % n]):
+                            if r:
+                                out[i] += a * r
+                c = c * _from_vec(n, out, den)
+        return c * (self * c).inv()
 
     def __truediv__(self, other):
         a, b = _pair(self, other)
@@ -505,8 +508,8 @@ def _axpy(dst, f, src):
 
 class RowSpace:
     """Incremental exact row space of sparse dict vectors, the one Gaussian
-    elimination of the package: nullspace, CycloNumber.inv and the minimal
-    polynomials behind R-matrix inverses all run on it.
+    elimination of the package: nullspace and the minimal polynomials behind
+    R-matrix inverses run on it.
 
     Keys must be totally ordered (ints or tuples of ints).  Tracks how each
     reduced basis row is expressed in terms of the vectors passed to ``add``,

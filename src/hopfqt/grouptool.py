@@ -497,6 +497,11 @@ class AbelianDecomposition:
     def exponent_of(self, x):
         return self.exponents[x]
 
+    def exponent_matrix(self):
+        """int64 array (order, r): row a is the exponent vector of elements[a]."""
+        return np.array([self.exponents[x] for x in self.elements],
+                        dtype=np.int64).reshape(self.order, len(self.orders))
+
     def element_of(self, vec):
         x = 0
         for g, k in zip(self.gens, vec):
@@ -546,22 +551,6 @@ def abelian_decomposition(G: FiniteGroup, ids) -> AbelianDecomposition:
     return AbelianDecomposition(G, ids, gens, orders)
 
 
-class Subgroup:
-    def __init__(self, group, ids, decomposition=None):
-        self.group = group
-        self.ids = tuple(sorted(ids))
-        self.decomposition = decomposition
-
-    def __len__(self):
-        return len(self.ids)
-
-    def __contains__(self, x):
-        return x in set(self.ids)
-
-    def __repr__(self):
-        return f"<Subgroup order={len(self.ids)}>"
-
-
 def abelian_normal_subgroups(G: FiniteGroup):
     """All abelian normal subgroups, as frozensets of ids.
 
@@ -589,8 +578,8 @@ def abelian_normal_subgroups(G: FiniteGroup):
     return found
 
 
-def largest_abelian_normal(G: FiniteGroup) -> Subgroup:
-    """The unique abelian normal subgroup containing all others."""
+def largest_abelian_normal(G: FiniteGroup) -> AbelianDecomposition:
+    """The unique abelian normal subgroup containing all others, decomposed."""
     if G.is_abelian():
         raise ParameterError("group is abelian; the largest abelian normal subgroup is the group itself")
     subs = [s for s in abelian_normal_subgroups(G) if len(s) > 1]
@@ -599,8 +588,7 @@ def largest_abelian_normal(G: FiniteGroup) -> Subgroup:
     maximal = [s for s in subs if not any(s < t for t in subs)]
     if len(maximal) != 1:
         raise ParameterError("no largest abelian normal subgroup")
-    ids = maximal[0]
-    return Subgroup(G, ids, abelian_decomposition(G, ids))
+    return abelian_decomposition(G, maximal[0])
 
 
 # ---------------------------------------------------------------------------
@@ -633,30 +621,29 @@ def idempotents(K: AbelianDecomposition):
     return out
 
 
-def conjugation_map(G: FiniteGroup, g, K):
+def conjugation_map(G: FiniteGroup, g, K: AbelianDecomposition):
     """The permutation k -> phi_g(k) of K induced on idempotent indices.
 
-    Computed by conjugating each idempotent with actual group-algebra
-    products and matching the result against the idempotent basis, so it is
-    independent of the duality convention.  K may be a Subgroup or an
-    AbelianDecomposition.  Raises if g does not normalize K.
-    """
-    dec = K.decomposition if isinstance(K, Subgroup) else K
-    ids = set(dec.ids)
-    for x in ids:
-        if G.conjugate(g, x) not in ids:
-            raise ParameterError("element does not normalize the subgroup")
-    basis = idempotents(dec)
-    ginv = G.inv(g)
-    perm = []
-    for vec in basis:
-        conj = {G.mul(G.mul(g, x), ginv): c for x, c in vec.items()}
-        for j, cand in enumerate(basis):
-            if conj.keys() == cand.keys() and all(conj[x] == cand[x] for x in conj):
-                perm.append(j)
-                break
-        else:
-            raise RuntimeError("conjugated idempotent not in basis")
+    The idempotent e_k of ``idempotents`` has the coefficient
+    zeta_L^P[k, x] / |K| at x, with P[k, x] = <k, x> mod L the character
+    pairing, so g e_k g^-1 has it at g x g^-1; phi_g(k) is the index whose
+    row of P equals that conjugated row.  Only the exponent vectors of K
+    and G.table are read.  Raises if g does not normalize K."""
+    pos = np.full(G.order, -1)
+    pos[K.elements] = np.arange(K.order)
+    # conj[a] is the index of g x g^-1 for x = K.elements[a]
+    conj = pos[G.table[G.table[g, K.elements], G.inverse[g]]]
+    if (conj < 0).any():
+        raise ParameterError("element does not normalize the subgroup")
+    L = math.lcm(1, *K.orders)
+    X = K.exponent_matrix()
+    P = X * (L // np.asarray(K.orders, dtype=np.int64)) @ X.T % L
+    Q = np.empty_like(P)
+    Q[:, conj] = P
+    rows = {row.tobytes(): j for j, row in enumerate(P)}
+    perm = [rows.get(row.tobytes()) for row in Q]
+    if None in perm:
+        raise RuntimeError("conjugated idempotent not in basis")
     return perm
 
 
@@ -665,78 +652,35 @@ def conjugation_map(G: FiniteGroup, g, K):
 
 
 class Bicharacter:
-    """A bicharacter on an abelian group, stored by generator-pair values.
+    """A bicharacter on an abelian group by its key: its row of
+    ``enumerate_bicharacters``, the generator-pair exponents, as a tuple of
+    tuples of ints."""
 
-    ``exps[i][j]`` is the exponent of w(g_i, g_j) as a power of the root of
-    unity of order gcd(n_i, n_j); values extend biadditively in the exponent
-    vectors.
-    """
-
-    def __init__(self, domain: AbelianDecomposition, exps):
-        self.domain = domain
-        self.exps = [list(row) for row in exps]
-        r = len(domain.orders)
-        self.pair_orders = [
-            [math.gcd(domain.orders[i], domain.orders[j]) for j in range(r)]
-            for i in range(r)
-        ]
-        self.conductor = math.lcm(1, *(o for row in self.pair_orders for o in row))
-
-    def exponent(self, x, y):
-        """Exponent e with w(x, y) = zeta_conductor^e."""
-        xv = self.domain.exponent_of(x)
-        yv = self.domain.exponent_of(y)
-        L = self.conductor
-        e = 0
-        for i, xi in enumerate(xv):
-            if not xi:
-                continue
-            for j, yj in enumerate(yv):
-                o = self.pair_orders[i][j]
-                if yj and o > 1:
-                    e += xi * yj * self.exps[i][j] * (L // o)
-        return e % L
-
-    def value(self, x, y) -> CycloNumber:
-        return zeta(self.conductor, self.exponent(x, y))
-
-    def is_trivial(self):
-        return all(e % o == 0 for row, orow in zip(self.exps, self.pair_orders)
-                   for e, o in zip(row, orow) if o)
-
-    def inverse(self):
-        return Bicharacter(self.domain, [[-e for e in row] for row in self.exps])
+    def __init__(self, key):
+        self._key = key
 
     def key(self):
-        return tuple(
-            tuple(e % o if o else 0 for e, o in zip(row, orow))
-            for row, orow in zip(self.exps, self.pair_orders)
-        )
+        return self._key
 
-    def __eq__(self, other):
-        return self.domain is other.domain and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+    def is_trivial(self):
+        return not any(map(any, self._key))
 
     def __repr__(self):
-        return f"<Bicharacter {self.key()}>"
+        return f"<Bicharacter {self._key}>"
 
 
 def enumerate_bicharacters(K: AbelianDecomposition):
-    """All bicharacters on K; one free root choice per generator pair."""
+    """All bicharacters on K, as an int64 array of shape (count, r, r) for
+    the r generators of K: entry [i, j] is the exponent of w(g_i, g_j) as a
+    power of the root of unity of order gcd(n_i, n_j), in 0..gcd - 1, and
+    values extend biadditively in the exponent vectors.  The rows run
+    through the entries in lexicographic order, [r - 1, r - 1] fastest."""
     r = len(K.orders)
-    if r == 0:
-        return [Bicharacter(K, [])]
-    ranges = []
-    for i in range(r):
-        for j in range(r):
-            ranges.append(range(math.gcd(K.orders[i], K.orders[j])))
-    out = []
-    for combo in product(*ranges):
-        exps = [list(combo[i * r:(i + 1) * r]) for i in range(r)]
-        out.append(Bicharacter(K, exps))
-    return out
+    o = np.asarray(K.orders, dtype=np.int64)
+    O = np.gcd.outer(o, o).ravel().tolist()
+    count = math.prod(O)
+    grid = np.indices(O, dtype=np.int64).reshape(r * r, count)
+    return grid.T.reshape(count, r, r)
 
 
 # ---------------------------------------------------------------------------

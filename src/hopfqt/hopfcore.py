@@ -222,6 +222,15 @@ def _acc(out, key, val):
         out.pop(key, None)
 
 
+def unit_tensor(H: HopfAlgebra) -> dict:
+    """1 (x) 1 in H (x) H, sparse."""
+    out = {}
+    for i, ci in H.unit.items():
+        for j, cj in H.unit.items():
+            _acc(out, (i, j), ci * cj)
+    return out
+
+
 def _root_exponents(coeffs, N):
     """int64 array of e with c = zeta_N^e and e in 0..N-1 for each c in
     coeffs, and -1 where c is no power of zeta_N (zero included)."""
@@ -442,11 +451,7 @@ def _check_delta_algebra_map(H):
     n = H.dim
     one_elt = H.one()
     delta_one = one_elt.comult_apply()
-    unit_tensor = {}
-    for i, ci in H.unit.items():
-        for j, cj in H.unit.items():
-            _acc(unit_tensor, (i, j), ci * cj)
-    if delta_one != unit_tensor:
+    if delta_one != unit_tensor(H):
         yield ("Delta(1) != 1x1",)
     # index Delta(b_j) by left leg for the join
     cleft = []

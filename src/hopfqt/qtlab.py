@@ -36,6 +36,7 @@ import numpy as np
 from .exactfield import CycloNumber, RowSpace, nullspace, zeta
 from .grouptool import (
     AbelianDecomposition,
+    Bicharacter,
     FiniteGroup,
     ParameterError,
     _group_generators,
@@ -47,7 +48,8 @@ from .grouptool import (
     largest_abelian_normal,
 )
 from .hopfcore import (AlgebraElement, HopfAlgebra, Report, _acc, _comult_rows,
-                       _expand, dual_hopf, group_algebra, group_likes_bismash)
+                       _expand, dual_hopf, group_algebra, group_likes_bismash,
+                       unit_tensor)
 from .bismash import (BismashHopf, MatchedPair, build_bismash, dualize_trivial_action,
                       make_B)
 
@@ -93,14 +95,6 @@ def _join(mult, A, B, carry):
 def t2_mul(H: HopfAlgebra, A: dict, B: dict) -> dict:
     """Product of two sparse tensors in H (x) H (dict entries)."""
     return _join(H.mult, A, B, False)
-
-
-def unit_tensor(H: HopfAlgebra) -> dict:
-    out = {}
-    for i, ci in H.unit.items():
-        for j, cj in H.unit.items():
-            _acc(out, (i, j), ci * cj)
-    return out
 
 
 def _hexagon_sides(H, R, op):
@@ -678,19 +672,21 @@ def _k_index_table(K: AbelianDecomposition):
     return pos[K.group.table[np.ix_(K.elements, K.elements)]].tolist()
 
 
-def _bichar_forms(ws, K: AbelianDecomposition):
-    """(X, A, L) with X @ A[k] @ X.T the exponent matrix of ws[k] on
-    K.elements indices, mod the common conductor L of the bicharacters on K:
-    X holds the exponent vectors of K.elements, and A[k][i, j] the generator
-    pair value of ws[k] as a power of zeta_L."""
-    r = len(K.orders)
+def _bichar_forms(E, K: AbelianDecomposition):
+    """(X, A, L) with X @ A[k] @ X.T the exponent matrix of the bicharacter
+    E[k] of ``enumerate_bicharacters(K)`` on K.elements indices, mod the
+    common conductor L of the bicharacters on K: X holds the exponent
+    vectors of K.elements, and A[k][i, j] the generator pair value of E[k]
+    as a power of zeta_L."""
     L = math.lcm(1, *K.orders)
-    X = np.array([K.exponent_of(x) for x in K.elements],
-                 dtype=np.int64).reshape(len(K.elements), r)
     o = np.asarray(K.orders, dtype=np.int64)
-    O = np.gcd.outer(o, o)
-    E = np.array([w.exps for w in ws], dtype=np.int64).reshape(len(ws), r, r)
-    return X, (E % O) * (L // O), L
+    return K.exponent_matrix(), E * (L // np.gcd.outer(o, o)), L
+
+
+def _keys(E):
+    """The ``Bicharacter`` keys of the rows of E, generator-pair exponents
+    as ``enumerate_bicharacters`` gives them: tuples of tuples of ints."""
+    return [tuple(map(tuple, e)) for e in E.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +718,10 @@ def _closed_form_element(G: FiniteGroup, name):
     return G.generators[name]
 
 
-def closed_form_survivors(G: FiniteGroup, ws, K: AbelianDecomposition):
-    """Bicharacters passing the printed generator conditions of the family,
-    with conjugation images computed from actual idempotent conjugation."""
+def closed_form_survivors(G: FiniteGroup, E, K: AbelianDecomposition):
+    """The rows of E = enumerate_bicharacters(K) passing the printed
+    generator conditions of the family, with conjugation images taken from
+    ``conjugation_map``."""
     conds_for_family = _CLOSED_FORM.get(G.family_tag)
     if conds_for_family is None:
         raise ParameterError(f"no closed-form conditions for {G.family_tag!r}")
@@ -738,8 +735,7 @@ def closed_form_survivors(G: FiniteGroup, ws, K: AbelianDecomposition):
             iy = pos[_closed_form_element(G, yw)]
             # w(phi(x), phi(y)) = w(x, y)
             conds.append((perm[ix], perm[iy], ix, iy, 0))
-    keep = _sieve(_bichar_forms(ws, K), np.array(conds), 1)
-    return [w for w, k in zip(ws, keep) if k]
+    return E[_sieve(_bichar_forms(E, K), np.array(conds), 1)]
 
 
 # conditions per block of _sieve; the first block of the _qt_B_oracle
@@ -749,7 +745,7 @@ _SIEVE_BLOCK = 32
 
 
 def _sieve(forms, C, N):
-    """Mask of the bicharacters w of forms = _bichar_forms(ws, K) meeting
+    """Mask of the bicharacters w of forms = _bichar_forms(E, K) meeting
     every condition (x, y, u, v, e), a row of the integer array C, on
     indices of K.elements: w(x, y) = w(u, v) zeta_N^e.  Each condition is
     linear in the generator-pair form A_w of w, since W = X A_w X^T:
@@ -783,7 +779,7 @@ def _respects(perm, kmul):
 
 
 def _invariant_mask(forms, perms, kmul, gens):
-    """Mask of the bicharacters w of forms = _bichar_forms(ws, K), with kmul
+    """Mask of the bicharacters w of forms = _bichar_forms(E, K), with kmul
     the index table of K, invariant under every permutation perm in perms:
     w(perm x, perm y) = w(x, y) for all x, y, i.e. W[perm, perm] = W mod L,
     as ``_invariant_under`` tests it on one W.
@@ -837,9 +833,9 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
     cross-checked against the printed closed-form conditions (every
     bicharacter when G is abelian)."""
     abelian = G.is_abelian()
-    sub = None if abelian else largest_abelian_normal(G)
-    K = abelian_decomposition(G, range(G.order)) if abelian else sub.decomposition
-    ws = enumerate_bicharacters(K)
+    K = (abelian_decomposition(G, range(G.order)) if abelian
+         else largest_abelian_normal(G))
+    E = enumerate_bicharacters(K)
     H = group_algebra(G, conductor=math.lcm(1, *K.orders))
     sup = IdemSupport(H, idempotents(K), _k_index_table(K)).certify()
     conj = sup.conj_perms()
@@ -847,17 +843,18 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
     if None in gen_perms:
         raise AssertionError("a generator does not permute the idempotents of K")
 
-    X, A, L = forms = _bichar_forms(ws, K)
+    X, A, L = forms = _bichar_forms(E, K)
     pairs = []
-    for k in np.flatnonzero(_invariant_mask(forms, gen_perms, sup.kmul, sup.gens)):
+    found = np.flatnonzero(_invariant_mask(forms, gen_perms, sup.kmul, sup.gens))
+    for k, key in zip(found, _keys(E[found])):
         R = CertifiedR(sup, (X @ A[k] @ X.T) % L, L)
         if not verify_qt_certified(R, conj).passed:
             raise AssertionError(
                 "conjugation-invariant bicharacter failed verify_qt_certified")
-        pairs.append((ws[k], R))
-    closed = ws if abelian else closed_form_survivors(G, ws, K)
+        pairs.append((Bicharacter(key), R))
+    closed = E if abelian else closed_form_survivors(G, E, K)
     return QTEnumeration(H, pairs, invariant_keys={w.key() for w, _ in pairs},
-                         closed_form_keys={w.key() for w in closed})
+                         closed_form_keys=set(_keys(closed)))
 
 
 # ---------------------------------------------------------------------------
@@ -884,12 +881,12 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
     mp = make_B(p, q, m, lam)
     H = build_bismash(mp)
     dec = abelian_decomposition(mp.G, range(mp.G.order))
-    ws = enumerate_bicharacters(dec)
-    X, A, L = forms = _bichar_forms(ws, dec)
-    filter_keys = _B_condition_keys(mp, m, lam, ws, dec, forms)
+    E = enumerate_bicharacters(dec)
+    X, A, L = forms = _bichar_forms(E, dec)
+    filter_keys = _B_condition_keys(mp, m, lam, E, dec, forms)
 
     sup = _e_r_support(H, dec)
-    oracle_keys = _qt_B_oracle(H, dec, ws, sup)
+    oracle_keys = _qt_B_oracle(H, dec, E, sup)
     if filter_keys != oracle_keys:
         raise AssertionError("generator-condition filter disagrees with the "
                              "direct intertwiner oracle")
@@ -897,19 +894,19 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
     sup.certify()
     conj = sup.conj_perms()
     pairs = []
-    for w, Aw in zip(ws, A):
-        if w.key() not in filter_keys:
+    for key, Aw in zip(_keys(E), A):
+        if key not in filter_keys:
             continue
         R = CertifiedR(sup, (X @ Aw @ X.T) % L, L)
         rep = verify_qt_certified(R, conj)
         if not rep.passed:
             raise AssertionError(f"survivor failed verification: {rep!r}")
-        pairs.append((w, R))
+        pairs.append((Bicharacter(key), R))
     return QTEnumeration(H, pairs, filter_keys=filter_keys, oracle_keys=oracle_keys)
 
 
-def _B_condition_keys(mp, m, lam, ws, dec, forms):
-    """Keys of the bicharacters w in ws, with forms = _bichar_forms(ws, dec),
+def _B_condition_keys(mp, m, lam, E, dec, forms):
+    """Keys of the bicharacters w in E, with forms = _bichar_forms(E, dec),
     meeting the four printed generator conditions of the tau-twisted family
     on mp: w(x, y) = w(x', y') eta(x', y', g) for x, y in {a, b}, where
     a' = a^m, b' = b^(m^lam) and g generates F (eta(h, h, g) = 1)."""
@@ -920,8 +917,7 @@ def _B_condition_keys(mp, m, lam, ws, dec, forms):
     conds = [(pos[x], pos[y], pos[image[x]], pos[image[y]],
               mp.tau[image[x], image[y], 1] - mp.tau[image[y], image[x], 1])
              for x in (a, b) for y in (a, b)]
-    keep = _sieve(forms, np.array(conds), mp.conductor)
-    return {w.key() for w, k in zip(ws, keep) if k}
+    return set(_keys(E[_sieve(forms, np.array(conds), mp.conductor)]))
 
 
 def _e_r_support(H, dec):
@@ -931,11 +927,11 @@ def _e_r_support(H, dec):
                        _k_index_table(dec))
 
 
-def _qt_B_oracle(H, dec, ws, sup=None):
-    """Keys of the bicharacters w whose R = sum w(r,s) E_r (x) E_s, with
-    E_r = e_r # 1, satisfies Delta-op(g) R = R Delta(g) at the generator
-    1 # g = sum_r e_r # g of F, read off the rows e_r # g of the intertwiner
-    table of the support (``_e_r_support`` unless sup is given).
+def _qt_B_oracle(H, dec, E, sup):
+    """Keys of the bicharacters w in E whose R = sum w(r,s) E_r (x) E_s,
+    with E_r = e_r # 1, satisfies Delta-op(g) R = R Delta(g) at the
+    generator 1 # g = sum_r e_r # g of F, read off the rows e_r # g of the
+    intertwiner table of the support sup (``_e_r_support``).
 
     The rows have pairwise disjoint coordinates, so the identity at 1 # g
     holds exactly when it holds at every row e_r # g.  Each condition of
@@ -944,8 +940,6 @@ def _qt_B_oracle(H, dec, ws, sup=None):
     AssertionError when the host does not have the table, or the rows share
     a coordinate.
     """
-    if sup is None:
-        sup = _e_r_support(H, dec)
     table = sup.intertwiner_table
     if table is None:
         raise AssertionError("the intertwiner table premises fail on this host")
@@ -953,10 +947,10 @@ def _qt_B_oracle(H, dec, ws, sup=None):
     sel = np.isin(rows, [H.gf_index(r, 1) for r in dec.elements])
     if not (np.diff(np.sort(coords[sel])) > 0).all():
         raise AssertionError("the rows e_r # g share a coordinate")
-    keep = _sieve(_bichar_forms(ws, dec),
+    keep = _sieve(_bichar_forms(E, dec),
                   np.stack([k[sel], l[sel], i[sel], j[sel], -fix[sel]], axis=1),
                   sup.view.M)
-    return {w.key() for w, kept in zip(ws, keep) if kept}
+    return set(_keys(E[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -1049,11 +1043,11 @@ def braiding_A_search(H: BismashHopf) -> list[BraidingForm]:
     sub_ids = G.subgroup_closure([a])
     dec = abelian_decomposition(G, sub_ids)
     perm = conjugation_map(G, G.generators["b"], dec)
-    ws = enumerate_bicharacters(dec)
+    E = enumerate_bicharacters(dec)
     kmul = np.array(_k_index_table(dec))
-    keep = _invariant_mask(_bichar_forms(ws, dec), [perm], kmul,
+    keep = _invariant_mask(_bichar_forms(E, dec), [perm], kmul,
                            _group_generators(kmul))
-    if any(kept and not w.is_trivial() for w, kept in zip(ws, keep)):
+    if E[keep].any():
         raise AssertionError("restriction premise fails: nontrivial invariant "
                              "bicharacter on the abelian normal subgroup")
 

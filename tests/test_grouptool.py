@@ -14,6 +14,7 @@ from hopfqt.cli import _resolve_family_params, _smallest_order_element
 from hopfqt.exactfield import CycloNumber, zeta
 from hopfqt.grouptool import (
     AbelianDecomposition,
+    Bicharacter,
     FiniteGroup,
     ParameterError,
     abelian_decomposition,
@@ -30,6 +31,7 @@ from hopfqt.grouptool import (
     largest_abelian_normal,
     semidirect_pq,
 )
+from hopfqt.qtlab import _bichar_forms, _keys
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +620,7 @@ LARGEST_ABELIAN_NORMAL_CASES = [
 def test_largest_abelian_normal_catalog(family, params, expected_orders):
     G = build_group(family, **params)
     K = largest_abelian_normal(G)
-    assert sorted(K.decomposition.orders) == sorted(expected_orders)
+    assert sorted(K.orders) == sorted(expected_orders)
     oracle = brute_force_abelian_normals(G)
     for sub in oracle:
         assert sub <= set(K.ids)
@@ -631,7 +633,7 @@ def test_gamma6_largest_includes_central_factor():
     K = largest_abelian_normal(G)
     assert len(K.ids) == 21
     z = G.mul(G.generators["t"], G.generators["u"])
-    assert z in K
+    assert z in K.ids
     for sub in brute_force_abelian_normals(G):
         assert sub <= set(K.ids)
 
@@ -818,7 +820,7 @@ def test_conjugation_map_identity_and_abelian():
 def test_conjugation_map_respects_idempotents():
     G = build_group("beta5", p=3, q=7, m=2)
     K = largest_abelian_normal(G)
-    basis = idempotents(K.decomposition)
+    basis = idempotents(K)
     for gname in ("s", "t", "u"):
         g = G.generators[gname]
         perm = conjugation_map(G, g, K)
@@ -832,8 +834,67 @@ def test_conjugation_map_requires_normalizer():
     G = semidirect_pq(7, 3, 2)
     b = G.generators["b"]
     K = abelian_decomposition(G, G.subgroup_closure([b]))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="does not normalize"):
         conjugation_map(G, G.generators["a"], K)
+    with pytest.raises(ParameterError, match="does not normalize"):
+        reference_conjugation_map(G, G.generators["a"], K)
+
+
+def reference_conjugation_map(G, g, K, basis=None):
+    """conjugation_map by products in the group algebra: each idempotent
+    conjugated term by term and matched against the idempotent basis by
+    CycloNumber comparison (basis defaults to idempotents(K))."""
+    ids = set(K.ids)
+    for x in ids:
+        if G.conjugate(g, x) not in ids:
+            raise ParameterError("element does not normalize the subgroup")
+    basis = idempotents(K) if basis is None else basis
+    ginv = G.inv(g)
+    perm = []
+    for vec in basis:
+        conj = {G.mul(G.mul(g, x), ginv): c for x, c in vec.items()}
+        for j, cand in enumerate(basis):
+            if conj.keys() == cand.keys() and all(conj[x] == cand[x] for x in conj):
+                perm.append(j)
+                break
+        else:
+            raise RuntimeError("conjugated idempotent not in basis")
+    return perm
+
+
+def _nonabelian_catalog(p, q):
+    """Every nonabelian catalog group at (p, q), at the parameters the cli
+    resolves."""
+    fams = ["beta3", "beta4", "beta5", "beta6", "beta7"] if q > p else \
+        ["gamma3", "gamma4", "gamma5", "gamma6"]
+    out = []
+    for fam in fams:
+        try:
+            params = _resolve_family_params(argparse.Namespace(
+                family=fam, p=p, q=q, m=None, n=None))
+            out.append(build_group(fam, **params))
+        except ParameterError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("p,q,every", [
+    (3, 5, True), (7, 3, True), (3, 7, False), (19, 3, False)])
+def test_conjugation_map_matches_reference(p, q, every):
+    """The integer permutation equals the one matched by CycloNumber
+    comparison: on every element of every nonabelian catalog group at
+    (3,5) and (7,3), and on the generators at (3,7) and (19,3)."""
+    groups = _nonabelian_catalog(p, q)
+    assert groups
+    for G in groups:
+        K = largest_abelian_normal(G)
+        basis = idempotents(K)
+        gs = range(G.order) if every else sorted(set(G.generators.values()))
+        for g in gs:
+            perm = conjugation_map(G, g, K)
+            assert perm == reference_conjugation_map(G, g, K, basis), \
+                (G.family_tag, g)
+            assert all(type(x) is int for x in perm)
 
 
 # ---------------------------------------------------------------------------
@@ -852,27 +913,132 @@ def test_bicharacter_counts():
 
 
 def test_bicharacter_value_orders():
+    # one value per generator pair: its exponent lies in 0..gcd(n_i, n_j) - 1,
+    # so its order divides gcd(n_i, n_j), and every exponent occurs
     K = _full_decomposition(abelian_group([3, 9]))
-    # one value per generator pair, order dividing gcd(n_i, n_j)
-    for w in enumerate_bicharacters(K)[:30]:
-        for i, gi in enumerate(K.gens):
-            for j, gj in enumerate(K.gens):
-                v = w.value(gi, gj)
-                o = math.gcd(K.orders[i], K.orders[j])
-                assert (v**o).is_one()
+    E = enumerate_bicharacters(K)
+    assert E.dtype == np.int64 and E.shape == (3 * 3 * 3 * 9, 2, 2)
+    for i, j in product(range(2), repeat=2):
+        o = math.gcd(K.orders[i], K.orders[j])
+        assert sorted(set(E[:, i, j].tolist())) == list(range(o))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([[3], [5], [3, 3], [9, 3]]), st.data())
 def test_bicharacter_bilinearity(orders, data):
+    # the exponent matrix W = X A X^T of a bicharacter is additive in
+    # either slot: W[x y, z] = W[x, z] + W[y, z] mod L
     G = abelian_group(orders)
     K = _full_decomposition(G)
-    ws = enumerate_bicharacters(K)
-    w = ws[data.draw(st.integers(0, len(ws) - 1))]
-    xs = data.draw(st.lists(st.integers(0, G.order - 1), min_size=3, max_size=3))
-    x, y, z = xs
-    assert w.value(G.mul(x, y), z) == w.value(x, z) * w.value(y, z)
-    assert w.value(x, G.mul(y, z)) == w.value(x, y) * w.value(x, z)
+    E = enumerate_bicharacters(K)
+    X, A, L = _bichar_forms(E, K)
+    W = X @ A[data.draw(st.integers(0, len(E) - 1))] @ X.T % L
+    pos = {x: i for i, x in enumerate(K.elements)}
+    x, y, z = (pos[x] for x in data.draw(
+        st.lists(st.integers(0, G.order - 1), min_size=3, max_size=3)))
+    xy = pos[G.mul(K.elements[x], K.elements[y])]
+    yz = pos[G.mul(K.elements[y], K.elements[z])]
+    assert W[xy, z] == (W[x, z] + W[y, z]) % L
+    assert W[x, yz] == (W[x, y] + W[x, z]) % L
+
+
+class ReferenceBicharacter:
+    """A bicharacter on an abelian group as an object, stored by
+    generator-pair values: ``exps[i][j]`` is the exponent of w(g_i, g_j) as
+    a power of the root of unity of order gcd(n_i, n_j); values extend
+    biadditively in the exponent vectors.  The oracle of the rows of
+    ``enumerate_bicharacters``."""
+
+    def __init__(self, domain, exps):
+        self.domain = domain
+        self.exps = [list(row) for row in exps]
+        r = len(domain.orders)
+        self.pair_orders = [
+            [math.gcd(domain.orders[i], domain.orders[j]) for j in range(r)]
+            for i in range(r)
+        ]
+        self.conductor = math.lcm(1, *(o for row in self.pair_orders for o in row))
+
+    def exponent(self, x, y):
+        """Exponent e with w(x, y) = zeta_conductor^e."""
+        xv = self.domain.exponent_of(x)
+        yv = self.domain.exponent_of(y)
+        L = self.conductor
+        e = 0
+        for i, xi in enumerate(xv):
+            if not xi:
+                continue
+            for j, yj in enumerate(yv):
+                o = self.pair_orders[i][j]
+                if yj and o > 1:
+                    e += xi * yj * self.exps[i][j] * (L // o)
+        return e % L
+
+    def value(self, x, y):
+        return zeta(self.conductor, self.exponent(x, y))
+
+    def is_trivial(self):
+        return all(e % o == 0 for row, orow in zip(self.exps, self.pair_orders)
+                   for e, o in zip(row, orow) if o)
+
+    def inverse(self):
+        return ReferenceBicharacter(self.domain,
+                                    [[-e for e in row] for row in self.exps])
+
+    def key(self):
+        return tuple(
+            tuple(e % o if o else 0 for e, o in zip(row, orow))
+            for row, orow in zip(self.exps, self.pair_orders)
+        )
+
+
+def reference_bicharacters(K):
+    """All bicharacters on K as ReferenceBicharacter objects, one free root
+    choice per generator pair, in itertools.product order."""
+    r = len(K.orders)
+    if r == 0:
+        return [ReferenceBicharacter(K, [])]
+    ranges = []
+    for i in range(r):
+        for j in range(r):
+            ranges.append(range(math.gcd(K.orders[i], K.orders[j])))
+    out = []
+    for combo in product(*ranges):
+        exps = [list(combo[i * r:(i + 1) * r]) for i in range(r)]
+        out.append(ReferenceBicharacter(K, exps))
+    return out
+
+
+def reference_bichar_forms(ws, K):
+    """_bichar_forms read off ReferenceBicharacter objects."""
+    r = len(K.orders)
+    L = math.lcm(1, *K.orders)
+    X = np.array([K.exponent_of(x) for x in K.elements],
+                 dtype=np.int64).reshape(len(K.elements), r)
+    o = np.asarray(K.orders, dtype=np.int64)
+    O = np.gcd.outer(o, o)
+    E = np.array([w.exps for w in ws], dtype=np.int64).reshape(len(ws), r, r)
+    return X, (E % O) * (L // O), L
+
+
+@pytest.mark.parametrize("orders", [
+    [1], [3], [7, 7], [3, 13, 13], [3, 3, 7], [19], [3, 5, 5]])
+def test_bicharacters_match_reference(orders):
+    """The exponent array has the keys of the object enumeration in its
+    order, the same trivial bicharacters and the same forms, entry by
+    entry."""
+    G = cyclic_group(1) if orders == [1] else abelian_group(orders)
+    K = _full_decomposition(G)
+    E = enumerate_bicharacters(K)
+    ws = reference_bicharacters(K)
+    r = len(K.orders)
+    assert E.dtype == np.int64 and E.shape == (len(ws), r, r)
+    keys = _keys(E)
+    assert keys == [w.key() for w in ws]
+    assert [Bicharacter(k).is_trivial() for k in keys] == \
+        [w.is_trivial() for w in ws]
+    for got, want in zip(_bichar_forms(E, K), reference_bichar_forms(ws, K)):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

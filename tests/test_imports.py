@@ -2,6 +2,8 @@
 and hypothesis are test extras."""
 
 import ast
+import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -66,3 +68,55 @@ def test_bismash_import_guard_sees_deferred_imports():
                      "from . import bismash\n")
     assert set(_imported_modules(tree, "hopfqt")) == {
         "hopfqt", "hopfqt.bismash", "hopfqt.bismash.build_bismash"}
+
+
+def _perfbench_module(name):
+    """perfbench/<name>.py of this checkout, imported under a private name
+    so that the benchmark's flat module names stay out of sys.modules."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings(modules):
+    """Every module attribute, and every attribute of a hopfqt class, by
+    owner and name."""
+    out = {}
+    for mod in modules.values():
+        for attr, val in vars(mod).items():
+            out[mod.__name__, attr] = val
+            if inspect.isclass(val) and val.__module__.startswith("hopfqt"):
+                for cattr, cval in vars(val).items():
+                    out[mod.__name__, attr, cattr] = cval
+    return out
+
+
+def test_tracer_binds_its_names_and_puts_every_binding_back():
+    """The benchmark tracer binds names of src/ by attribute; install()
+    finds each of them, and uninstall() puts every binding back."""
+    jobs = _perfbench_module("jobs")
+    mods = jobs.import_hopfqt()
+    hc, qt, ef = mods["hopfcore"], mods["qtlab"], mods["exactfield"]
+    named = {
+        "HopfAlgebra.mono_tables": lambda: vars(hc.HopfAlgebra)["mono_tables"],
+        "IdemSupport.certify": lambda: vars(qt.IdemSupport)["certify"],
+        "IdemSupport.conj_perms": lambda: vars(qt.IdemSupport)["conj_perms"],
+        "AlgebraElement.__mul__": lambda: vars(hc.AlgebraElement)["__mul__"],
+        "CycloNumber.__mul__": lambda: vars(ef.CycloNumber)["__mul__"],
+        "CycloNumber.__add__": lambda: vars(ef.CycloNumber)["__add__"],
+        "enumerate_bicharacters": lambda: qt.enumerate_bicharacters,
+        "conjugation_map": lambda: qt.conjugation_map,
+    }
+    before = _bindings(mods)
+    originals = {name: get() for name, get in named.items()}
+    tracer = _perfbench_module("tracer").Tracer(mods).install()
+    try:
+        assert [name for name, get in named.items()
+                if get() is originals[name]] == []
+    finally:
+        tracer.uninstall()
+    after = _bindings(mods)
+    assert after.keys() == before.keys()
+    assert [key for key, val in before.items() if after[key] is not val] == []

@@ -12,8 +12,8 @@ import pytest
 
 from hopfqt.exactfield import CycloNumber, RowSpace, zeta
 from hopfqt.grouptool import (
+    Bicharacter,
     ParameterError,
-    Subgroup,
     abelian_decomposition,
     abelian_group,
     build_group,
@@ -49,10 +49,15 @@ from hopfqt.qtlab import (
     _delta_form_values,
     _intertwines,
     _intertwiner_sides,
+    _e_r_support,
     _inverse,
     _k_index_table,
+    _keys,
     _qt_B_oracle,
 )
+
+from test_grouptool import (ReferenceBicharacter, reference_bicharacters,
+                            reference_conjugation_map)
 
 
 # ---------------------------------------------------------------------------
@@ -65,26 +70,29 @@ def test_trivial_r_on_group_algebra_passes():
     assert rep.passed
 
 
-def index_matrix(w, K):
-    """(W, L): the exponent matrix of w on K.elements indices mod the
-    conductor L of the bicharacters on K, as the enumerators build it."""
-    X, A, L = _bichar_forms([w], K)
+def index_matrix(e, K):
+    """(W, L): the exponent matrix of the bicharacter with generator-pair
+    exponents e (a row of enumerate_bicharacters, a key or nested lists) on
+    K.elements indices mod the conductor L of the bicharacters on K, as the
+    enumerators build it."""
+    r = len(K.orders)
+    X, A, L = _bichar_forms(np.asarray(e, dtype=np.int64).reshape(1, r, r), K)
     return (X @ A[0] @ X.T) % L, L
 
 
-def bichar_r(H, K, w):
-    """The CertifiedR of w on the idempotents of k[K] inside the group
-    algebra H."""
+def bichar_r(H, K, e):
+    """The CertifiedR of the bicharacter with exponents e on the idempotents
+    of k[K] inside the group algebra H."""
     sup = IdemSupport(H, idempotents(K), _k_index_table(K))
-    return CertifiedR(sup, *index_matrix(w, K))
+    return CertifiedR(sup, *index_matrix(e, K))
 
 
 def test_bicharacters_on_abelian_pass():
     G = cyclic_group(3)
     H = group_algebra(G, conductor=3)
     K = abelian_decomposition(G, range(3))
-    for w in enumerate_bicharacters(K):
-        R = bichar_r(H, K, w)
+    for w in reference_bicharacters(K):
+        R = bichar_r(H, K, w.exps)
         assert verify_qt(H, R.entries).passed
         if not w.is_trivial():
             assert len(R.entries) == 9
@@ -95,8 +103,8 @@ def test_nontrivial_bicharacter_fails_intertwiner_on_nonabelian():
     G = semidirect_pq(7, 3, 2)
     H = group_algebra(G, conductor=7)
     K = abelian_decomposition(G, G.subgroup_closure([G.generators["a"]]))
-    for w in enumerate_bicharacters(K):
-        R = bichar_r(H, K, w)
+    for w in reference_bicharacters(K):
+        R = bichar_r(H, K, w.exps)
         rep = verify_qt(H, R.entries)
         if w.is_trivial():
             assert rep.passed
@@ -108,9 +116,9 @@ def test_certified_r_inverse_is_inverted_values():
     G = cyclic_group(3)
     H = group_algebra(G, conductor=3)
     K = abelian_decomposition(G, range(3))
-    w = next(x for x in enumerate_bicharacters(K) if not x.is_trivial())
-    R = bichar_r(H, K, w)
-    Rinv = bichar_r(H, K, w.inverse())
+    w = next(x for x in reference_bicharacters(K) if not x.is_trivial())
+    R = bichar_r(H, K, w.exps)
+    Rinv = bichar_r(H, K, w.inverse().exps)
     assert t2_mul(H, R.entries, Rinv.entries) == unit_tensor(H)
     assert t2_mul(H, Rinv.entries, R.entries) == unit_tensor(H)
 
@@ -154,6 +162,36 @@ def test_group_algebra_classification(fam, params, count):
     assert len(res) == count
     assert res.oracle_equivalent
     assert any(w.is_trivial() for w, _ in res)
+
+
+def test_group_side_builds_no_scalars_and_one_bicharacter_per_survivor(
+        monkeypatch):
+    """enumerate_bicharacters and conjugation_map build no CycloNumber, and
+    the group enumeration builds a Bicharacter for its survivors only."""
+    G = build_group("beta6", p=3, q=7, m=2, n=4)
+    K = largest_abelian_normal(G)
+    cyclo, bichar = [], []
+    cyclo_init, bichar_init = CycloNumber.__init__, Bicharacter.__init__
+
+    def spy_cyclo(self, *args, **kwargs):
+        cyclo.append(1)
+        cyclo_init(self, *args, **kwargs)
+
+    def spy_bichar(self, *args, **kwargs):
+        bichar.append(1)
+        bichar_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CycloNumber, "__init__", spy_cyclo)
+    monkeypatch.setattr(Bicharacter, "__init__", spy_bichar)
+    E = enumerate_bicharacters(K)
+    perms = [conjugation_map(G, g, K) for g in range(G.order)]
+    assert cyclo == [] and bichar == []
+    assert len(E) == 7 ** 4 and len(perms) == G.order
+    # the spy sees the scalars of the idempotents
+    idempotents(K)
+    assert cyclo
+    res = qt_group_algebra_enumerate(G)
+    assert len(bichar) == len(res) == 49
 
 
 def test_group_algebra_survivor_passes_generic_verifier():
@@ -211,14 +249,14 @@ def check_group_rejections(monkeypatch, fam, params, accepted, generic):
     """verify_qt_certified against the reference, witness by witness."""
     G = build_group(fam, **params)
     res = qt_group_algebra_enumerate(G)
-    K = res[0][0].domain
+    K = largest_abelian_normal(G)
     sup = res[0][1].sup
     conj = sup.conj_perms()
     assert None not in conj
     keys = {w.key() for w, _ in res}
-    ws = enumerate_bicharacters(K)
-    rejected = [w for w in ws if w.key() not in keys]
-    assert len(res) == accepted and len(rejected) == len(ws) - accepted
+    E = enumerate_bicharacters(K)
+    rejected = [e for e, key in zip(E, _keys(E)) if key not in keys]
+    assert len(res) == accepted and len(rejected) == len(E) - accepted
 
     def failures(W, L, rows):
         rep = verify_qt_certified(CertifiedR(sup, W, L), rows)
@@ -233,7 +271,7 @@ def check_group_rejections(monkeypatch, fam, params, accepted, generic):
     # shifted diagonal entry (a, a) breaks both hexagons, and the intertwiner
     # at every h whose conjugation moves a
     w = next(w for w, _ in res if not w.is_trivial())
-    W, L = index_matrix(w, K)
+    W, L = index_matrix(w.key(), K)
     gens = sorted(set(G.generators.values()))
     p = next(conj[g] for g in gens if conj[g] != sorted(conj[g]))
     a = next(i for i, x in enumerate(p) if x != i)
@@ -265,10 +303,11 @@ def check_group_rejections(monkeypatch, fam, params, accepted, generic):
     # the generic intertwiner over the generators agrees with acceptance on
     # every accepted bicharacter, the trivial one included, and a sample of
     # the rejected ones
-    for w in [w for w, _ in res] + rejected[::6]:
-        R = CertifiedR(sup, *index_matrix(w, K))
+    for e, accept in ([(w.key(), True) for w, _ in res]
+                      + [(e, False) for e in rejected[::6]]):
+        R = CertifiedR(sup, *index_matrix(e, K))
         holds = all(_intertwines(sup.host, R.entries, g) for g in gens)
-        assert holds == (w.key() in keys), w
+        assert holds == accept, e
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +318,7 @@ def group_support(fam, **params):
     """The idempotents of k[K] in k[G], K the largest abelian normal
     subgroup, as qt_group_algebra_enumerate certifies them."""
     G = build_group(fam, **params)
-    K = largest_abelian_normal(G).decomposition
+    K = largest_abelian_normal(G)
     H = group_algebra(G, conductor=math.lcm(1, *K.orders))
     return H, idempotents(K), _k_index_table(K)
 
@@ -563,7 +602,7 @@ from hopfqt.hopfcore import group_algebra
 from hopfqt.qtlab import IdemSupport, _k_index_table
 
 G = build_group("gamma3", p=7, q=3, m=2)
-K = largest_abelian_normal(G).decomposition
+K = largest_abelian_normal(G)
 H = group_algebra(G, conductor=math.lcm(1, *K.orders))
 vectors = idempotents(K)
 mixed = [vectors[0], {i: c * 2 for i, c in vectors[1].items()}, *vectors[2:]]
@@ -663,13 +702,13 @@ def reference_index_matrix(w, K):
 
 
 def reference_closed_form_survivors(G, ws, K):
-    """closed_form_survivors with one index matrix per bicharacter."""
+    """closed_form_survivors with one index matrix per ReferenceBicharacter
+    and the permutations of reference_conjugation_map."""
     gen_names, pair_words = qtlab._CLOSED_FORM[G.family_tag]
-    sub = Subgroup(G, K.ids, K)
     pos = {x: i for i, x in enumerate(K.elements)}
     conds = []
     for gname in gen_names:
-        perm = conjugation_map(G, G.generators[gname], sub)
+        perm = reference_conjugation_map(G, G.generators[gname], K)
         for xw, yw in pair_words:
             ix = pos[qtlab._closed_form_element(G, xw)]
             iy = pos[qtlab._closed_form_element(G, yw)]
@@ -697,24 +736,26 @@ def reference_closed_form_survivors(G, ws, K):
 def test_closed_form_survivors_match_reference(fam, params):
     G = build_group(fam, **params)
     assert G.family_tag in qtlab._CLOSED_FORM
-    K = largest_abelian_normal(G).decomposition
-    ws = enumerate_bicharacters(K)
-    for w in ws[::7]:
-        W, L = index_matrix(w, K)
+    K = largest_abelian_normal(G)
+    E = enumerate_bicharacters(K)
+    ws = reference_bicharacters(K)
+    for e, w in list(zip(E, ws))[::7]:
+        W, L = index_matrix(e, K)
         W0, L0 = reference_index_matrix(w, K)
         assert L == L0 and np.array_equal(W, W0)
-    got = qtlab.closed_form_survivors(G, ws, K)
-    assert [w.key() for w in got] == [
+    got = qtlab.closed_form_survivors(G, E, K)
+    assert _keys(got) == [
         w.key() for w in reference_closed_form_survivors(G, ws, K)]
-    assert 0 < len(got) < len(ws)
+    assert 0 < len(got) < len(E)
 
 
 def test_bichar_index_matrix_on_trivial_group():
     # K = G = 1: no generators, one bicharacter, the zero 1x1 matrix
     G = build_group("cyclic", n=1)
     K = abelian_decomposition(G, range(G.order))
-    w, = enumerate_bicharacters(K)
-    W, L = index_matrix(w, K)
+    e, = enumerate_bicharacters(K)
+    w, = reference_bicharacters(K)
+    W, L = index_matrix(e, K)
     W0, L0 = reference_index_matrix(w, K)
     assert L == L0 == 1 and np.array_equal(W, W0)
     res = qt_group_algebra_enumerate(G)
@@ -730,12 +771,12 @@ NONABELIAN_CASES = [(fam, params) for fam, params, _ in GROUP_CASES]
 
 
 def loop_invariant_keys(ws, K, perms):
-    """Keys of the bicharacters w with W[p, p] = W mod L for every p in
-    perms, one exponent matrix at a time: the oracle for the generator
+    """Keys of the ReferenceBicharacters w with W[p, p] = W mod L for every
+    p in perms, one exponent matrix at a time: the oracle for the generator
     conditions of qtlab._invariant_mask."""
     keys = set()
     for w in ws:
-        W, L = index_matrix(w, K)
+        W, L = index_matrix(w.exps, K)
         if all(((W[np.ix_(p, p)] - W) % L == 0).all()
                for p in map(np.asarray, perms)):
             keys.add(w.key())
@@ -750,12 +791,12 @@ def test_invariance_conditions_match_per_matrix_loop(fam, params, monkeypatch):
     stay the same."""
     G = build_group(fam, **params)
     res = qt_group_algebra_enumerate(G)
-    K = res[0][0].domain
+    K = largest_abelian_normal(G)
     sup = res[0][1].sup
     conj = sup.conj_perms()
     perms = [conj[g] for g in sorted(set(G.generators.values()))]
     assert all(qtlab._respects(np.asarray(p), sup.kmul) for p in perms)
-    ws = enumerate_bicharacters(K)
+    ws = reference_bicharacters(K)
     assert res.invariant_keys == loop_invariant_keys(ws, K, perms)
     monkeypatch.setattr(qtlab, "_respects", lambda perm, kmul: False)
     again = qt_group_algebra_enumerate(G)
@@ -768,11 +809,12 @@ def test_invariance_fallback_on_permutations_that_are_no_automorphism():
     condition: the mask equals the per-matrix loop, where the generator
     pairs alone would accept more."""
     G = build_group("beta7", p=3, q=5)
-    K = largest_abelian_normal(G).decomposition
-    ws = enumerate_bicharacters(K)
+    K = largest_abelian_normal(G)
+    E = enumerate_bicharacters(K)
+    ws = reference_bicharacters(K)
     kmul = np.array(_k_index_table(K))
     gens = qtlab._group_generators(kmul)
-    forms = _bichar_forms(ws, K)
+    forms = _bichar_forms(E, K)
     rng = np.random.default_rng(17)
     swap = np.arange(len(kmul))
     swap[gens[1:]] = swap[gens[1:][::-1]]
@@ -783,12 +825,11 @@ def test_invariance_fallback_on_permutations_that_are_no_automorphism():
     for perm in (swap, fixing, rng.permutation(len(kmul))):
         assert not qtlab._respects(perm, kmul)
         mask = qtlab._invariant_mask(forms, [perm], kmul, gens)
-        assert {w.key() for w, k in zip(ws, mask) if k} == \
-            loop_invariant_keys(ws, K, [perm])
+        assert set(_keys(E[mask])) == loop_invariant_keys(ws, K, [perm])
     # the generator pairs alone cannot see that fixing moves the rest
     assert qtlab._sieve(forms, np.array([
         (fixing[x], fixing[y], x, y, 0) for x in gens for y in gens]), 1).all()
-    assert qtlab._invariant_mask(forms, [fixing], kmul, gens).sum() < len(ws)
+    assert qtlab._invariant_mask(forms, [fixing], kmul, gens).sum() < len(E)
 
 
 def test_braiding_restriction_premise_matches_per_matrix_loop():
@@ -797,11 +838,12 @@ def test_braiding_restriction_premise_matches_per_matrix_loop():
     G = make_A(7, 3, 2, 1).G
     dec = abelian_decomposition(G, G.subgroup_closure([G.generators["a"]]))
     perm = conjugation_map(G, G.generators["b"], dec)
-    ws = enumerate_bicharacters(dec)
+    E = enumerate_bicharacters(dec)
+    ws = reference_bicharacters(dec)
     kmul = np.array(_k_index_table(dec))
-    mask = qtlab._invariant_mask(_bichar_forms(ws, dec), [perm], kmul,
+    mask = qtlab._invariant_mask(_bichar_forms(E, dec), [perm], kmul,
                                  qtlab._group_generators(kmul))
-    keys = {w.key() for w, k in zip(ws, mask) if k}
+    keys = set(_keys(E[mask]))
     assert keys == loop_invariant_keys(ws, dec, [perm])
     assert [w.is_trivial() for w in ws if w.key() in keys] == [True]
 
@@ -816,7 +858,7 @@ LOOP5 = [[0, 1, 2, 3, 4],
 def test_k_index_table_matches_per_pair_products():
     """The gathered index table of K equals the one from a G.mul call per
     pair of elements, entry by entry, as nested lists of ints."""
-    Ks = [largest_abelian_normal(G).decomposition for G in (
+    Ks = [largest_abelian_normal(G) for G in (
         build_group("beta6", p=3, q=7, m=2, n=4), build_group("gamma4", p=19, q=3, m=4),
         make_A(7, 3, 2, 1).G)]
     Ks += [abelian_decomposition(G, range(G.order))
@@ -892,13 +934,14 @@ def test_generator_hexagons_match_the_cubic_check():
     multiplicative along some generators and not along the others."""
     rng = random.Random(11)
     for fam, params in (("beta7", dict(p=3, q=5)), ("gamma3", dict(p=7, q=3, m=2))):
-        res = qt_group_algebra_enumerate(build_group(fam, **params))
+        G = build_group(fam, **params)
+        res = qt_group_algebra_enumerate(G)
         sup = res[0][1].sup
         conj = sup.conj_perms()
-        K = res[0][0].domain
+        K = largest_abelian_normal(G)
         for _ in range(12):
             w, _ = rng.choice(res)
-            W, L = index_matrix(w, K)
+            W, L = index_matrix(w.key(), K)
             s, t = rng.randrange(sup.m), rng.randrange(sup.m)
             W[s, t] = (W[s, t] + 1 + rng.randrange(L - 1)) % L
             for M in (W, W.T.copy()):
@@ -910,7 +953,7 @@ def test_generator_hexagons_match_the_cubic_check():
         # the generators with x_j = 0 only
         X = np.array([K.exponent_of(x) for x in K.elements], dtype=np.int64)
         w = next(w for w, _ in res if not w.is_trivial())
-        W, L = index_matrix(w, K)
+        W, L = index_matrix(w.key(), K)
         j = len(K.orders) - 1
         bent = (W + (L // K.orders[j]) * X[:, j:j + 1] ** 2) % L
         along = [g for g in sup.gens if X[g, j] == 0]
@@ -947,9 +990,9 @@ def test_distinct_permutations_once_per_support(monkeypatch):
     forced = list(conj)
     for h in sorted(set(G.generators.values())):
         forced[h] = None
-    w = next(w for w in enumerate_bicharacters(K) if not w.is_trivial())
+    w = next(w for w in reference_bicharacters(K) if not w.is_trivial())
     for rows in (conj, forced, conj, [list(p) for p in conj]):
-        for W in (np.zeros((7, 7), dtype=np.int64), index_matrix(w, K)[0]):
+        for W in (np.zeros((7, 7), dtype=np.int64), index_matrix(w.exps, K)[0]):
             assert verify_qt_certified(CertifiedR(sup, W, 7), rows).failures == \
                 reference_verify_qt_certified(sup, W, 7, rows).failures
 
@@ -969,7 +1012,7 @@ def test_character_certificate_matches_view_certificate(fam, params, monkeypatch
     certifies, as on the sums of roots of the view."""
     G = build_group(fam, **params)
     K = (abelian_decomposition(G, range(G.order)) if G.is_abelian()
-         else largest_abelian_normal(G).decomposition)
+         else largest_abelian_normal(G))
     H = group_algebra(G, conductor=math.lcm(1, *K.orders))
     sup = IdemSupport(H, idempotents(K), _k_index_table(K))
     assert sup._characters
@@ -1043,8 +1086,9 @@ def test_abelian_families_at_3_5(fam, count):
     abelian families: the enumeration computes the count that reproduce
     reports."""
     from hopfqt import cli
-    res = qt_group_algebra_enumerate(build_group(fam, p=3, q=5))
-    K = res[0][0].domain
+    G = build_group(fam, p=3, q=5)
+    res = qt_group_algebra_enumerate(G)
+    K = abelian_decomposition(G, range(G.order))
     assert len(res) == cli._abelian_bicharacter_count(K.orders) == count
     assert res.oracle_equivalent
     assert any(w.is_trivial() for w, _ in res)
@@ -1077,7 +1121,7 @@ def test_eta_is_bicharacter_on_G():
 
 
 def cyclonumber_B_conditions(mp, m, lam, ws):
-    """Keys of the bicharacters meeting the four printed generator
+    """Keys of the ReferenceBicharacters meeting the four printed generator
     conditions, evaluated on CycloNumber values one bicharacter at a time:
     the oracle of the integer filter ``_B_condition_keys``."""
     G = mp.G
@@ -1099,14 +1143,15 @@ def test_B_condition_filter_matches_cyclonumber_conditions(lam):
     mp = make_B(3, 7, m, lam)
     G = mp.G
     dec = abelian_decomposition(G, range(G.order))
-    ws = enumerate_bicharacters(dec)
-    forms = _bichar_forms(ws, dec)
+    E = enumerate_bicharacters(dec)
+    ws = reference_bicharacters(dec)
+    forms = _bichar_forms(E, dec)
     a, b = G.generators["a"], G.generators["b"]
     am, bml = G.power(a, m), G.power(b, m ** lam)
     # tau scaled where eta(a^m, b^(m^lam)) reads it, and where no condition does
     pairs = [mp, mp.with_tau_scaled(am, bml, 1, 1), mp.with_tau_scaled(bml, am, 1, 3),
              mp.with_tau_scaled(a, b, 1, 1)]
-    keys = [qtlab._B_condition_keys(x, m, lam, ws, dec, forms) for x in pairs]
+    keys = [qtlab._B_condition_keys(x, m, lam, E, dec, forms) for x in pairs]
     assert keys == [cyclonumber_B_conditions(x, m, lam, ws) for x in pairs]
     assert keys[1] != keys[0] != keys[2] and keys[3] == keys[0]
     assert keys[0] == qt_B_enumerate(3, 7, m, lam).filter_keys
@@ -1123,7 +1168,7 @@ def test_qt_B_counts_and_oracle():
     assert not any(w.is_trivial() for w, _ in res1)
 
 
-def reference_qt_B_oracle(H, dec, ws):
+def reference_qt_B_oracle(H, dec, E):
     """_qt_B_oracle through Python loops over the mult rows: both sides of
     Delta-op(g) R = R Delta(g), templated once per host from the Delta(g)
     terms and the idempotent columns each mult row meets."""
@@ -1180,20 +1225,20 @@ def reference_qt_B_oracle(H, dec, ws):
     align = np.array([order_l[c] for c in rcoords], dtype=np.int64)
     assert set(lcoords) == set(rcoords)
 
-    X, A, L = _bichar_forms(ws, dec)
+    X, A, L = _bichar_forms(E, dec)
     # compare at the common conductor lcm(N, L)
     M = N * L // math.gcd(N, L)
     keys = set()
-    for w, Aw in zip(ws, A):
+    for key, Aw in zip(_keys(E), A):
         W = (X @ Aw @ X.T) % L
         le = (lfix * (M // N) + W[lw1, lw2] * (M // L)) % M
         re = (rfix * (M // N) + W[rw1, rw2] * (M // L)) % M
         if np.array_equal(le[align], re):
-            keys.add(w.key())
+            keys.add(key)
     return keys
 
 
-def loop_qt_B_oracle(H, dec, ws):
+def loop_qt_B_oracle(H, dec, E):
     """_qt_B_oracle with the rows e_r # g templated on their own and one
     integer compare per bicharacter: the oracle for its blocked sieve."""
     N = H.conductor
@@ -1222,21 +1267,21 @@ def loop_qt_B_oracle(H, dec, ws):
     if not (np.array_equal(lkey[lo], rkey[ro]) and (np.diff(lkey[lo]) > 0).all()):
         raise AssertionError("the two sides do not share distinct coordinates")
 
-    X, A, L = _bichar_forms(ws, dec)
+    X, A, L = _bichar_forms(E, dec)
     M = math.lcm(N, L)
     fix = (lfix[lo] - rfix[ro]) * (M // N)
     k, l, i, j = k[lo], l[lo], i[ro], j[ro]
     keys = set()
-    for w, Aw in zip(ws, A):
+    for key, Aw in zip(_keys(E), A):
         W = (X @ Aw @ X.T) % L
         if (((W[k, l] - W[i, j]) * (M // L) + fix) % M == 0).all():
-            keys.add(w.key())
+            keys.add(key)
     return keys
 
 
-def _oracle_keys_or_assertion(oracle, H, dec, ws):
+def _oracle_keys_or_assertion(oracle, *args):
     try:
-        return oracle(H, dec, ws)
+        return oracle(*args)
     except AssertionError:
         return AssertionError
 
@@ -1249,9 +1294,9 @@ def _B_oracle_inputs(lam):
 
 @pytest.mark.parametrize("lam", [0, 1])
 def test_qt_B_oracle_matches_reference(lam):
-    H, dec, ws = _B_oracle_inputs(lam)
-    keys = _qt_B_oracle(H, dec, ws)
-    assert keys == reference_qt_B_oracle(H, dec, ws)
+    H, dec, E = _B_oracle_inputs(lam)
+    keys = _qt_B_oracle(H, dec, E, _e_r_support(H, dec))
+    assert keys == reference_qt_B_oracle(H, dec, E)
     assert len(keys) == (7 if lam == 0 else 1)
 
 
@@ -1265,7 +1310,7 @@ def test_qt_B_oracle_matches_reference_on_mutants():
     """zeta-scaled MUL and CMUL constants of B(3,7,1) at entries both sides
     of the oracle read: Delta(g) terms, and products of a Delta(g) leg with
     an idempotent e_r # 1 on either side."""
-    H, dec, ws = _B_oracle_inputs(1)
+    H, dec, E = _B_oracle_inputs(1)
     z = zeta(H.conductor)
     rng = random.Random(3)
     idem = [H.gf_index(r, 0) for r in dec.elements]
@@ -1288,11 +1333,12 @@ def test_qt_B_oracle_matches_reference_on_mutants():
         terms[t] = (j, k, c * z)
         comult[i] = tuple(terms)
         mutants.append(_bismash_with(H, comult=comult))
-    keys = _qt_B_oracle(H, dec, ws)
+    keys = _qt_B_oracle(H, dec, E, _e_r_support(H, dec))
     changed = 0
     for Hm in mutants:
-        got = _oracle_keys_or_assertion(_qt_B_oracle, Hm, dec, ws)
-        assert got == _oracle_keys_or_assertion(reference_qt_B_oracle, Hm, dec, ws)
+        got = _oracle_keys_or_assertion(_qt_B_oracle, Hm, dec, E,
+                                        _e_r_support(Hm, dec))
+        assert got == _oracle_keys_or_assertion(reference_qt_B_oracle, Hm, dec, E)
         changed += got != keys
     # the mutants are seen: some of them change the oracle's key set
     assert changed > 0
@@ -1328,24 +1374,26 @@ def B_oracle_mutants(H, dec):
 
 @pytest.mark.parametrize("lam", [0, 1])
 def test_qt_B_oracle_sieve_matches_loop(lam):
-    H, dec, ws = _B_oracle_inputs(lam)
-    assert _qt_B_oracle(H, dec, ws) == loop_qt_B_oracle(H, dec, ws)
+    H, dec, E = _B_oracle_inputs(lam)
+    assert _qt_B_oracle(H, dec, E, _e_r_support(H, dec)) == \
+        loop_qt_B_oracle(H, dec, E)
     if lam == 0:
         return
     for Hm in B_oracle_mutants(H, dec):
-        assert _oracle_keys_or_assertion(_qt_B_oracle, Hm, dec, ws) == \
-            _oracle_keys_or_assertion(loop_qt_B_oracle, Hm, dec, ws)
+        assert _oracle_keys_or_assertion(_qt_B_oracle, Hm, dec, E,
+                                         _e_r_support(Hm, dec)) == \
+            _oracle_keys_or_assertion(loop_qt_B_oracle, Hm, dec, E)
 
 
 ORACLE_UNDER_O = """
 from hopfqt.bismash import BismashHopf, build_bismash, make_B
 from hopfqt.exactfield import zeta
 from hopfqt.grouptool import abelian_decomposition, enumerate_bicharacters
-from hopfqt.qtlab import _qt_B_oracle
+from hopfqt.qtlab import _e_r_support, _qt_B_oracle
 
 H = build_bismash(make_B(3, 7, 2, 1))
 dec = abelian_decomposition(H.mp.G, range(H.mp.G.order))
-ws = enumerate_bicharacters(dec)
+E = enumerate_bicharacters(dec)
 idem = {H.gf_index(r, 0) for r in dec.elements}
 # a leg of Delta(e_0 # g) times an idempotent e_r # 1
 i = H.comult[H.gf_index(0, 1)][0][1]
@@ -1358,7 +1406,7 @@ for mult in (H.mult, scaled, dropped):
     Hm = BismashHopf(H.mp, H.dim, H.conductor, mult, H.comult, H.unit,
                      H.counit, H.antipode, H.labels)
     try:
-        print(sorted(map(repr, _qt_B_oracle(Hm, dec, ws))))
+        print(sorted(map(repr, _qt_B_oracle(Hm, dec, E, _e_r_support(Hm, dec)))))
     except AssertionError as exc:
         print("AssertionError:", exc)
 """
@@ -1379,10 +1427,18 @@ def test_qt_B_oracle_premises_hold_under_optimize():
     assert dropped.startswith("AssertionError")
 
 
+def B_dec(H):
+    """The decomposition of the whole G of the tau-twisted host H, the
+    domain of its bicharacters."""
+    return abelian_decomposition(H.mp.G, range(H.mp.G.order))
+
+
 def explicit_B_entries(H, w):
-    """R = sum w(s,t) (e_s # 1) (x) (e_t # 1), entry by entry."""
-    elements = w.domain.elements
-    return {(H.gf_index(s, 0), H.gf_index(t, 0)): w.value(s, t)
+    """R = sum w(s,t) (e_s # 1) (x) (e_t # 1) for the Bicharacter w on the
+    G of H, entry by entry."""
+    ref = ReferenceBicharacter(B_dec(H), w.key())
+    elements = ref.domain.elements
+    return {(H.gf_index(s, 0), H.gf_index(t, 0)): ref.value(s, t)
             for s in elements for t in elements}
 
 
@@ -1434,7 +1490,7 @@ def test_qt_B_certified_matches_exhaustive_on_mutants():
     H, sup = R.host, R.sup
     conj = sup.conj_perms()
     assert all(row is None for row in conj)
-    W, L = index_matrix(w, w.domain)
+    W, L = index_matrix(w.key(), B_dec(H))
     assert np.array_equal(R.W, W) and R.L == L
     shifted, shifted_at_unit = W.copy(), W.copy()
     shifted[3, 5] += 1
@@ -1494,9 +1550,11 @@ def test_qt_B_intertwiner_table_matches_generic(lam):
         assert_table_matches_generic(sup, Wm, L)
     assert INTERTWINER in assert_table_matches_generic(sup, W.T, L, exhaustive=True)
     keys = {w.key() for w, _ in res}
-    rejected = [w for w in enumerate_bicharacters(w.domain) if w.key() not in keys]
-    for n, w in enumerate(rejected[::len(rejected) // 2][:3]):
-        failed = assert_table_matches_generic(sup, *index_matrix(w, w.domain),
+    dec = B_dec(res.host)
+    E = enumerate_bicharacters(dec)
+    rejected = [e for e, key in zip(E, _keys(E)) if key not in keys]
+    for n, e in enumerate(rejected[::len(rejected) // 2][:3]):
+        failed = assert_table_matches_generic(sup, *index_matrix(e, dec),
                                               exhaustive=n == 0)
         assert list(failed) == [INTERTWINER]
 
@@ -1510,8 +1568,8 @@ def test_qt_B_intertwiner_table_on_host_mutants():
     H, sup = R.host, R.sup
     z = zeta(H.conductor)
     rng = random.Random(5)
-    idem = [H.gf_index(r, 0) for r in w.domain.elements]
-    g2_rows = [H.gf_index(r, 2) for r in w.domain.elements]
+    idem = [H.gf_index(r, 0) for r in B_dec(H).elements]
+    g2_rows = [H.gf_index(r, 2) for r in B_dec(H).elements]
     mutants = []
     for i in rng.sample(g2_rows, 2):
         j = rng.choice([j for j in idem if j in H.mult[i]])
@@ -2012,8 +2070,8 @@ def test_hopf_images_cases():
     G = cyclic_group(7)
     K = abelian_decomposition(G, range(7))
     H7 = group_algebra(G, conductor=7)
-    w = next(x for x in enumerate_bicharacters(K) if x.exps[0][0] == 1)
-    assert hopf_images(bichar_r(H7, K, w)) == (7, 7, 7)
+    e = next(e for e in enumerate_bicharacters(K) if e[0, 0] == 1)
+    assert hopf_images(bichar_r(H7, K, e)) == (7, 7, 7)
 
 
 def test_hopf_images_match_reference():
@@ -2025,7 +2083,7 @@ def test_hopf_images_match_reference():
         G = abelian_group(orders)
         H = group_algebra(G, conductor=max(orders))
         K = abelian_decomposition(G, range(G.order))
-        cases += [bichar_r(H, K, w) for w in enumerate_bicharacters(K)[::step]]
+        cases += [bichar_r(H, K, e) for e in enumerate_bicharacters(K)[::step]]
     res = qt_group_algebra_enumerate(build_group("gamma5", p=7, q=3, m=2))
     cases.append(next(R for w, R in res if not w.is_trivial()))
     seen = set()
