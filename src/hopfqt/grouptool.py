@@ -16,11 +16,11 @@ group.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
-
-from .exactfield import CycloNumber, zeta
 
 
 class ParameterError(ValueError):
@@ -595,49 +595,56 @@ def largest_abelian_normal(G: FiniteGroup) -> AbelianDecomposition:
 # idempotents and conjugation
 
 
-def idempotents(K: AbelianDecomposition):
-    """Orthogonal primitive idempotents of the group algebra of K, indexed by
-    the elements of K via the pairing <g_i, g_j> = zeta_(n_i)^(delta_ij).
+class Idempotents(NamedTuple):
+    """Idempotents E_t given by their terms: entry a is the term
+    scale * zeta_L^exp[a] b_idx[a] of E_owner[a], with exp[a] in 0..L-1 and
+    one rational scale for all; the entries run by owner, then by ascending
+    basis index."""
 
-    Returns a list aligned with ``K.elements``; entry k is a dict mapping
-    group-element id to CycloNumber.
-    """
-    order = K.order
-    if order == 1:
-        return [{0: CycloNumber.one()}]
-    conductor = math.lcm(*K.orders)
-    inv_order = CycloNumber.from_rational(1) / order
-    out = []
-    for k in K.elements:
-        kv = K.exponent_of(k)
-        vec = {}
-        for x in K.elements:
-            xv = K.exponent_of(x)
-            e = 0
-            for ki, xi, ni in zip(kv, xv, K.orders):
-                e += ki * xi * (conductor // ni)
-            vec[x] = inv_order * zeta(conductor, e)
-        out.append(vec)
-    return out
+    owner: np.ndarray
+    idx: np.ndarray
+    exp: np.ndarray
+    scale: Fraction
+    L: int
+
+
+def _pairing(K: AbelianDecomposition):
+    """(P, L): P[a, b] = <k, x> mod L, for k = K.elements[a] and
+    x = K.elements[b], the character pairing <g_i, g_j> = (L / n_i) delta_ij
+    on the generators extended biadditively, L the lcm of their orders."""
+    L = math.lcm(1, *K.orders)
+    X = K.exponent_matrix()
+    return X * (L // np.asarray(K.orders, dtype=np.int64)) @ X.T % L, L
+
+
+def idempotents(K: AbelianDecomposition) -> Idempotents:
+    """The orthogonal primitive idempotents
+    E_t = (1/|K|) sum_x zeta_L^<k, x> b_x of the group algebra of K, one per
+    element k = K.elements[t], with <k, x> the character pairing of
+    ``_pairing`` read from K.exponent_matrix()."""
+    P, L = _pairing(K)
+    m = K.order
+    order = np.argsort(K.elements)
+    return Idempotents(np.repeat(np.arange(m), m),
+                       np.tile(np.asarray(K.elements, dtype=np.int64)[order], m),
+                       P[:, order].ravel(), Fraction(1, m), L)
 
 
 def conjugation_map(G: FiniteGroup, g, K: AbelianDecomposition):
     """The permutation k -> phi_g(k) of K induced on idempotent indices.
 
-    The idempotent e_k of ``idempotents`` has the coefficient
-    zeta_L^P[k, x] / |K| at x, with P[k, x] = <k, x> mod L the character
-    pairing, so g e_k g^-1 has it at g x g^-1; phi_g(k) is the index whose
-    row of P equals that conjugated row.  Only the exponent vectors of K
-    and G.table are read.  Raises if g does not normalize K."""
+    The idempotent E_k of ``idempotents`` has the coefficient
+    zeta_L^P[k, x] / |K| at x, with P the character pairing, so g E_k g^-1
+    has it at g x g^-1; phi_g(k) is the index whose row of P equals that
+    conjugated row.  Only the exponent vectors of K and G.table are read.
+    Raises if g does not normalize K."""
     pos = np.full(G.order, -1)
     pos[K.elements] = np.arange(K.order)
     # conj[a] is the index of g x g^-1 for x = K.elements[a]
     conj = pos[G.table[G.table[g, K.elements], G.inverse[g]]]
     if (conj < 0).any():
         raise ParameterError("element does not normalize the subgroup")
-    L = math.lcm(1, *K.orders)
-    X = K.exponent_matrix()
-    P = X * (L // np.asarray(K.orders, dtype=np.int64)) @ X.T % L
+    P, _ = _pairing(K)
     Q = np.empty_like(P)
     Q[:, conj] = P
     rows = {row.tobytes(): j for j, row in enumerate(P)}

@@ -32,20 +32,44 @@ class HopfAlgebra:
     mult[i][j] is a tuple of (k, coeff) pairs for b_i b_j; comult[i] is a
     tuple of (j, k, coeff) for Delta(b_i); unit is a sparse dict; counit a
     dense list; antipode[i] a tuple of (j, coeff) for S(b_i).
+
+    The product and the coproduct are each passed either as these rows, from
+    which mult_tables() and comult_tables() are derived on first use, or as
+    those tables, a tuple of arrays with no entry odd and every exponent in
+    0..N-1, from which the rows are built on first read.
     """
 
     def __init__(self, dim, conductor, mult, comult, unit, counit, antipode,
                  labels=None):
         self.dim = dim
         self.conductor = conductor
-        self.mult = mult
-        self.comult = comult
+        self._mult = mult
+        self._comult = comult
         self.unit = {i: c for i, c in unit.items() if c}
         self.counit = list(counit)
         self.antipode = antipode
         self.labels = list(labels) if labels else [f"b{i}" for i in range(dim)]
         self._mono = -1  # lazy caches, -1 = not computed
         self._cmono = -1
+
+    @property
+    def mult(self):
+        if isinstance(self._mult, tuple):
+            targets, exps, _ = self._mult
+            root = _roots(self.conductor)
+            self._mult = [{j: ((k, root[e]),) for j, (k, e) in enumerate(zip(ks, es))
+                           if k >= 0}
+                          for ks, es in zip(targets.tolist(), exps.tolist())]
+        return self._mult
+
+    @property
+    def comult(self):
+        if isinstance(self._comult, tuple):
+            root, rows = _roots(self.conductor), [[] for _ in range(self.dim)]
+            for i, j, k, e in zip(*(a.tolist() for a in self._comult)):
+                rows[i].append((j, k, root[e]))
+            self._comult = [tuple(row) for row in rows]
+        return self._comult
 
     # -- elements
 
@@ -67,15 +91,20 @@ class HopfAlgebra:
         """(targets, exponents, odd) int arrays over the products b_i b_j, as
         _one_term_rows gives them; a zero product has target -1."""
         if self._mono == -1:
-            n, rows = self.dim, self.mult
-            chain = itertools.chain.from_iterable
-            i = np.repeat(np.arange(n), list(map(len, rows)))
-            j = np.fromiter(chain(rows), np.int64, len(i))
-            self._mono = (np.full((n, n), -1, dtype=np.int32),
-                          np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=bool))
-            entries = _one_term_rows(list(chain(map(dict.values, rows))), self.conductor)
-            for table, x in zip(self._mono, entries):
-                table[i, j] = x
+            if isinstance(self._mult, tuple):
+                self._mono = self._mult
+            else:
+                n, rows = self.dim, self._mult
+                chain = itertools.chain.from_iterable
+                i = np.repeat(np.arange(n), list(map(len, rows)))
+                j = np.fromiter(chain(rows), np.int64, len(i))
+                self._mono = (np.full((n, n), -1, dtype=np.int32),
+                              np.zeros((n, n), dtype=np.int64),
+                              np.zeros((n, n), dtype=bool))
+                entries = _one_term_rows(list(chain(map(dict.values, rows))),
+                                         self.conductor)
+                for table, x in zip(self._mono, entries):
+                    table[i, j] = x
         return self._mono
 
     def mono_tables(self):
@@ -91,12 +120,15 @@ class HopfAlgebra:
         of the coalgebra sweeps fit in int64; None otherwise."""
         if self._cmono == -1:
             N = self.conductor
-            exps = _root_exponents((c for row in self.comult for _, _, c in row), N)
-            if (exps < 0).any() or (self.dim ** 4 << (N.bit_length() + 1)) >= 2 ** 63:
+            if (self.dim ** 4 << (N.bit_length() + 1)) >= 2 ** 63:
                 self._cmono = None
+            elif isinstance(self._comult, tuple):
+                self._cmono = self._comult
             else:
-                legs = [(i, j, k) for i, row in enumerate(self.comult) for j, k, _ in row]
-                self._cmono = (*np.array(legs, dtype=np.int64).reshape(-1, 3).T, exps)
+                exps = _root_exponents((c for row in self._comult for _, _, c in row), N)
+                legs = [(i, j, k) for i, row in enumerate(self._comult) for j, k, _ in row]
+                self._cmono = None if (exps < 0).any() else \
+                    (*np.array(legs, dtype=np.int64).reshape(-1, 3).T, exps)
         return self._cmono
 
     def with_scaled_mult_entry(self, i, j, k, factor) -> "HopfAlgebra":
@@ -248,6 +280,11 @@ def _root_exponents(coeffs, N):
     return np.array(out, dtype=np.int64)
 
 
+def _roots(N):
+    """[zeta_N^e for e in 0..N-1]."""
+    return [zeta(N, e) for e in range(N)]
+
+
 def _one_term_rows(rows, N):
     """(targets, exponents, odd) int arrays over rows of (index, coefficient)
     terms: a row that is one term zeta_N^e b_t has target t and exponent e;
@@ -268,15 +305,16 @@ def _one_term_rows(rows, N):
 
 
 def group_algebra(G: FiniteGroup, conductor: int = 1) -> HopfAlgebra:
-    """k[G]: basis the group elements, Delta(g) = g (x) g, S(g) = g^-1."""
+    """k[G]: basis the group elements, Delta(g) = g (x) g, S(g) = g^-1.  The
+    product and the coproduct are passed as their exponent tables, b_g b_h =
+    b_(G.table[g, h]) and Delta(b_g) = b_g (x) b_g with every exponent 0."""
     n = G.order
     one = CycloNumber.one(conductor)
-    mult = [{j: ((k, one),) for j, k in enumerate(row)} for row in G.table.tolist()]
-    comult = [((i, i, one),) for i in range(n)]
-    unit = {0: one}
-    counit = [one] * n
+    ar = np.arange(n)
+    mult = (G.table, np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=bool))
+    comult = (ar, ar, ar, np.zeros(n, dtype=np.int64))
     antipode = [((i, one),) for i in G.inverse.tolist()]
-    return HopfAlgebra(n, conductor, mult, comult, unit, counit, antipode,
+    return HopfAlgebra(n, conductor, mult, comult, {0: one}, [one] * n, antipode,
                        labels=list(G.labels))
 
 

@@ -38,6 +38,7 @@ from .grouptool import (
     AbelianDecomposition,
     Bicharacter,
     FiniteGroup,
+    Idempotents,
     ParameterError,
     _group_generators,
     abelian_decomposition,
@@ -47,9 +48,9 @@ from .grouptool import (
     idempotents,
     largest_abelian_normal,
 )
-from .hopfcore import (AlgebraElement, HopfAlgebra, Report, _acc, _comult_rows,
-                       _expand, dual_hopf, group_algebra, group_likes_bismash,
-                       unit_tensor)
+from .hopfcore import (_BLOCK, AlgebraElement, HopfAlgebra, Report, _acc,
+                       _comult_rows, _expand, dual_hopf, group_algebra,
+                       group_likes_bismash, unit_tensor)
 from .bismash import (BismashHopf, MatchedPair, build_bismash, dualize_trivial_action,
                       make_B)
 
@@ -147,7 +148,7 @@ class ExponentView(NamedTuple):
 
     Entry a stands for scale * zeta_M^exp[a] b_idx[a], a term of E_owner[a];
     the entries of E_t are ptr[t]..ptr[t+1]-1, in ascending basis order.  M
-    is the lcm of the host conductor and the conductors of the coefficients.
+    is the lcm of the host conductor and the conductor of the terms.
     E[t, c] is the exponent of E_t at the basis element S[c] of the sorted
     support S, and 2M where E_t has no such term.  pos[i] numbers basis
     element i among the nz that the support, its products and the legs of
@@ -189,9 +190,27 @@ def _numbered(space, keys, more):
     return np.flatnonzero(hit), np.cumsum(hit) - 1
 
 
+def exponent_form(vectors, conductor):
+    """The ``Idempotents`` form of idempotents given as dicts basis index ->
+    CycloNumber, with L the lcm of conductor and the conductors of the
+    coefficients; None when there is no coefficient, a coefficient is no
+    rational multiple of a power of zeta_L, or two coefficients have
+    different rational parts."""
+    entries = [(t, i, vec[i]) for t, vec in enumerate(vectors) for i in sorted(vec)]
+    L = math.lcm(conductor, *(c.conductor for _, _, c in entries))
+    roots = [c.lift(L).as_root() for _, _, c in entries]
+    if not roots or None in roots or any(r[1] != roots[0][1] for r in roots):
+        return None
+    owner, idx = np.array([e[:2] for e in entries], dtype=np.int64).T
+    return Idempotents(owner, idx, np.array([r[0] for r in roots], dtype=np.int64),
+                       roots[0][1], L)
+
+
 class IdemSupport:
     """A complete orthogonal idempotent family {E_t} in H indexed by an
-    abelian group given as a multiplication table on 0..m-1.
+    abelian group given as a multiplication table kmul on 0..m-1, the
+    idempotents given by their terms as ``grouptool.Idempotents`` (None for
+    a family without that form, see ``exponent_form``).
 
     certify() establishes, by actual structure-constant computation:
     orthogonality E_s E_t = delta E_s, completeness sum E_t = 1, and the
@@ -209,29 +228,36 @@ class IdemSupport:
     the support, not quadratic in m.  A support without a view is refused.
     """
 
-    def __init__(self, host, vectors, kmul):
+    def __init__(self, host, idems, kmul):
         self.host = host
-        self.vectors = vectors          # list of dict basis-index -> CycloNumber
+        self.idems = idems
         self.kmul = np.asarray(kmul, dtype=np.int64)
-        self.m = len(vectors)
+        self.m = len(self.kmul)
         self.certified = False
 
     @cached_property
+    def vectors(self):
+        """The idempotents as dicts basis index -> CycloNumber, built from
+        their terms on first read."""
+        f = self.idems
+        root = {e: CycloNumber.from_rational(f.scale) * zeta(f.L, e)
+                for e in set(f.exp.tolist())}
+        out = [{} for _ in range(self.m)]
+        for t, i, e in zip(f.owner.tolist(), f.idx.tolist(), f.exp.tolist()):
+            out[t][i] = root[e]
+        return out
+
+    @cached_property
     def view(self):
-        """The ExponentView of the idempotents; None when the host has no
-        exponent tables, a coefficient is no rational multiple of a root of
-        unity, or two coefficients have different rational parts."""
-        H = self.host
+        """The ExponentView of the idempotents, at M = lcm(N, L) for the host
+        conductor N and the conductor L of the terms; None when the family
+        has no terms form or the host has no exponent tables."""
+        H, f = self.host, self.idems
         tables, ctables = H.mono_tables(), H.comult_tables()
-        entries = [(t, i, vec[i]) for t, vec in enumerate(self.vectors)
-                   for i in sorted(vec)]
-        M = math.lcm(H.conductor, *(c.conductor for _, _, c in entries))
-        roots = [c.lift(M).as_root() for _, _, c in entries]
-        if tables is None or ctables is None or not roots or None in roots or \
-                any(r[1] != roots[0][1] for r in roots):
+        if f is None or tables is None or ctables is None:
             return None
-        owner, idx = np.array([e[:2] for e in entries], dtype=np.int64).T
-        exp = np.array([r[0] for r in roots], dtype=np.int64)
+        M = math.lcm(H.conductor, f.L)
+        owner, idx, exp = f.owner, f.idx, f.exp * (M // f.L)
         # the support, then the basis elements its products and the legs of
         # their coproducts reach
         hit = np.zeros(H.dim, dtype=bool)
@@ -244,7 +270,7 @@ class IdemSupport:
         hit[prods[prods >= 0]] = hit[lefts[legs]] = hit[rights[legs]] = True
         return ExponentView(
             owner, idx, exp, np.r_[0, np.cumsum(np.bincount(owner, minlength=self.m))],
-            S, E, roots[0][1], M, np.cumsum(hit) - 1, int(hit.sum()),
+            S, E, f.scale, M, np.cumsum(hit) - 1, int(hit.sum()),
             np.array([zeta(M, k).serial()[1] for k in range(M)], dtype=np.int64),
             4 * M + 1)
 
@@ -361,7 +387,7 @@ class IdemSupport:
         both sides are compared as sums of roots of the view, keyed by the
         positions of the two legs."""
         v, m, nz, w = self.view, self.m, self.view.nz, self.view.width
-        if self._characters and all(_group_like(self.host, x) for x in v.S) \
+        if self._characters and _group_likes(self.host)[v.S].all() \
                 and _multiplicative(v.E, self.kmul, v.M, self.gens):
             return True
         _, lefts, rights, dexp = tables = self.host.comult_tables()
@@ -396,63 +422,64 @@ class IdemSupport:
         h E_t h^-1 = E_t' when h is group-like with a scaled basis inverse,
         read off the exponent view; None rows mark elements where this shape
         fails (all rows when the support has no view or the unit is not one
-        basis element)."""
+        basis element).
+
+        All h are taken at once.  h E_t h^-1 depends on h only through the
+        column map and the exponent shift below, so each distinct pair of
+        them is conjugated once, as many pairs at a time as fit in _BLOCK
+        entries (at least one); each conjugated row is looked up among the
+        rows of E by its bytes, and the index found is confirmed by
+        comparing the two rows entry by entry.  Where rows of E repeat, the
+        last of them is found."""
         H = self.host
-        N = H.conductor
+        N, n = H.conductor, H.dim
         v = self.view
+        out = [None] * n
         root = None
         if len(H.unit) == 1:
             (u, cu), = H.unit.items()
             root = cu.lift(N).as_root()
         if v is None or root is None or root[1] != 1:
-            return [None] * H.dim
+            return out
         mt, me = H.mono_tables()
         M, S, E = v.M, v.S, v.E
-        col = np.full(H.dim, -1)
+        col = np.full(n, -1)
         col[S] = np.arange(len(S))
-        row_of = {row.tobytes(): t for t, row in enumerate(E)}
-        out = []
-        for h in range(H.dim):
-            # h^-1 = zeta^(e_u - me[h, j]) b_j for the unique j with b_h b_j ~ b_u
-            js = np.flatnonzero(mt[h] == u)
-            if not _group_like(H, h) or len(js) != 1:
-                out.append(None)
-                continue
-            j = js[0]
-            hx = mt[h, S]
-            y = mt[hx, j]
-            cols = col[y]
-            if (mt[j, h] != u or (me[j, h] - me[h, j]) % N or (hx < 0).any()
-                    or (y < 0).any() or (cols < 0).any()
-                    or (np.bincount(cols) > 1).any()):
-                out.append(None)
-                continue
-            # b_h b_x h^-1 = zeta^(me[h,x] + me[hx,j] + e_u - me[h,j]) b_y
-            shift = (me[h, S] + me[hx, j] + root[0] - me[h, j]) * (M // N)
-            conj = np.empty_like(E)
-            conj[:, cols] = np.where(E < M, (E + shift) % M, E)
-            perm = [row_of.get(row.tobytes()) for row in conj]
-            out.append(None if None in perm else perm)
+        # h^-1 = zeta^(e_u - me[h, j]) b_j for the unique j with b_h b_j ~ b_u
+        hits = mt == u
+        h = np.flatnonzero(_group_likes(H) & (hits.sum(axis=1) == 1))
+        j = hits[h].argmax(axis=1)
+        keep = (mt[j, h] == u) & ((me[j, h] - me[h, j]) % N == 0)
+        h, j = h[keep, None], j[keep, None]
+        # b_h b_x h^-1 = zeta^(me[h,x] + me[hx,j] + e_u - me[h,j]) b_y, x in S
+        hx = mt[h, S]
+        y = mt[hx, j]
+        cols = col[y]
+        keep = ((hx >= 0) & (y >= 0) & (cols >= 0)).all(axis=1)
+        keep[keep] = (np.diff(np.sort(cols[keep], axis=1), axis=1) > 0).all(axis=1)
+        if not keep.any():
+            return out
+        h, j, hx, cols = h[keep], j[keep], hx[keep], cols[keep]
+        shift = (me[h, S] + me[hx, j] + root[0] - me[h, j]) * (M // N) % M
+        first, which = _row_classes(np.concatenate([cols, shift], axis=1))
+        keys = _row_keys(E)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        perms = []
+        step = max(1, _BLOCK // E.size)
+        for c in range(0, len(first), step):
+            f = first[c:c + step]
+            # conj[b, t, cols[f[b], x]] = E[t, x] shifted by shift[f[b], x]
+            conj = np.where(E < M, (E + shift[f, None, :]) % M, E)
+            conj = np.take_along_axis(conj, np.argsort(cols[f])[:, None, :], axis=2)
+            conj = conj.reshape(-1, E.shape[1])
+            t = order[np.searchsorted(keys, _row_keys(conj), side="right") - 1]
+            found = (E[t] == conj).all(axis=1).reshape(len(f), -1).all(axis=1)
+            t = t.reshape(len(f), -1).tolist()
+            perms += [row if ok else None for row, ok in zip(t, found.tolist())]
+        for k, row in zip(h.ravel().tolist(), which.tolist()):
+            out[k] = None if perms[row] is None else list(perms[row])
         return out
-
-    def _distinct_perms(self, conj_perms):
-        """(perms, which): the distinct permutation rows of conj_perms, as an
-        array, and for each basis row h the index of its permutation in
-        perms, -1 for a None row.  Computed once per support and kept while
-        the rows passed in are equal to the last ones."""
-        memo = self.__dict__.get("_distinct_memo")
-        if memo is None or memo[0] != conj_perms:
-            rows = [h for h, perm in enumerate(conj_perms) if perm is not None]
-            perms = np.zeros((0, self.m), dtype=np.int64)
-            which = np.full(len(conj_perms), -1)
-            if rows:
-                perms, inverse = np.unique(np.array([conj_perms[h] for h in rows]),
-                                           axis=0, return_inverse=True)
-                which[rows] = inverse.reshape(-1)
-            memo = ([None if p is None else list(p) for p in conj_perms],
-                    perms, which.tolist())
-            self._distinct_memo = memo
-        return memo[1:]
 
     @cached_property
     def intertwiner_table(self):
@@ -509,10 +536,47 @@ class IdemSupport:
         return np.bincount(rows[bad], minlength=self.host.dim) > 0
 
 
-def _group_like(H, i):
-    """Delta(b_i) = b_i (x) b_i."""
-    terms = H.comult[i]
-    return len(terms) == 1 and terms[0][:2] == (i, i) and terms[0][2].is_one()
+def _group_likes(H):
+    """Boolean array over the basis of H: Delta(b_i) = b_i (x) b_i, read off
+    the comult tables, which every host with an exponent view has."""
+    rows, lefts, rights, exps = tables = H.comult_tables()
+    cnt, ptr = _comult_rows(tables, H.dim)
+    first = np.minimum(ptr[:-1], len(rows) - 1)
+    i = np.arange(H.dim)
+    return (cnt == 1) & (lefts[first] == i) & (rights[first] == i) & (exps[first] == 0)
+
+
+def _row_keys(A):
+    """The rows of the 2-D array A as one bytes key each (numpy void), so
+    that equal keys are equal rows."""
+    A = np.ascontiguousarray(A)
+    return A.view(np.dtype((np.void, A.dtype.itemsize * A.shape[1]))).ravel()
+
+
+def _row_classes(A):
+    """(first, which) for the rows of the 2-D array A, by their bytes: the
+    index of one row of each distinct row, and for each row the number of
+    its class in first."""
+    keys = _row_keys(A)
+    order = np.argsort(keys, kind="stable")
+    new = np.r_[True, keys[order][1:] != keys[order][:-1]]
+    which = np.empty(len(A), dtype=np.int64)
+    which[order] = np.cumsum(new) - 1
+    return order[new], which
+
+
+def _distinct_perms(conj_perms, m):
+    """(perms, which): the distinct permutation rows of conj_perms, as an
+    (count, m) array, and for each basis row h the index of its
+    permutation in perms, -1 for a None row."""
+    rows = [h for h, perm in enumerate(conj_perms) if perm is not None]
+    perms = np.zeros((0, m), dtype=np.int64)
+    which = np.full(len(conj_perms), -1)
+    if rows:
+        perms, inverse = np.unique(np.array([conj_perms[h] for h in rows]),
+                                   axis=0, return_inverse=True)
+        which[rows] = inverse.reshape(-1)
+    return perms, which.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +633,24 @@ def _first_diff(a, b):
 class CertifiedR:
     """R = sum w(s,t) E_s (x) E_t on the IdemSupport sup, held as the
     integer exponent matrix W of w on support indices mod the conductor L.
-    ``entries``, the sparse tensor in H (x) H that verify_qt reads, is built
-    by r_entries_from_support on first use and then kept."""
+    W is passed as an array, or as the pair (X, A) of its factors
+    W = X A X^T mod L (``_bichar_forms``), from which it is built on first
+    read.  ``entries``, the sparse tensor in H (x) H that verify_qt reads,
+    is built by r_entries_from_support on first use and then kept."""
 
     def __init__(self, sup: IdemSupport, W, L: int):
         self.sup = sup
         self.host = sup.host
-        self.W = np.asarray(W, dtype=np.int64)
         self.L = L
+        if isinstance(W, tuple):
+            self._factors = W
+        else:
+            self.W = np.asarray(W, dtype=np.int64)
+
+    @cached_property
+    def W(self):
+        X, A = self._factors
+        return X @ A @ X.T % self.L
 
     @cached_property
     def entries(self) -> dict:
@@ -605,13 +679,21 @@ def _multiplicative(W, kmul, L, gens):
     g = e it gives W[e] = 0.  By associativity the g for which it holds are
     closed under products: W[s(gh)] = W[(sg)h] = W[sg] + W[h] = W[s] + W[g]
     + W[h] = W[s] + W[gh], so by induction on words in the generators it
-    holds for every g of the finite group."""
+    holds for every g of the finite group.
+
+    W holds entries in 0..L-1 in a type that holds 3L (``_reduced``), so
+    a = b + c mod L is a = b + c or a + L = b + c.  W may be a stack
+    (count, m, m) of such matrices, checked all at once."""
     g = np.asarray(gens)
-    D = W[kmul[:, g]]
-    D -= W[:, None, :]
-    D -= W[g][None, :, :]
-    D %= L
-    return not D.any()
+    a = W[..., kmul[:, g], :]
+    s = W[..., :, None, :] + W[..., None, g, :]
+    return bool(((a == s) | (a + L == s)).all())
+
+
+def _reduced(W, L):
+    """W mod L, C-contiguous, in the smallest signed integer type that holds
+    3L: the form that _multiplicative and _invariant_under read."""
+    return np.ascontiguousarray(W % L, dtype=np.min_scalar_type(-3 * L))
 
 
 def verify_qt_certified(R: CertifiedR, conj_perms) -> Report:
@@ -624,8 +706,7 @@ def verify_qt_certified(R: CertifiedR, conj_perms) -> Report:
     (``_multiplicative``), and R is always invertible, with inverse w -> -w.
     conj_perms is R.sup.conj_perms().  At a row perm the intertwiner is
     W[perm, perm] = W mod L, tested once per distinct permutation (a group
-    algebra has few: one per coset of the centralizer of K); the distinct
-    permutations are found once per support and conj_perms.  Its None rows
+    algebra has few: one per coset of the centralizer of K).  Its None rows
     (every row of the tau-twisted host, whose basis elements are not
     group-like) are read from R.sup.intertwiner_table, where the identity is
     an exact exponent identity of W at each row; the table only accepts.  A
@@ -635,15 +716,16 @@ def verify_qt_certified(R: CertifiedR, conj_perms) -> Report:
     """
     sup = R.sup.certify()
     rep = Report()
-    W, L = R.W, R.L
+    L = R.L
+    W = _reduced(R.W, L)
     if not _multiplicative(W, sup.kmul, L, sup.gens):
         rep.fail("coproduct identity (left)", ("first-slot multiplicativity",))
     if not _multiplicative(W.T, sup.kmul, L, sup.gens):
         rep.fail("coproduct identity (right)", ("second-slot multiplicativity",))
     # intertwiner over all basis elements of the host
-    perms, which = sup._distinct_perms(conj_perms)
-    ok = [_invariant_under(W, perm, L) for perm in perms]
-    rejects = sup.intertwiner_rejects(W, L)
+    perms, which = _distinct_perms(conj_perms, sup.m)
+    ok = [_invariant_under(W, perm) for perm in perms]
+    rejects = sup.intertwiner_rejects(R.W, L)
     for h, k in enumerate(which):
         if k >= 0:
             holds = ok[k]
@@ -655,11 +737,49 @@ def verify_qt_certified(R: CertifiedR, conj_perms) -> Report:
     return rep
 
 
-def _invariant_under(W, perm, L):
-    """W[perm, perm] = W mod L: the bicharacter with exponent matrix W is
-    invariant under the permutation perm of its support indices."""
+def _invariant_under(W, perm):
+    """W[perm, perm] = W, for W ``_reduced`` mod L: the bicharacter with
+    exponent matrix W is invariant under the permutation perm of its
+    support indices; for a stack W of exponent matrices, every one is."""
     perm = np.asarray(perm)
-    return bool(((W[perm[:, None], perm] - W) % L == 0).all())
+    return np.array_equal(np.take(np.take(W, perm, axis=-2), perm, axis=-1), W)
+
+
+# entries of the largest array a block of survivors' checks builds
+_VERIFY_BLOCK = 1 << 22
+
+
+def _stack_passes(Ws, sup, L, perms):
+    """True when every exponent matrix of the stack Ws (count, m, m) passes
+    verify_qt_certified on the certified support sup, for conj_perms rows
+    that are all permutations, perms the distinct ones: both
+    multiplicativities and invariance under each of perms, each checked on
+    the whole stack at once."""
+    Ws = _reduced(Ws, L)
+    return (_multiplicative(Ws, sup.kmul, L, sup.gens)
+            and _multiplicative(np.ascontiguousarray(np.swapaxes(Ws, 1, 2)),
+                                sup.kmul, L, sup.gens)
+            and all(_invariant_under(Ws, perm) for perm in perms))
+
+
+def _verified_survivors(sup, X, A, L, conj_perms):
+    """CertifiedR(sup, (X, A[k]), L) for every k, each passing
+    verify_qt_certified(R, conj_perms) on the certified support sup, else
+    AssertionError.  Where no row of conj_perms is None, the exponent
+    matrices W = X A[k] X^T mod L are checked a block at a time by
+    ``_stack_passes``.  If a block fails, verify_qt_certified reruns on each
+    R in order and raises at the first that fails."""
+    perms, which = _distinct_perms(conj_perms, sup.m)
+    step = max(1, _VERIFY_BLOCK // (sup.m ** 2 * len(sup.gens)))
+    passed = -1 not in which and all(
+        _stack_passes(X @ A[c:c + step] @ X.T, sup, L, perms)
+        for c in range(0, len(A), step))
+    out = [CertifiedR(sup, (X, Aw), L) for Aw in A]
+    for R in out if not passed else ():
+        if not verify_qt_certified(R, conj_perms).passed:
+            raise AssertionError(
+                "conjugation-invariant bicharacter failed verify_qt_certified")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -828,8 +948,8 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
     invariant under conjugation by the generators of G, whose permutations
     are the rows of the certified support's conj_perms.  Invariance is
     decided for all bicharacters at once, on pairs of generators of K
-    (``_invariant_mask``); the exponent matrix of each survivor is built
-    and verified by verify_qt_certified, and the survivors are
+    (``_invariant_mask``); the survivors pass verify_qt_certified, checked
+    on their stacked exponent matrices (``_verified_survivors``), and are
     cross-checked against the printed closed-form conditions (every
     bicharacter when G is abelian)."""
     abelian = G.is_abelian()
@@ -844,14 +964,9 @@ def qt_group_algebra_enumerate(G: FiniteGroup) -> QTEnumeration:
         raise AssertionError("a generator does not permute the idempotents of K")
 
     X, A, L = forms = _bichar_forms(E, K)
-    pairs = []
     found = np.flatnonzero(_invariant_mask(forms, gen_perms, sup.kmul, sup.gens))
-    for k, key in zip(found, _keys(E[found])):
-        R = CertifiedR(sup, (X @ A[k] @ X.T) % L, L)
-        if not verify_qt_certified(R, conj).passed:
-            raise AssertionError(
-                "conjugation-invariant bicharacter failed verify_qt_certified")
-        pairs.append((Bicharacter(key), R))
+    pairs = list(zip(map(Bicharacter, _keys(E[found])),
+                     _verified_survivors(sup, X, A[found], L, conj)))
     closed = E if abelian else closed_form_survivors(G, E, K)
     return QTEnumeration(H, pairs, invariant_keys={w.key() for w, _ in pairs},
                          closed_form_keys=set(_keys(closed)))
@@ -922,9 +1037,10 @@ def _B_condition_keys(mp, m, lam, E, dec, forms):
 
 def _e_r_support(H, dec):
     """The basis idempotents E_r = e_r # 1, r in dec.elements, uncertified."""
-    one = CycloNumber.one(H.conductor)
-    return IdemSupport(H, [{H.gf_index(r, 0): one} for r in dec.elements],
-                       _k_index_table(dec))
+    m = len(dec.elements)
+    idx = np.array([H.gf_index(r, 0) for r in dec.elements], dtype=np.int64)
+    return IdemSupport(H, Idempotents(np.arange(m), idx, np.zeros(m, dtype=np.int64),
+                                      Fraction(1), 1), _k_index_table(dec))
 
 
 def _qt_B_oracle(H, dec, E, sup):
@@ -1156,14 +1272,13 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
         powers = [gl.identity]
         for _ in range(p - 1):
             powers.append(gl.table[powers[-1]][gen])
-        vectors = []
-        for idem in idempotents(K):
-            vec = {}
-            for x, c in idem.items():
-                for i, ci in gl.elements[powers[x]].coeffs.items():
-                    _acc(vec, i, c * ci)
-            vectors.append(vec)
-        sup = IdemSupport(H, vectors, _k_index_table(K)).certify()
+        f = idempotents(K)
+        vectors = [{} for _ in range(p)]
+        for t, x, e in zip(f.owner.tolist(), f.idx.tolist(), f.exp.tolist()):
+            c = f.scale * zeta(f.L, e)
+            for i, ci in gl.elements[powers[x]].coeffs.items():
+                _acc(vectors[t], i, c * ci)
+        sup = IdemSupport(H, exponent_form(vectors, N), _k_index_table(K)).certify()
         X, A, L = _bichar_forms(enumerate_bicharacters(K), K)
         for e, Aw in enumerate(A):
             R = CertifiedR(sup, (X @ Aw @ X.T) % L, L)
@@ -1183,7 +1298,7 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
         for key, val in rhs.items():
             _acc(lhs, key, -val)
         columns.append(lhs)
-    basis = nullspace(columns)
+    basis = _null_vectors(columns)
     report.nullspace_dim = len(basis)
 
     e_g1_e_g0 = {(H.gf_index(1, 0), H.gf_index(0, 0)): CycloNumber.one(N)}
@@ -1197,6 +1312,18 @@ def no_qt_B_dual(p, q, m, lam) -> NoQTReport:
             report.checks.fail(_NOT_ANNIHILATED, n)
     report.candidates_checked = len(basis)
     return report
+
+
+def _null_vectors(columns):
+    """nullspace(columns), read off the keys when no two columns share a row
+    key: columns with pairwise-disjoint supports are independent unless they
+    are zero, so the null space is spanned by the unit vectors e_f of the
+    zero columns f, which is the reduced basis nullspace returns.  Where two
+    columns share a key, nullspace decides."""
+    keys = [key for col in columns for key in col]
+    if len(set(keys)) < len(keys):
+        return nullspace(columns)
+    return [{f: CycloNumber.one()} for f, col in enumerate(columns) if not col]
 
 
 # ---------------------------------------------------------------------------
@@ -1219,8 +1346,8 @@ def hopf_images(R: CertifiedR):
     """
     sup = R.sup.certify()
     W, L = R.W % R.L, R.L
-    if not (_multiplicative(W, sup.kmul, L, sup.gens)
-            and _multiplicative(W.T, sup.kmul, L, sup.gens)):
+    if not (_multiplicative(_reduced(W, L), sup.kmul, L, sup.gens)
+            and _multiplicative(_reduced(W.T, L), sup.kmul, L, sup.gens)):
         raise ValueError("exponent matrix is not a bicharacter on the support")
     cols, rows = np.unique(W.T, axis=0), np.unique(W, axis=0)
     # span + <g> is the union of the cosets span + k g, k below the order of

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import tempfile
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
@@ -738,9 +739,55 @@ def _full_decomposition(G):
     return abelian_decomposition(G, range(G.order))
 
 
+def reference_idempotents(K):
+    """The idempotents of ``idempotents`` as dicts group element ->
+    CycloNumber, aligned with K.elements: E_k has the coefficient
+    zeta_L^<k, x> / |K| at every x of K, the pairing summed generator by
+    generator."""
+    order = K.order
+    if order == 1:
+        return [{0: CycloNumber.one()}]
+    conductor = math.lcm(*K.orders)
+    inv_order = CycloNumber.from_rational(1) / order
+    out = []
+    for k in K.elements:
+        kv = K.exponent_of(k)
+        vec = {}
+        for x in K.elements:
+            xv = K.exponent_of(x)
+            e = 0
+            for ki, xi, ni in zip(kv, xv, K.orders):
+                e += ki * xi * (conductor // ni)
+            vec[x] = inv_order * zeta(conductor, e)
+        out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("orders", [[], [3], [7, 7], [3, 5, 5], [3, 13, 13]])
+def test_idempotents_match_reference(orders):
+    """The terms of idempotents(K), for K of order 1, 3, 7^2, 3 5^2 and
+    3 13^2, are those of reference_idempotents, term for term: the same
+    basis elements, ascending, with equal coefficients.  Beyond order 3 the
+    elements of K are not in ascending order."""
+    G = abelian_group(orders) if orders else cyclic_group(1)
+    K = _full_decomposition(G)
+    f = idempotents(K)
+    ref = reference_idempotents(K)
+    assert f.L == math.lcm(1, *orders) and f.scale == Fraction(1, K.order)
+    assert (K.elements == sorted(K.elements)) == (K.order <= 3)
+    assert f.owner.tolist() == sorted(f.owner.tolist())
+    for t, vec in enumerate(ref):
+        terms = np.flatnonzero(f.owner == t)
+        assert f.idx[terms].tolist() == sorted(vec)
+        assert all(0 <= e < f.L for e in f.exp[terms].tolist())
+        assert [f.scale * zeta(f.L, e) for e in f.exp[terms].tolist()] == \
+            [vec[x] for x in sorted(vec)]
+    assert len(f.owner) == K.order ** 2
+
+
 def test_idempotents_cyclic3_formula():
     K = _full_decomposition(cyclic_group(3, sym="a"))
-    basis = idempotents(K)
+    basis = reference_idempotents(K)
     third = CycloNumber.from_rational(1) / 3
     for i, vec in enumerate(basis):
         k = K.elements[i]
@@ -750,20 +797,14 @@ def test_idempotents_cyclic3_formula():
             assert vec[x] == third * zeta(3, ki * j)
 
 
-def _root_exponents(basis, order, N):
-    """(E, scale) with basis[t][x] = scale * zeta_N^E[t, x] for every t and
-    every group element x; fails on a coefficient of any other shape."""
-    E = np.zeros((len(basis), order), dtype=np.int64)
-    scales = set()
-    for t, vec in enumerate(basis):
-        assert sorted(vec) == list(range(order)), t
-        for x, c in vec.items():
-            r = c.lift(N).as_root()
-            assert r is not None, (t, x, c)
-            E[t, x], scale = r
-            scales.add(scale)
-    assert len(scales) == 1, scales
-    return E, scales.pop()
+def _exponent_table(f, order):
+    """E with E[t, x] the exponent of the term of E_t at x in the
+    Idempotents form f; fails unless every E_t has one term at every group
+    element x."""
+    E = np.full((order, order), -1, dtype=np.int64)
+    E[f.owner, f.idx] = f.exp
+    assert len(f.owner) == order * order and (E >= 0).all()
+    return E
 
 
 @pytest.mark.parametrize("orders", [[3], [5], [3, 3], [7, 7]])
@@ -774,7 +815,9 @@ def test_idempotents_orthogonal_complete(orders):
     G = abelian_group(orders)
     K = _full_decomposition(G)
     n, N = G.order, math.lcm(*orders)
-    E, scale = _root_exponents(idempotents(K), n, N)
+    f = idempotents(K)
+    E, scale = _exponent_table(f, n), f.scale
+    assert f.L == N
     rootmat = np.array([zeta(N, k).serial()[1] for k in range(N)], dtype=np.int64)
     num, den = scale.numerator, scale.denominator
     table = np.array([[G.mul(x, y) for y in range(n)] for x in range(n)])
@@ -820,7 +863,7 @@ def test_conjugation_map_identity_and_abelian():
 def test_conjugation_map_respects_idempotents():
     G = build_group("beta5", p=3, q=7, m=2)
     K = largest_abelian_normal(G)
-    basis = idempotents(K)
+    basis = reference_idempotents(K)
     for gname in ("s", "t", "u"):
         g = G.generators[gname]
         perm = conjugation_map(G, g, K)
@@ -843,12 +886,12 @@ def test_conjugation_map_requires_normalizer():
 def reference_conjugation_map(G, g, K, basis=None):
     """conjugation_map by products in the group algebra: each idempotent
     conjugated term by term and matched against the idempotent basis by
-    CycloNumber comparison (basis defaults to idempotents(K))."""
+    CycloNumber comparison (basis defaults to reference_idempotents(K))."""
     ids = set(K.ids)
     for x in ids:
         if G.conjugate(g, x) not in ids:
             raise ParameterError("element does not normalize the subgroup")
-    basis = idempotents(K) if basis is None else basis
+    basis = reference_idempotents(K) if basis is None else basis
     ginv = G.inv(g)
     perm = []
     for vec in basis:
@@ -888,7 +931,7 @@ def test_conjugation_map_matches_reference(p, q, every):
     assert groups
     for G in groups:
         K = largest_abelian_normal(G)
-        basis = idempotents(K)
+        basis = reference_idempotents(K)
         gs = range(G.order) if every else sorted(set(G.generators.values()))
         for g in gs:
             perm = conjugation_map(G, g, K)

@@ -1,3 +1,4 @@
+import argparse
 import copy
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from hopfqt import hopfcore
 from hopfqt.exactfield import CycloNumber, RowSpace, zeta
-from hopfqt.grouptool import abelian_group, build_group, cyclic_group, semidirect_pq
+from hopfqt.cli import _resolve_family_params
+from hopfqt.grouptool import (ParameterError, abelian_group, build_group, cyclic_group,
+                              semidirect_pq)
 from hopfqt.bismash import build_bismash, dualize_trivial_action, make_A, make_B
 from hopfqt.hopfcore import (
     FormatError,
@@ -102,6 +105,52 @@ def test_group_algebra_matches_per_entry_products(G):
     assert H.mult == mult and H.antipode == antipode
     assert all(type(k) is int for row in H.mult for ((k, _),) in row.values())
     assert [list(row) for row in H.mult] == [list(range(G.order))] * G.order
+
+
+def reference_group_algebra(G, conductor=1):
+    """k[G] from its rows, the tables derived from them: the row builder
+    that group_algebra replaced."""
+    n = G.order
+    one = CycloNumber.one(conductor)
+    mult = [{j: ((k, one),) for j, k in enumerate(row)} for row in G.table.tolist()]
+    comult = [((i, i, one),) for i in range(n)]
+    antipode = [((i, one),) for i in G.inverse.tolist()]
+    return HopfAlgebra(n, conductor, mult, comult, {0: one}, [one] * n, antipode,
+                       labels=list(G.labels))
+
+
+def catalog_groups(p, q):
+    """Every catalog group at (p, q), at the parameters the cli resolves."""
+    fams = [f"beta{i}" for i in range(1, 8)] if q > p else \
+        [f"gamma{i}" for i in range(1, 7)]
+    out = []
+    for fam in fams:
+        try:
+            params = _resolve_family_params(argparse.Namespace(
+                family=fam, p=p, q=q, m=None, n=None))
+            out.append(build_group(fam, **{k: v for k, v in params.items()
+                                           if k in ("p", "q", "m", "n")}))
+        except ParameterError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(3, 5), (3, 7), (7, 3)])
+def test_group_algebra_from_tables_matches_reference(p, q):
+    """k[G] built from its tables equals the row-built reference on every
+    catalog group: the same dump text, byte for byte, the same tables, and
+    equal structure constants."""
+    groups = catalog_groups(p, q)
+    assert len(groups) >= 3
+    for G in groups:
+        N = G.order % 7 + 1
+        H, ref = group_algebra(G, N), reference_group_algebra(G, N)
+        assert dump_structure(H) == dump_structure(ref), G.family_tag
+        for got, want in ((H.mult_tables(), ref.mult_tables()),
+                          (H.comult_tables(), ref.comult_tables())):
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                       for a, b in zip(got, want, strict=True)), G.family_tag
+        assert hopf_structures_equal(H, ref), G.family_tag
 
 
 def test_axioms_all_families():

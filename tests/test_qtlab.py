@@ -36,6 +36,7 @@ from hopfqt.qtlab import (
     braiding_A0_construct,
     braiding_A_search,
     eta,
+    exponent_form,
     hopf_images,
     no_qt_B_dual,
     qt_B_enumerate,
@@ -57,7 +58,7 @@ from hopfqt.qtlab import (
 )
 
 from test_grouptool import (ReferenceBicharacter, reference_bicharacters,
-                            reference_conjugation_map)
+                            reference_conjugation_map, reference_idempotents)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +129,7 @@ def test_zero_divisor_detected():
     G = cyclic_group(3)
     H = group_algebra(G, conductor=3)
     K = abelian_decomposition(G, range(3))
-    from hopfqt.grouptool import idempotents
-    e0 = idempotents(K)[0]
+    e0 = reference_idempotents(K)[0]
     entries = {}
     for i, ci in e0.items():
         for j, cj in e0.items():
@@ -188,10 +188,47 @@ def test_group_side_builds_no_scalars_and_one_bicharacter_per_survivor(
     assert cyclo == [] and bichar == []
     assert len(E) == 7 ** 4 and len(perms) == G.order
     # the spy sees the scalars of the idempotents
-    idempotents(K)
+    reference_idempotents(K)
     assert cyclo
     res = qt_group_algebra_enumerate(G)
     assert len(bichar) == len(res) == 49
+
+
+def test_group_side_reads_integer_tables(monkeypatch):
+    """qt_group_algebra_enumerate on beta6(3,7) reads no mult or comult row
+    of its host; group_algebra and idempotents build no CycloNumber per
+    pair of elements (one for the unit, counit and antipode); and
+    IdemSupport.view calls no as_root.  Each spy is shown to see what it
+    watches."""
+    G = build_group("beta6", p=3, q=7, m=2, n=4)
+    K = largest_abelian_normal(G)
+    rows, cyclo, roots = [], [], []
+    for name in ("mult", "comult"):
+        real = getattr(HopfAlgebra, name)
+        monkeypatch.setattr(HopfAlgebra, name, property(
+            lambda self, real=real, name=name: rows.append(name) or real.fget(self)))
+    cyclo_init, as_root = CycloNumber.__init__, CycloNumber.as_root
+
+    def spy_cyclo(self, *args, **kwargs):
+        cyclo.append(1)
+        cyclo_init(self, *args, **kwargs)
+
+    def spy_root(self):
+        roots.append(1)
+        return as_root(self)
+
+    monkeypatch.setattr(CycloNumber, "__init__", spy_cyclo)
+    monkeypatch.setattr(CycloNumber, "as_root", spy_root)
+    H, f = group_algebra(G, 7), idempotents(K)
+    assert len(cyclo) == 1
+    sup = IdemSupport(H, f, _k_index_table(K))
+    assert sup.view is not None and roots == []
+    res = qt_group_algebra_enumerate(G)
+    assert len(res) == 49 and rows == []
+    res.host.mult, res.host.comult
+    reference_idempotents(K)
+    exponent_form(sup.vectors, H.conductor)
+    assert rows == ["mult", "comult"] and len(cyclo) > G.order and roots
 
 
 def test_group_algebra_survivor_passes_generic_verifier():
@@ -316,11 +353,17 @@ def check_group_rejections(monkeypatch, fam, params, accepted, generic):
 
 def group_support(fam, **params):
     """The idempotents of k[K] in k[G], K the largest abelian normal
-    subgroup, as qt_group_algebra_enumerate certifies them."""
+    subgroup, as qt_group_algebra_enumerate certifies them, as dicts."""
     G = build_group(fam, **params)
     K = largest_abelian_normal(G)
     H = group_algebra(G, conductor=math.lcm(1, *K.orders))
-    return H, idempotents(K), _k_index_table(K)
+    return H, reference_idempotents(K), _k_index_table(K)
+
+
+def dict_support(H, vectors, kmul):
+    """The IdemSupport of idempotents given as dicts basis index ->
+    CycloNumber."""
+    return IdemSupport(H, exponent_form(vectors, H.conductor), kmul)
 
 
 def conj_perms_by_products(H, vectors):
@@ -361,7 +404,7 @@ def conj_perms_by_products(H, vectors):
 ])
 def test_conj_perms_match_products(fam, params):
     H, vectors, kmul = group_support(fam, **params)
-    rows = IdemSupport(H, vectors, kmul).conj_perms()
+    rows = dict_support(H, vectors, kmul).conj_perms()
     assert None not in rows
     assert rows == conj_perms_by_products(H, vectors)
 
@@ -374,11 +417,111 @@ def test_conj_perms_match_products_on_mutants(site):
     i, j = site
     (k, _), = H.mult[i][j]
     Hm = H.with_scaled_mult_entry(i, j, k, zeta(H.conductor))
-    rows = IdemSupport(Hm, vectors, kmul).conj_perms()
+    rows = dict_support(Hm, vectors, kmul).conj_perms()
     expect = conj_perms_by_products(Hm, vectors)
     assert any(r is None for r in rows)
     for h in range(H.dim):
         assert rows[h] == expect[h], h
+
+
+def reference_conj_perms(sup):
+    """conj_perms one basis element h at a time: each conjugated row of the
+    view's E matched against the rows of E by its bytes, the last equal row
+    winning, and Delta(b_h) read off the coproduct rows."""
+    H = sup.host
+    N = H.conductor
+    v = sup.view
+    root = None
+    if len(H.unit) == 1:
+        (u, cu), = H.unit.items()
+        root = cu.lift(N).as_root()
+    if v is None or root is None or root[1] != 1:
+        return [None] * H.dim
+    mt, me = H.mono_tables()
+    M, S, E = v.M, v.S, v.E
+    col = np.full(H.dim, -1)
+    col[S] = np.arange(len(S))
+    row_of = {row.tobytes(): t for t, row in enumerate(E)}
+    out = []
+    for h in range(H.dim):
+        terms = H.comult[h]
+        group_like = (len(terms) == 1 and terms[0][:2] == (h, h)
+                      and terms[0][2].is_one())
+        js = np.flatnonzero(mt[h] == u)
+        if not group_like or len(js) != 1:
+            out.append(None)
+            continue
+        j = js[0]
+        hx = mt[h, S]
+        y = mt[hx, j]
+        cols = col[y]
+        if (mt[j, h] != u or (me[j, h] - me[h, j]) % N or (hx < 0).any()
+                or (y < 0).any() or (cols < 0).any()
+                or (np.bincount(cols) > 1).any()):
+            out.append(None)
+            continue
+        shift = (me[h, S] + me[hx, j] + root[0] - me[h, j]) * (M // N)
+        conj = np.empty_like(E)
+        conj[:, cols] = np.where(E < M, (E + shift) % M, E)
+        perm = [row_of.get(row.tobytes()) for row in conj]
+        out.append(None if None in perm else perm)
+    return out
+
+
+def test_conj_perms_match_reference(monkeypatch):
+    """conj_perms in one array pass gives the rows of the loop over h on
+    beta6(3,7), gamma4(19,3) (also on a host of conductor 3 * 19, where the
+    view lifts the terms to M = 57) and the group-like support of
+    B(3,7,1)*; a view with one exponent shifted gets the loop's rows too,
+    None rows among them."""
+    cases = []
+    for fam, params, f in (("beta6", dict(p=3, q=7, m=2, n=4), 1),
+                           ("gamma4", dict(p=19, q=3, m=4), 1),
+                           ("gamma4", dict(p=19, q=3, m=4), 3)):
+        G = build_group(fam, **params)
+        K = largest_abelian_normal(G)
+        H = group_algebra(G, conductor=f * math.lcm(1, *K.orders))
+        sup = IdemSupport(H, idempotents(K), _k_index_table(K))
+        assert sup.certify().view.M == H.conductor
+        f = sup.idems
+        for a in (len(f.exp) // 3, len(f.exp) - 1):
+            exp = f.exp.copy()
+            exp[a] = (exp[a] + 1) % f.L
+            cases.append((IdemSupport(H, f._replace(exp=exp), sup.kmul), "mutant"))
+        cases.append((sup, "clean"))
+    _, _, supports = _spy_no_qt_B_dual(monkeypatch, 3, 7, 2, 1)
+    cases.append((supports[0], "no rows"))
+    for sup, kind in cases:
+        rows = sup.conj_perms()
+        assert rows == reference_conj_perms(sup), kind
+        assert all(type(t) is int for row in rows if row for t in row)
+        nones = sum(row is None for row in rows)
+        assert nones == {"clean": 0, "no rows": sup.host.dim}.get(kind, nones)
+        if kind == "mutant":
+            assert 0 < nones < sup.host.dim
+
+
+def test_conj_perms_refuse_a_conjugation_that_merges_terms():
+    """Hosts of gamma3(7,3) whose product b_h b_x2 is redirected to b_h b_x1,
+    h a generator outside K: h x h^-1 is no longer one-to-one on K, so the
+    row of h is None, as in the loop over h.  Without the check that the
+    columns are distinct, some of these rows would be read as
+    permutations."""
+    G = build_group("gamma3", p=7, q=3, m=2)
+    K = largest_abelian_normal(G)
+    H = group_algebra(G, conductor=math.lcm(1, *K.orders))
+    h, S = G.generators["t"], sorted(K.elements)
+    for x1 in S[1:4]:
+        for x2 in S:
+            if x2 == x1:
+                continue
+            mult = [dict(row) for row in H.mult]
+            mult[h][x2] = mult[h][x1]
+            Hm = HopfAlgebra(H.dim, H.conductor, mult, H.comult, H.unit, H.counit,
+                             H.antipode)
+            sup = IdemSupport(Hm, idempotents(K), _k_index_table(K))
+            rows = sup.conj_perms()
+            assert rows[h] is None and rows == reference_conj_perms(sup), (x1, x2)
 
 
 def first_failing_product(H, vectors):
@@ -457,7 +600,7 @@ def test_certify_rejects_broken_support_numpy():
     # the clean support is compared with the oracle in
     # test_orthogonality_certificate_matches_products
     H, vectors, kmul = group_support("gamma3", p=7, q=3, m=2)
-    IdemSupport(H, vectors, kmul).certify()
+    dict_support(H, vectors, kmul).certify()
     bad = [dict(v) for v in vectors]
     x = next(iter(bad[1]))
     bad[1][x] = bad[1][x] * zeta(H.conductor)
@@ -467,7 +610,7 @@ def test_certify_rejects_broken_support_numpy():
                              (vectors, non_group, "not a group"),
                              (vectors, kmul[np.roll(np.arange(len(kmul)), 1)],
                               "does not factor")):
-        assert_certify_matches_generic(IdemSupport(H, vecs, km), expect)
+        assert_certify_matches_generic(dict_support(H, vecs, km), expect)
 
 
 def e_r_support():
@@ -487,16 +630,16 @@ def test_certify_rejects_swapped_kmul_on_e_r_support():
     # transposition that is no automorphism is a group, but not the one of
     # the support
     H, vectors, kmul = e_r_support()
-    assert IdemSupport(H, vectors, kmul).view.M == H.conductor
-    assert_certify_matches_generic(IdemSupport(H, vectors, kmul), None)
+    assert dict_support(H, vectors, kmul).view.M == H.conductor
+    assert_certify_matches_generic(dict_support(H, vectors, kmul), None)
     sigma = np.arange(len(kmul))
     sigma[[1, 2]] = sigma[[2, 1]]
     relabeled = sigma[kmul[np.ix_(sigma, sigma)]]
     assert is_group_table(relabeled) and not np.array_equal(relabeled, kmul)
-    assert_certify_matches_generic(IdemSupport(H, vectors, relabeled),
+    assert_certify_matches_generic(dict_support(H, vectors, relabeled),
                                    "does not factor")
     kmul[0, [0, 1]] = kmul[0, [1, 0]]
-    assert_certify_matches_generic(IdemSupport(H, vectors, kmul), "not a group")
+    assert_certify_matches_generic(dict_support(H, vectors, kmul), "not a group")
 
 
 def with_scaled_comult_term(H, i, k, factor):
@@ -522,7 +665,7 @@ def test_certify_rejects_zeta_scaled_coproduct_terms():
     g = max(gvectors[0])
     Gm = with_scaled_comult_term(G, g, g, zeta(G.conductor))
     for host, vecs, km in ((Hm, vectors, kmul), (Gm, gvectors, gkmul)):
-        sup = IdemSupport(host, vecs, km)
+        sup = dict_support(host, vecs, km)
         assert sup.view is not None
         assert_certify_matches_generic(sup, "does not factor")
 
@@ -547,7 +690,7 @@ def test_orthogonality_certificate_matches_products(fam, params):
                          (summed, False)):
         bad = first_failing_product(H, vecs)
         assert (bad == ()) is expect
-        sup = IdemSupport(H, vecs, kmul)
+        sup = dict_support(H, vecs, kmul)
         if vecs is summed:
             # E_1 + E_2 has coefficients that are no scaled roots of unity:
             # the support has no view, and certify() refuses it
@@ -571,7 +714,7 @@ def test_orthogonality_failure_has_the_same_witness_on_both_paths():
     x0 = min(one[2])
     one[2][x0] = one[2][x0] * zeta(H.conductor)
     for vecs, witness in ((whole, (2, 2)), (one, (0, 2))):
-        sup = IdemSupport(H, vecs, kmul)
+        sup = dict_support(H, vecs, kmul)
         assert sup._first_nonorthogonal() == witness
         s, t = witness
         message = f"support not orthogonal idempotents at ({s},{t})"
@@ -584,7 +727,7 @@ def test_certify_memory_on_beta6():
     import tracemalloc
     H, vectors, kmul = group_support("beta6", p=3, q=7, m=2, n=4)
     H.mono_tables()
-    sup = IdemSupport(H, vectors, kmul)
+    sup = dict_support(H, vectors, kmul)
     tracemalloc.start()
     try:
         sup.certify()
@@ -599,15 +742,15 @@ CERTIFY_UNDER_O = """
 import math
 from hopfqt.grouptool import build_group, idempotents, largest_abelian_normal
 from hopfqt.hopfcore import group_algebra
-from hopfqt.qtlab import IdemSupport, _k_index_table
+from hopfqt.qtlab import IdemSupport, _k_index_table, exponent_form
 
 G = build_group("gamma3", p=7, q=3, m=2)
 K = largest_abelian_normal(G)
 H = group_algebra(G, conductor=math.lcm(1, *K.orders))
-vectors = idempotents(K)
+vectors = IdemSupport(H, idempotents(K), _k_index_table(K)).vectors
 mixed = [vectors[0], {i: c * 2 for i, c in vectors[1].items()}, *vectors[2:]]
 for vecs in (vectors, mixed):
-    sup = IdemSupport(H, vecs, _k_index_table(K))
+    sup = IdemSupport(H, exponent_form(vecs, H.conductor), _k_index_table(K))
     try:
         print("certified", sup.certify().view.scale)
     except ValueError as exc:
@@ -965,11 +1108,81 @@ def test_generator_hexagons_match_the_cubic_check():
                 reference_verify_qt_certified(sup, M, L, conj).failures
 
 
+def test_stacked_check_matches_per_survivor_verifier():
+    """_stack_passes on the survivors' exponent matrices, with one replaced
+    by a mutant, rejects exactly the mutants that verify_qt_certified
+    rejects: seeded single-entry shifts and a bicharacter the sieve drops
+    are rejected, the transpose and the double of an invariant bicharacter
+    accepted.  On the abelian beta1(3,5), where every conjugation is the
+    identity, w with two columns (rows) swapped is a character in its
+    first (second) slot only, and fails just the other hexagon."""
+    rng = random.Random(23)
+    verdicts = []
+    for fam, params in (("beta7", dict(p=3, q=5)), ("gamma3", dict(p=7, q=3, m=2)),
+                        ("beta6", dict(p=3, q=7, m=2, n=4)), ("beta1", dict(p=3, q=5))):
+        G = build_group(fam, **params)
+        res = qt_group_algebra_enumerate(G)
+        sup, L = res[0][1].sup, res[0][1].L
+        conj = sup.conj_perms()
+        perms, _ = qtlab._distinct_perms(conj, sup.m)
+        Ws = np.stack([R.W for _, R in res])
+        assert qtlab._stack_passes(Ws, sup, L, perms)
+        K = (abelian_decomposition(G, range(G.order)) if G.is_abelian()
+             else largest_abelian_normal(G))
+        keys = {w.key() for w, _ in res}
+        E = enumerate_bicharacters(K)
+        w = next(R.W for v, R in res if not v.is_trivial())
+        mutants = [w.T, 2 * w]
+        if G.is_abelian():
+            swap = np.arange(sup.m)
+            swap[[1, 2]] = swap[[2, 1]]
+            mutants += [w[:, swap], w[swap]]
+        else:
+            mutants.append(index_matrix(
+                next(e for e, key in zip(E, _keys(E)) if key not in keys), K)[0])
+        for _ in range(8):
+            Wm = rng.choice(res)[1].W.copy()
+            s, t = rng.randrange(sup.m), rng.randrange(sup.m)
+            Wm[s, t] += 1 + rng.randrange(L - 1)
+            mutants.append(Wm)
+        for Wm in mutants:
+            rep = verify_qt_certified(CertifiedR(sup, Wm, L), conj)
+            stack = Ws.copy()
+            stack[rng.randrange(len(stack))] = Wm % L
+            assert qtlab._stack_passes(stack, sup, L, perms) == rep.passed, fam
+            verdicts.append((fam, list(rep.failures)))
+    assert [v for v in verdicts if not v[1]] == [(fam, []) for fam in (
+        "beta7", "beta7", "gamma3", "gamma3", "beta6", "beta6", "beta1", "beta1")]
+    assert verdicts[-10:-8] == [("beta1", ["coproduct identity (right)"]),
+                                ("beta1", ["coproduct identity (left)"])]
+    assert len(verdicts) == 45
+
+
+def test_failing_survivor_reruns_the_per_survivor_verifier(monkeypatch):
+    """With the invariance sieve switched off, the stacked check fails and
+    verify_qt_certified reruns on the survivors in order, raising at the
+    first that fails."""
+    calls = []
+    real = qtlab.verify_qt_certified
+
+    def spy(R, conj_perms):
+        rep = real(R, conj_perms)
+        calls.append(rep.passed)
+        return rep
+
+    monkeypatch.setattr(qtlab, "_invariant_mask",
+                        lambda forms, *args: np.ones(len(forms[1]), dtype=bool))
+    monkeypatch.setattr(qtlab, "verify_qt_certified", spy)
+    with pytest.raises(AssertionError, match="conjugation-invariant bicharacter "
+                       "failed verify_qt_certified"):
+        qt_group_algebra_enumerate(build_group("beta7", p=3, q=5))
+    assert calls and calls[-1] is False and all(calls[:-1])
+
+
 def test_distinct_permutations_once_per_support(monkeypatch):
-    """verify_qt_certified finds the distinct conj_perms rows once per
-    support: one np.unique over the 25 survivors of beta7(3,5).  Rows that
-    differ from the last ones are found again, with the verdicts of the
-    reference."""
+    """The group enumeration finds the distinct conj_perms rows once: one
+    np.unique for the 25 survivors of beta7(3,5).  verify_qt_certified
+    finds them on each call, with the verdicts of the reference."""
     calls = []
     unique = np.unique
 
@@ -1002,7 +1215,7 @@ def view_certify_message(sup, monkeypatch):
     character certificate switched off, None when it certifies."""
     with monkeypatch.context() as mp:
         mp.setattr(IdemSupport, "_characters", False)
-        return certify_message(IdemSupport(sup.host, sup.vectors, sup.kmul))
+        return certify_message(IdemSupport(sup.host, sup.idems, sup.kmul))
 
 
 @pytest.mark.parametrize("fam,params", NONABELIAN_CASES + [
@@ -1026,7 +1239,7 @@ def test_character_certificate_falls_back_on_unmet_premises(monkeypatch):
     and message of the generic oracle."""
     H, vectors, kmul = group_support("gamma3", p=7, q=3, m=2)
     z = zeta(H.conductor)
-    clean = IdemSupport(H, vectors, kmul)
+    clean = dict_support(H, vectors, kmul)
     assert clean._characters and certify_message(clean) is None
 
     def scaled(vecs, t, factor, only=None):
@@ -1054,7 +1267,7 @@ def test_character_certificate_falls_back_on_unmet_premises(monkeypatch):
         ("non-group-like element", Hm, vectors, kmul, "does not factor", ()),
     ]
     for name, host, vecs, km, expect, bad in mutants:
-        sup = IdemSupport(host, vecs, km)
+        sup = dict_support(host, vecs, km)
         assert sup.view is not None, name
         # the orthogonality and completeness shortcut applies only where its
         # premises hold: on the host whose Delta(b_g) is zeta b_g (x) b_g
@@ -1073,8 +1286,8 @@ def test_non_character_supports_still_certify(monkeypatch):
     H, vectors, kmul = e_r_support()
     _, _, supports = _spy_no_qt_B_dual(monkeypatch, 3, 7, 2, 1)
     dual = supports[0]
-    for sup, M in ((IdemSupport(H, vectors, kmul), H.conductor),
-                   (IdemSupport(dual.host, dual.vectors, dual.kmul), 21)):
+    for sup, M in ((dict_support(H, vectors, kmul), H.conductor),
+                   (IdemSupport(dual.host, dual.idems, dual.kmul), 21)):
         assert sup.view.M == M
         assert not sup._characters
         assert certify_message(sup) is None
@@ -1584,7 +1797,7 @@ def test_qt_B_intertwiner_table_on_host_mutants():
         comult[i] = tuple(terms)
         mutants.append(_bismash_with(H, comult=comult))
     for Hm in mutants:
-        sup_m = IdemSupport(Hm, sup.vectors, sup.kmul)
+        sup_m = IdemSupport(Hm, sup.idems, sup.kmul)
         assert sup_m.intertwiner_table is not None
         failed = assert_table_matches_generic(sup_m, R.W, R.L)
         assert list(failed) == [INTERTWINER]
@@ -1595,7 +1808,7 @@ def test_intertwiner_table_absent_on_unreadable_supports(monkeypatch):
     # algebra; and the group-like idempotents of B(3,7,1)*, single basis
     # elements whose rows have distinct coordinates, but not the same ones
     # on both sides
-    assert IdemSupport(*group_support("beta7", p=3, q=5)).intertwiner_table is None
+    assert dict_support(*group_support("beta7", p=3, q=5)).intertwiner_table is None
     _, _, supports = _spy_no_qt_B_dual(monkeypatch, 3, 7, 2, 1)
     assert supports[0].view is not None
     assert supports[0].intertwiner_table is None
@@ -1603,7 +1816,7 @@ def test_intertwiner_table_absent_on_unreadable_supports(monkeypatch):
     # row has one coordinate on each side, and the same one
     H = group_algebra(cyclic_group(3), conductor=3)
     one = CycloNumber.one(3)
-    twice = IdemSupport(H, [{0: one}, {1: one}], [[0, 1], [1, 0]])
+    twice = dict_support(H, [{0: one}, {1: one}], [[0, 1], [1, 0]])
     assert twice.intertwiner_table is None
 
 
@@ -1920,6 +2133,48 @@ def test_no_qt_on_B_duals_at_3_13(lam, branch, candidates, nullspace_dim):
     assert rep.no_qt_on_support
 
 
+@pytest.mark.parametrize("q, m, dim", [(7, 2, 49), (13, 3, 169)])
+def test_diagonal_no_go_system_matches_nullspace(monkeypatch, q, m, dim):
+    """The lam = 0 columns of no_qt_B_dual share no row key, and the null
+    vectors read off the zero columns are those nullspace returns, vector
+    for vector.  (3, 5) has no tau-twisted family, since 3 does not divide
+    5 - 1; (3, 13) is the next pair.)"""
+    seen = []
+    real = qtlab._null_vectors
+
+    def spy(columns):
+        seen.append(columns)
+        return real(columns)
+
+    monkeypatch.setattr(qtlab, "_null_vectors", spy)
+    monkeypatch.setattr(qtlab, "nullspace", None)
+    rep = no_qt_B_dual(3, q, m, 0)
+    monkeypatch.undo()
+    columns, = seen
+    keys = [key for col in columns for key in col]
+    assert len(set(keys)) == len(keys)
+    basis = qtlab.nullspace(columns)
+    assert real(columns) == basis and rep.nullspace_dim == len(basis) == dim
+
+
+def test_null_vectors_fall_back_on_a_shared_key(monkeypatch):
+    """A column set in which two columns share a row key goes to
+    nullspace; the diagonal reading would miss the null vector c0 - c2."""
+    one = CycloNumber.one(7)
+    z = zeta(7)
+    columns = [{(0, 1): one}, {}, {(0, 1): one}, {(2, 2): z}, {}]
+    calls = []
+    real = qtlab.nullspace
+    monkeypatch.setattr(qtlab, "nullspace",
+                        lambda cols: calls.append(cols) or real(cols))
+    basis = qtlab._null_vectors(columns)
+    assert calls == [columns] and basis == real(columns)
+    assert basis == [{1: CycloNumber.one()}, {0: -one, 2: one},
+                     {4: CycloNumber.one()}]
+    assert qtlab._null_vectors([columns[0], {}, columns[3]]) == \
+        [{1: CycloNumber.one()}] and len(calls) == 1
+
+
 def reference_B_dual_candidates(gl, p, N):
     """The lam != 0 candidates of no_qt_B_dual built by hand, over a host
     of conductor N: the primitive
@@ -2002,16 +2257,16 @@ def test_certify_group_like_idempotents_of_B_dual(monkeypatch):
     sup = supports[0]
     H, vectors, kmul = sup.host, sup.vectors, sup.kmul
     assert sup.certified
-    fresh = IdemSupport(H, vectors, kmul)
+    fresh = dict_support(H, vectors, kmul)
     assert [len(v) for v in vectors] == [1, 1, 1]
     assert (H.conductor, fresh.view.M) == (7, 21)
     assert_certify_matches_generic(fresh, None)
     assert fresh.conj_perms() == [None] * H.dim
     z3 = zeta(3)
     scaled = [vectors[0], {i: z3 * c for i, c in vectors[1].items()}, vectors[2]]
-    assert_certify_matches_generic(IdemSupport(H, scaled, kmul),
+    assert_certify_matches_generic(dict_support(H, scaled, kmul),
                                    "orthogonal idempotents at (1,1)")
-    assert_certify_matches_generic(IdemSupport(H, vectors, np.zeros_like(kmul)),
+    assert_certify_matches_generic(dict_support(H, vectors, np.zeros_like(kmul)),
                                    "not a group")
 
 
