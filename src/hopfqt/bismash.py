@@ -9,11 +9,9 @@ the roles of G and F when the right action is trivial.
 
 from __future__ import annotations
 
-from functools import cache, partial
-
 import numpy as np
 
-from .exactfield import CycloNumber, zeta
+from .exactfield import CycloNumber
 from .grouptool import (
     FiniteGroup,
     ParameterError,
@@ -22,7 +20,7 @@ from .grouptool import (
     is_prime,
     semidirect_pq,
 )
-from .hopfcore import HopfAlgebra, Report, _acc, dual_hopf
+from .hopfcore import HopfAlgebra, Report, _acc, _roots, dual_hopf
 
 
 class MatchedPair:
@@ -194,52 +192,46 @@ class BismashHopf(HopfAlgebra):
 
 
 def build_bismash(mp: MatchedPair) -> BismashHopf:
-    """The Hopf algebra k^G # kF of a validated matched pair."""
+    """The Hopf algebra k^G # kF of a validated matched pair.  The product
+    and the coproduct are passed as their exponent tables:
+    b_(g,f) b_(g<|f, f2) = zeta^sigma(g,f,f2) b_(g, f f2), every other product
+    zero, and Delta(b_(g,f)) = sum_(g1 g2 = g) zeta^tau(g1,g2,f)
+    b_(g1, g2|>f) (x) b_(g2, f), terms in ascending g1."""
     for cond, witness in _matched_pair_failures(mp):
         raise ParameterError(f"matched pair invalid: {cond} fails at {witness}")
     G, F = mp.G, mp.F
     ng, nf = G.order, F.order
     dim = ng * nf
     N = mp.conductor
-    # the one place exponents become scalars; memoized per exponent, since a
-    # list over 0..N-1 would grow with the conductor of a loaded pair
-    root = cache(partial(zeta, N))
-    al, ar = mp.act_left.tolist(), mp.act_right.tolist()
-    sig, tau = mp.sigma.tolist(), mp.tau.tolist()
-    idx = lambda g, f: g * nf + f
+    al, ar, sig, tau = mp.act_left, mp.act_right, mp.sigma, mp.tau
+    g, f = np.indices((ng, nf))
 
-    mult = [dict() for _ in range(dim)]
-    for g in range(ng):
-        for f in range(nf):
-            row = mult[idx(g, f)]
-            gf = al[g][f]
-            for f2 in range(nf):
-                row[idx(gf, f2)] = ((idx(g, F.mul(f, f2)), root(sig[g][f][f2])),)
+    targets = np.full((ng, nf, ng, nf), -1, dtype=np.int32)
+    exps = np.zeros((ng, nf, ng, nf), dtype=np.int64)
+    targets[g, f, al] = g[..., None] * nf + F.table[f]
+    exps[g, f, al] = sig
+    mult = (targets.reshape(dim, dim), exps.reshape(dim, dim),
+            np.zeros((dim, dim), dtype=bool))
 
-    comult = []
-    for g in range(ng):
-        for f in range(nf):
-            terms = []
-            for g1 in range(ng):
-                # g1 * g2 = g
-                g2 = G.mul(G.inv(g1), g)
-                terms.append((idx(g1, ar[g2][f]), idx(g2, f), root(tau[g1][g2][f])))
-            comult.append(tuple(terms))
+    # axes (g, f, g1) with g2 = g1^-1 g
+    g1 = np.arange(ng)
+    g2 = G.table[G.inverse[g1], g[..., None]]
+    f3 = f[..., None]
+    comult = tuple(np.broadcast_to(x, g2.shape).ravel() for x in (
+        g[..., None] * nf + f3, g1 * nf + ar[g2, f3], g2 * nf + f3, tau[g1, g2, f3]))
 
+    root = _roots(N)
     one = root(0)
-    unit = {idx(g, 0): one for g in range(ng)}
+    unit = {idx: one for idx in range(0, dim, nf)}
     counit = [one if g == 0 else CycloNumber.zero(N)
               for g in range(ng) for _ in range(nf)]
-
-    antipode = []
-    for g in range(ng):
-        ginv = G.inv(g)
-        for f in range(nf):
-            gf_r = ar[g][f]          # g |> f
-            gf_r_inv = F.inv(gf_r)
-            target = idx(G.inv(al[g][f]), gf_r_inv)
-            e = -sig[ginv][gf_r][gf_r_inv] - tau[ginv][g][f]
-            antipode.append(((target, root(e % N)),))
+    # S(e_g # f) = zeta^e e_(g<|f)^-1 # (g|>f)^-1 with
+    # e = -sigma(g^-1, g|>f, (g|>f)^-1) - tau(g^-1, g, f)
+    ginv, arinv = G.inverse[g], F.inverse[ar]
+    target = G.inverse[al] * nf + arinv
+    e = -(sig[ginv, ar, arinv] + tau[ginv, g, f]) % N
+    antipode = [((t, root(x)),) for t, x in zip(target.ravel().tolist(),
+                                                 e.ravel().tolist())]
 
     labels = [f"e({G.label(g)})#{F.label(f)}" for g in range(ng) for f in range(nf)]
     return BismashHopf(mp, dim, N, mult, comult, unit, counit, antipode, labels)

@@ -7,9 +7,9 @@ is one root of unity (all of them in group algebras, bismash products and
 their duals) and mark the others odd.  The tables only accept: an identity is
 accepted when it reads no odd entry and both sides are sums over
 pairwise-distinct keys with equal root exponents.  Every identity the tables
-cannot accept, the unit law, and every sweep on a host without tables, run a
-sparse join over the rows of the structure constants (mult, comult,
-antipode, unit) in exact CycloNumber arithmetic.
+cannot accept, the unit law, and every sweep that reads the coproduct on a
+host without comult tables, run a sparse join over the rows of the structure
+constants (mult, comult, antipode, unit) in exact CycloNumber arithmetic.
 """
 
 from __future__ import annotations
@@ -56,10 +56,14 @@ class HopfAlgebra:
     def mult(self):
         if isinstance(self._mult, tuple):
             targets, exps, _ = self._mult
-            root = _roots(self.conductor)
-            self._mult = [{j: ((k, root[e]),) for j, (k, e) in enumerate(zip(ks, es))
-                           if k >= 0}
-                          for ks, es in zip(targets.tolist(), exps.tolist())]
+            root, rows = _roots(self.conductor), []
+            # b_i b_j = ((k, zeta^e),) at the nonzero products, row by row:
+            # whole tables as lists would outweigh the rows they build
+            for ks, es in zip(targets, exps):
+                j = np.flatnonzero(ks >= 0)
+                terms = zip(zip(ks[j].tolist(), map(root, es[j].tolist())))
+                rows.append(dict(zip(j.tolist(), terms)))
+            self._mult = rows
         return self._mult
 
     @property
@@ -67,7 +71,7 @@ class HopfAlgebra:
         if isinstance(self._comult, tuple):
             root, rows = _roots(self.conductor), [[] for _ in range(self.dim)]
             for i, j, k, e in zip(*(a.tolist() for a in self._comult)):
-                rows[i].append((j, k, root[e]))
+                rows[i].append((j, k, root(e)))
             self._comult = [tuple(row) for row in rows]
         return self._comult
 
@@ -111,7 +115,7 @@ class HopfAlgebra:
         """(targets, exponents) of mult_tables() when every product of basis
         elements is zero or a power of zeta_N times one; None otherwise."""
         tables = self.mult_tables()
-        return None if tables is None or tables[2].any() else tables[:2]
+        return None if tables[2].any() else tables[:2]
 
     def comult_tables(self):
         """(rows, lefts, rights, exponents) int arrays, one entry per term
@@ -281,8 +285,9 @@ def _root_exponents(coeffs, N):
 
 
 def _roots(N):
-    """[zeta_N^e for e in 0..N-1]."""
-    return [zeta(N, e) for e in range(N)]
+    """e -> zeta_N^e, memoized per exponent: a list over 0..N-1 would grow
+    with the conductor, which a loaded matched pair declares up to 2^60."""
+    return functools.cache(functools.partial(zeta, N))
 
 
 def _one_term_rows(rows, N):
@@ -405,17 +410,9 @@ def _check_assoc(H):
 
 def _assoc_suspects(H):
     """(i, j, k) in ascending order whose associativity fails on the tables
-    or reads an odd entry.  A host without tables leaves every triple with
-    b_i b_j or b_j b_k nonzero; both sides of the others are zero."""
+    or reads an odd entry."""
     n, N = H.dim, H.conductor
-    tables = H.mult_tables()
-    if tables is None:
-        nz = [sorted(j for j, terms in row.items() if terms) for row in H.mult]
-        for i, j in itertools.product(range(n), repeat=2):
-            for k in range(n) if H.mult[i].get(j) else nz[j]:
-                yield i, j, k
-        return
-    mt, me, odd = tables  # an odd entry counts as a zero product
+    mt, me, odd = H.mult_tables()  # an odd entry counts as a zero product
     any_odd = odd.any()
     nzm = mt >= 0
     # reach[i]: the number of (j, k) with b_i (b_j b_k) nonzero
@@ -584,7 +581,7 @@ def _comult_rows(tables, n):
 
 def _coassoc_suspects(H):
     """Ascending i whose coassociativity the exponent tables cannot accept:
-    every i when the host has no tables."""
+    every i when the host has no comult tables."""
     n, N = H.dim, H.conductor
     tables = H.comult_tables()
     if tables is None:
@@ -612,13 +609,13 @@ def _coassoc_suspects(H):
 def _delta_mult_suspects(H):
     """(i, j) in lexicographic order whose Delta(b_i b_j) = Delta(b_i) Delta(b_j)
     fails on the tables or reads an odd entry; every pair when the host has
-    no tables."""
+    no comult tables."""
     n, N = H.dim, H.conductor
-    mono, tables = H.mult_tables(), H.comult_tables()
-    if mono is None or tables is None:
+    tables = H.comult_tables()
+    if tables is None:
         yield from itertools.product(range(n), repeat=2)
         return
-    mt, me, odd = mono  # an odd entry counts as a zero product
+    mt, me, odd = H.mult_tables()  # an odd entry counts as a zero product
     rows, lefts, rights, exps = tables
     cnt, ptr = _comult_rows(tables, n)
     # (i, j) reads odd[i, j], and odd[a, b] for legs a, b of Delta(b_i), Delta(b_j)
@@ -692,19 +689,16 @@ def _check_eps_algebra_map(H):
 
 def _eps_mult_suspects(H):
     """(i, j) whose eps(b_i b_j) = eps(b_i) eps(b_j) fails on the tables or
-    reads an odd value, every pair when the host has no tables; per i, the
-    j of mult[i] in dict order, then the absent j ascending."""
+    reads an odd value; per i, the j of mult[i] in dict order, then the
+    absent j ascending."""
     n, N = H.dim, H.conductor
     tables, (ce, cz, codd) = H.mult_tables(), _counit_exponents(H)
     for r0, r1 in _row_blocks(np.full(n, n)):
-        if tables is None:
-            sus = np.ones((r1 - r0, n), dtype=bool)
-        else:
-            mt, me, odd = (x[r0:r1] for x in tables)
-            b = np.arange(r0, r1)[:, None]
-            lz, rz = cz[mt], cz[b] | cz[:n]
-            ok = (lz == rz) & (lz | ((me + ce[mt] - ce[b] - ce[:n]) % N == 0))
-            sus = ~ok | odd | codd[mt] | codd[b] | codd[:n]
+        mt, me, odd = (x[r0:r1] for x in tables)
+        b = np.arange(r0, r1)[:, None]
+        lz, rz = cz[mt], cz[b] | cz[:n]
+        ok = (lz == rz) & (lz | ((me + ce[mt] - ce[b] - ce[:n]) % N == 0))
+        sus = ~ok | odd | codd[mt] | codd[b] | codd[:n]
         for i in np.flatnonzero(sus.any(axis=1)).tolist():
             row, s = H.mult[r0 + i], sus[i].tolist()
             yield from ((r0 + i, j) for j in row if s[j])
@@ -714,7 +708,7 @@ def _eps_mult_suspects(H):
 def _counit_suspects(H):
     """Ascending i whose counit laws, sum c eps(b_j) b_k = b_i (law 0) and
     sum c eps(b_k) b_j = b_i (law 1) over Delta(b_i), the exponent tables
-    cannot accept: every i when the host has no tables."""
+    cannot accept: every i when the host has no comult tables."""
     if H.comult_tables() is None:
         return range(H.dim)
     ce, cz, codd = _counit_exponents(H)
@@ -765,12 +759,12 @@ def _antipode_suspects(H):
     """Ascending i whose antipode laws, sum c S(b_j) b_k = eps(b_i) 1 and
     sum c b_j S(b_k) = eps(b_i) 1 over Delta(b_i), the exponent tables
     cannot accept, with S(b_j) = zeta^se[j] b_sa[j]: every i when the host
-    has no tables or its unit is not a sum of terms zeta_N^e b_u."""
-    mono, N = H.mult_tables(), H.conductor
+    has no comult tables or its unit is not a sum of terms zeta_N^e b_u."""
+    N = H.conductor
     uk, ue = np.array(list(H.unit), dtype=np.int64), _root_exponents(H.unit.values(), N)
-    if mono is None or H.comult_tables() is None or (ue < 0).any():
+    if H.comult_tables() is None or (ue < 0).any():
         return range(H.dim)
-    mt, me, odd = mono
+    mt, me, odd = H.mult_tables()
     sa, se, sodd = _one_term_rows(H.antipode, N)
     ce, cz, codd = _counit_exponents(H)
 

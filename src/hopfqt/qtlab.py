@@ -527,13 +527,16 @@ class IdemSupport:
     def intertwiner_rejects(self, W, L):
         """Boolean array over the host basis, True at the rows h where the
         table shows Delta-op(b_h) R != R Delta(b_h) for the R with exponent
-        matrix W mod L; None without a table."""
+        matrix W mod L, or for any R of a stack W[..., k, l] of them; None
+        without a table."""
         if self.intertwiner_table is None:
             return None
         rows, _, k, l, i, j, fix = self.intertwiner_table
         M = math.lcm(self.view.M, L)
-        bad = ((W[k, l] - W[i, j]) * (M // L) + fix * (M // self.view.M)) % M != 0
-        return np.bincount(rows[bad], minlength=self.host.dim) > 0
+        d = W[..., k, l].astype(np.int64) - W[..., i, j]
+        bad = (d * (M // L) + fix * (M // self.view.M)) % M != 0
+        return np.bincount(rows[bad.reshape(-1, len(rows)).any(axis=0)],
+                           minlength=self.host.dim) > 0
 
 
 def _group_likes(H):
@@ -698,7 +701,8 @@ def _reduced(W, L):
 
 def verify_qt_certified(R: CertifiedR, conj_perms) -> Report:
     """verify_qt for R = sum w(s,t) E_s (x) E_t on a certified support;
-    the verifier both enumerations run on their survivors.
+    both enumerations check their survivors for its verdict, in stacks
+    (``_verified_survivors``), and rerun it on each when a stack fails.
 
     Orthogonality, completeness and Delta(E_t) = sum_(t1 t2 = t) E_t1 (x) E_t2
     of R.sup are certified, so the coproduct identities are multiplicativity
@@ -749,36 +753,44 @@ def _invariant_under(W, perm):
 _VERIFY_BLOCK = 1 << 22
 
 
-def _stack_passes(Ws, sup, L, perms):
+def _stack_passes(Ws, sup, L, perms, which):
     """True when every exponent matrix of the stack Ws (count, m, m) passes
-    verify_qt_certified on the certified support sup, for conj_perms rows
-    that are all permutations, perms the distinct ones: both
-    multiplicativities and invariance under each of perms, each checked on
-    the whole stack at once."""
+    verify_qt_certified on the certified support sup, with (perms, which) =
+    _distinct_perms(conj_perms, sup.m): both multiplicativities, invariance
+    under each of perms, and at the None rows of conj_perms (which -1) the
+    intertwiner table's acceptance, each checked on the whole stack at once.
+    False when a None row has no table to accept it."""
     Ws = _reduced(Ws, L)
-    return (_multiplicative(Ws, sup.kmul, L, sup.gens)
+    if not (_multiplicative(Ws, sup.kmul, L, sup.gens)
             and _multiplicative(np.ascontiguousarray(np.swapaxes(Ws, 1, 2)),
                                 sup.kmul, L, sup.gens)
-            and all(_invariant_under(Ws, perm) for perm in perms))
+            and all(_invariant_under(Ws, perm) for perm in perms)):
+        return False
+    loose = np.asarray(which) < 0
+    if not loose.any():
+        return True
+    rejects = sup.intertwiner_rejects(Ws, L)
+    return rejects is not None and not rejects[loose].any()
 
 
 def _verified_survivors(sup, X, A, L, conj_perms):
     """CertifiedR(sup, (X, A[k]), L) for every k, each passing
     verify_qt_certified(R, conj_perms) on the certified support sup, else
-    AssertionError.  Where no row of conj_perms is None, the exponent
-    matrices W = X A[k] X^T mod L are checked a block at a time by
-    ``_stack_passes``.  If a block fails, verify_qt_certified reruns on each
-    R in order and raises at the first that fails."""
+    AssertionError.  The exponent matrices W = X A[k] X^T mod L are checked
+    a block at a time by ``_stack_passes``.  If a block fails,
+    verify_qt_certified reruns on each R in order and raises at the first
+    that fails."""
     perms, which = _distinct_perms(conj_perms, sup.m)
-    step = max(1, _VERIFY_BLOCK // (sup.m ** 2 * len(sup.gens)))
-    passed = -1 not in which and all(
-        _stack_passes(X @ A[c:c + step] @ X.T, sup, L, perms)
-        for c in range(0, len(A), step))
+    # per matrix: the generator hexagons, and the table entries of None rows
+    table = sup.intertwiner_table if -1 in which else None
+    cost = sup.m ** 2 * len(sup.gens) + (0 if table is None else len(table[0]))
+    step = max(1, _VERIFY_BLOCK // cost)
+    passed = all(_stack_passes(X @ A[c:c + step] @ X.T, sup, L, perms, which)
+                 for c in range(0, len(A), step))
     out = [CertifiedR(sup, (X, Aw), L) for Aw in A]
     for R in out if not passed else ():
         if not verify_qt_certified(R, conj_perms).passed:
-            raise AssertionError(
-                "conjugation-invariant bicharacter failed verify_qt_certified")
+            raise AssertionError("survivor failed verify_qt_certified")
     return out
 
 
@@ -989,9 +1001,10 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
     cross-checks against the independent intertwiner test Delta-op(g) R =
     R Delta(g) of ``_qt_B_oracle``, read off the intertwiner table of the
     basis idempotents e_r # 1 for every candidate, asserts the two sets
-    coincide, and verifies every survivor with verify_qt_certified on that
-    support, whose intertwiner rows the same table decides: no survivor's
-    CycloNumber entries are built until they are read.
+    coincide, and verifies the survivors as verify_qt_certified does on that
+    support, whose intertwiner rows the same table decides, stacked
+    (``_verified_survivors``): no survivor's CycloNumber entries are built
+    until they are read.
     """
     mp = make_B(p, q, m, lam)
     H = build_bismash(mp)
@@ -1006,17 +1019,10 @@ def qt_B_enumerate(p, q, m, lam) -> QTEnumeration:
         raise AssertionError("generator-condition filter disagrees with the "
                              "direct intertwiner oracle")
 
-    sup.certify()
-    conj = sup.conj_perms()
-    pairs = []
-    for key, Aw in zip(_keys(E), A):
-        if key not in filter_keys:
-            continue
-        R = CertifiedR(sup, (X @ Aw @ X.T) % L, L)
-        rep = verify_qt_certified(R, conj)
-        if not rep.passed:
-            raise AssertionError(f"survivor failed verification: {rep!r}")
-        pairs.append((Bicharacter(key), R))
+    found = [k for k, key in enumerate(_keys(E)) if key in filter_keys]
+    pairs = list(zip(map(Bicharacter, _keys(E[found])),
+                     _verified_survivors(sup.certify(), X, A[found], L,
+                                         sup.conj_perms())))
     return QTEnumeration(H, pairs, filter_keys=filter_keys, oracle_keys=oracle_keys)
 
 

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hopfqt.exactfield import zeta
+from hopfqt.exactfield import CycloNumber, zeta
 from hopfqt.grouptool import ParameterError, abelian_group, cyclic_group
 from hopfqt import bismash
 from hopfqt.bismash import (
+    BismashHopf,
     MatchedPair,
     build_bismash,
     dual_iso_check,
@@ -18,7 +19,9 @@ from hopfqt.bismash import (
     make_B,
     validate_matched_pair,
 )
-from hopfqt.hopfcore import dual_hopf, verify_hopf_axioms
+from hopfqt.hopfcore import dual_hopf, dump_structure, group_algebra, verify_hopf_axioms
+
+from test_hopfcore import hopf_structures_equal
 
 
 def trivial_pair(orders_g, orders_f):
@@ -156,6 +159,105 @@ def test_build_rejects_invalid_pair():
         build_bismash(bad)
     assert str(err.value) == ("matched pair invalid: sigma cocycle fails at "
                               "(1, 1, 1, 2)")
+
+
+def reference_build_bismash(mp):
+    """k^G # kF from its rows, one FiniteGroup.mul or inv call per entry,
+    the tables derived from the rows: the row builder that build_bismash
+    replaced."""
+    assert validate_matched_pair(mp).passed
+    G, F = mp.G, mp.F
+    ng, nf, N = G.order, F.order, mp.conductor
+    root = {}
+
+    def rt(e):
+        return root.setdefault(e % N, zeta(N, e % N))
+
+    al, ar = mp.act_left.tolist(), mp.act_right.tolist()
+    sig, tau = mp.sigma.tolist(), mp.tau.tolist()
+    idx = lambda g, f: g * nf + f
+    mult = [dict() for _ in range(ng * nf)]
+    for g in range(ng):
+        for f in range(nf):
+            for f2 in range(nf):
+                mult[idx(g, f)][idx(al[g][f], f2)] = ((idx(g, F.mul(f, f2)),
+                                                       rt(sig[g][f][f2])),)
+    comult = []
+    for g in range(ng):
+        for f in range(nf):
+            terms = []
+            for g1 in range(ng):
+                g2 = G.mul(G.inv(g1), g)
+                terms.append((idx(g1, ar[g2][f]), idx(g2, f), rt(tau[g1][g2][f])))
+            comult.append(tuple(terms))
+    one = rt(0)
+    unit = {idx(g, 0): one for g in range(ng)}
+    counit = [one if g == 0 else CycloNumber.zero(N) for g in range(ng) for _ in range(nf)]
+    antipode = []
+    for g in range(ng):
+        ginv = G.inv(g)
+        for f in range(nf):
+            gf_r_inv = F.inv(ar[g][f])
+            e = -sig[ginv][ar[g][f]][gf_r_inv] - tau[ginv][g][f]
+            antipode.append(((idx(G.inv(al[g][f]), gf_r_inv), rt(e)),))
+    labels = [f"e({G.label(g)})#{F.label(f)}" for g in range(ng) for f in range(nf)]
+    return BismashHopf(mp, ng * nf, N, mult, comult, unit, counit, antipode, labels)
+
+
+def oracle_pairs():
+    """A(7,3,l), B(3,7,lam), the valid duals, the trivial pair, and
+    B(3,7,2,1) loaded back at conductor 14 with sigma and tau doubled."""
+    pairs = [make_A(7, 3, 2, l) for l in range(3)] + [make_B(3, 7, 2, lam)
+                                                      for lam in range(2)]
+    pairs += [dualize_trivial_action(mp) for mp in pairs if mp.right_trivial()]
+    mp = make_B(3, 7, 2, 1)
+    lines = dump_matched_pair(MatchedPair(
+        mp.G, mp.F, mp.act_left, mp.act_right, 2 * mp.sigma, 2 * mp.tau, 14,
+        name="B(3,7,2,1) at 14")).splitlines()
+    return pairs + [trivial_pair([3], [5]), load_matched_pair("\n".join(lines) + "\n")]
+
+
+def test_build_from_tables_matches_reference():
+    """build_bismash equals the row-built reference: the same dump bytes,
+    tables and dtypes, structure constants, and key order of every mult
+    row (which orders the witnesses of the counit algebra-map sweep)."""
+    pairs = oracle_pairs()
+    assert len(pairs) == 12 and pairs[-1].conductor == 14
+    assert pairs[-1].sigma.any() or pairs[-1].tau.any()
+    for mp in pairs:
+        H, ref = build_bismash(mp), reference_build_bismash(mp)
+        # compared outside the assert: pytest's diff of two dumps takes minutes
+        same_dump = dump_structure(H) == dump_structure(ref)
+        assert same_dump, mp.name
+        for got, want in ((H.mult_tables(), ref.mult_tables()),
+                          (H.comult_tables(), ref.comult_tables())):
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                       for a, b in zip(got, want, strict=True)), mp.name
+        assert hopf_structures_equal(H, ref), mp.name
+        assert [list(row) for row in H.mult] == [list(row) for row in ref.mult]
+
+
+def _rows_peak(H):
+    tracemalloc.start()
+    try:
+        H.mult, H.comult
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_reads_allocate_by_entries_not_conductor():
+    """Reading the rows of a table host builds one root per exponent that
+    occurs, not one per exponent below the conductor."""
+    N = 10**6
+    mp = trivial_pair([3], [5])
+    mp = MatchedPair(mp.G, mp.F, mp.act_left, mp.act_right, mp.sigma, mp.tau, N)
+    for H in (group_algebra(cyclic_group(3), N), build_bismash(mp)):
+        assert H.conductor == N
+        assert _rows_peak(H) <= 2**16
+        assert H.mult[1] == {j: ((k, CycloNumber.one(N)),)
+                             for j, k in enumerate(H.mult_tables()[0][1].tolist())
+                             if k >= 0}
 
 
 def test_trivial_pair_gives_group_algebra_like_hopf():

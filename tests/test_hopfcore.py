@@ -171,9 +171,14 @@ def test_axioms_fail_on_mutated_structure_constant():
 
 
 def generic_copy(H):
-    """H without its exponent tables: every sweep takes the generic join."""
+    """H with tables that accept nothing: every nonzero product is an odd
+    entry and there are no comult tables, so every sweep sends each identity
+    that reads a nonzero constant to the generic join (the identities left
+    read only zero products, and both their sides are zero)."""
     G = copy.copy(H)
-    G._mono = G._cmono = None
+    mt, me, odd = H.mult_tables()
+    G._mono = (np.full_like(mt, -1), np.zeros_like(me), odd | (mt >= 0))
+    G._cmono = None
     return G
 
 

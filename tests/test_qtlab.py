@@ -231,6 +231,26 @@ def test_group_side_reads_integer_tables(monkeypatch):
     assert rows == ["mult", "comult"] and len(cyclo) > G.order and roots
 
 
+def test_tau_side_reads_integer_tables(monkeypatch):
+    """qt_B_enumerate(3,7,2,1) reads no mult or comult row of its host and
+    runs verify_qt_certified on no survivor: the stacked check decides them
+    on the intertwiner table.  Each spy is shown to see what it watches."""
+    rows, calls = [], []
+    for name in ("mult", "comult"):
+        real = getattr(HopfAlgebra, name)
+        monkeypatch.setattr(HopfAlgebra, name, property(
+            lambda self, real=real, name=name: rows.append(name) or real.fget(self)))
+    verify = qtlab.verify_qt_certified
+    monkeypatch.setattr(qtlab, "verify_qt_certified",
+                        lambda R, conj: calls.append(R) or verify(R, conj))
+    res = qt_B_enumerate(3, 7, 2, 1)
+    assert len(res) == 1 and rows == [] and calls == []
+    res.host.mult, res.host.comult
+    (_, R), = res
+    assert qtlab.verify_qt_certified(R, R.sup.conj_perms()).passed
+    assert rows == ["mult", "comult"] and calls == [R]
+
+
 def test_group_algebra_survivor_passes_generic_verifier():
     # the R each pair returns, not a rebuild, passes the exhaustive verifier:
     # its entries are the nonzero tensor sum w(s,t) E_s (x) E_t
@@ -1115,7 +1135,11 @@ def test_stacked_check_matches_per_survivor_verifier():
     are rejected, the transpose and the double of an invariant bicharacter
     accepted.  On the abelian beta1(3,5), where every conjugation is the
     identity, w with two columns (rows) swapped is a character in its
-    first (second) slot only, and fails just the other hexagon."""
+    first (second) slot only, and fails just the other hexagon.  On the
+    tau-twisted host B(3,7,2,0), whose conj_perms rows are all None and
+    read off the intertwiner table, a stack with a seeded single-entry
+    shift, the transpose or the double of a survivor fails, and
+    verify_qt_certified rejects that matrix and passes every other."""
     rng = random.Random(23)
     verdicts = []
     for fam, params in (("beta7", dict(p=3, q=5)), ("gamma3", dict(p=7, q=3, m=2)),
@@ -1124,9 +1148,9 @@ def test_stacked_check_matches_per_survivor_verifier():
         res = qt_group_algebra_enumerate(G)
         sup, L = res[0][1].sup, res[0][1].L
         conj = sup.conj_perms()
-        perms, _ = qtlab._distinct_perms(conj, sup.m)
+        perms, which = qtlab._distinct_perms(conj, sup.m)
         Ws = np.stack([R.W for _, R in res])
-        assert qtlab._stack_passes(Ws, sup, L, perms)
+        assert qtlab._stack_passes(Ws, sup, L, perms, which)
         K = (abelian_decomposition(G, range(G.order)) if G.is_abelian()
              else largest_abelian_normal(G))
         keys = {w.key() for w, _ in res}
@@ -1149,13 +1173,36 @@ def test_stacked_check_matches_per_survivor_verifier():
             rep = verify_qt_certified(CertifiedR(sup, Wm, L), conj)
             stack = Ws.copy()
             stack[rng.randrange(len(stack))] = Wm % L
-            assert qtlab._stack_passes(stack, sup, L, perms) == rep.passed, fam
+            assert qtlab._stack_passes(stack, sup, L, perms, which) == rep.passed, fam
             verdicts.append((fam, list(rep.failures)))
     assert [v for v in verdicts if not v[1]] == [(fam, []) for fam in (
         "beta7", "beta7", "gamma3", "gamma3", "beta6", "beta6", "beta1", "beta1")]
     assert verdicts[-10:-8] == [("beta1", ["coproduct identity (right)"]),
                                 ("beta1", ["coproduct identity (left)"])]
     assert len(verdicts) == 45
+
+    res = qt_B_enumerate(3, 7, 2, 0)
+    sup, L = res[0][1].sup, res[0][1].L
+    conj = sup.conj_perms()
+    perms, which = qtlab._distinct_perms(conj, sup.m)
+    assert len(perms) == 0 and set(which) == {-1}
+    Ws = np.stack([R.W for _, R in res])
+    assert len(Ws) == 7 and qtlab._stack_passes(Ws, sup, L, perms, which)
+    w = next(R.W for v, R in res if not v.is_trivial())
+    failed = []
+    for Wm in [w.T, 2 * w] + [None] * 6:
+        if Wm is None:
+            Wm = rng.choice(res)[1].W.copy()
+            Wm[rng.randrange(sup.m), rng.randrange(sup.m)] += 1 + rng.randrange(L - 1)
+        k = rng.randrange(len(Ws))
+        stack = Ws.copy()
+        stack[k] = Wm % L
+        assert not qtlab._stack_passes(stack, sup, L, perms, which)
+        reps = [verify_qt_certified(CertifiedR(sup, W, L), conj) for W in stack]
+        assert [r.passed for r in reps] == [c != k for c in range(len(stack))]
+        failed.append(set(reps[k].failures))
+    assert failed[:2] == [{INTERTWINER}, {INTERTWINER}]
+    assert all(LEFT in f and RIGHT in f for f in failed[2:])
 
 
 def test_failing_survivor_reruns_the_per_survivor_verifier(monkeypatch):
@@ -1173,8 +1220,7 @@ def test_failing_survivor_reruns_the_per_survivor_verifier(monkeypatch):
     monkeypatch.setattr(qtlab, "_invariant_mask",
                         lambda forms, *args: np.ones(len(forms[1]), dtype=bool))
     monkeypatch.setattr(qtlab, "verify_qt_certified", spy)
-    with pytest.raises(AssertionError, match="conjugation-invariant bicharacter "
-                       "failed verify_qt_certified"):
+    with pytest.raises(AssertionError, match="survivor failed verify_qt_certified"):
         qt_group_algebra_enumerate(build_group("beta7", p=3, q=5))
     assert calls and calls[-1] is False and all(calls[:-1])
 
